@@ -219,7 +219,7 @@ def cmd_smash_table(args) -> int:
         for k1 in basis:
             for k2 in basis:
                 row = model.mult[(k1, k2)]
-                cells = [str(row.get(k, GaussianRational(0))) for k in basis]
+                cells = [str(row[k]) if k in row else "0" for k in basis]
                 print(f'"{model.key_str(k1)}","{model.key_str(k2)}",'
                       + ",".join(cells))
     else:
@@ -229,7 +229,7 @@ def cmd_smash_table(args) -> int:
         print("element," + header)
         for k in basis:
             table = model.comult[k]
-            cells = [str(table.get(p, GaussianRational(0))) for p in pairs]
+            cells = [str(table[p]) if p in table else "0" for p in pairs]
             print(f'"{model.key_str(k)}",' + ",".join(cells))
     return EXIT_OK
 

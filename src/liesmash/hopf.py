@@ -282,8 +282,8 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
     gen_image: dict = {}
     for gname, gkey in A.generators:
         img = images.get(gname, {})
-        img = {k: GaussianRational.coerce(c) for k, c in img.items()
-               if GaussianRational.coerce(c)}
+        img = {k: v for k, c in img.items()
+               if (v := GaussianRational.coerce(c))}
         for k in img:
             if k not in A.degree:
                 raise PreconditionError(f"image of {gname} uses unknown key {k!r}")

@@ -104,8 +104,8 @@ class LieAlgebra:
             if not (0 <= i < j < self.dim):
                 raise InputError(
                     f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
-            cleaned = {k: GaussianRational.coerce(c) for k, c in comps.items()
-                       if GaussianRational.coerce(c)}
+            cleaned = {k: v for k, c in comps.items()
+                       if (v := GaussianRational.coerce(c))}
             for k in cleaned:
                 if not 0 <= k < self.dim:
                     raise InputError(f"bracket target index {k} out of range")

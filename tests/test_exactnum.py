@@ -1,5 +1,6 @@
 """Field arithmetic and string round-trips for the exact scalars."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -75,3 +76,130 @@ def test_abs_rational_needs_real():
     assert gq(Fraction(-3, 4)).abs_rational() == Fraction(3, 4)
     with pytest.raises(ValueError):
         I.abs_rational()
+
+
+# -- differential test against a Fraction-pair reference model ------------
+
+class RefGQ:
+    """Reference model: the scalar as a plain pair of Fractions."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return RefGQ(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return RefGQ(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return RefGQ(self.re * o.re - self.im * o.im,
+                     self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        return RefGQ((self.re * o.re + self.im * o.im) / n,
+                     (self.im * o.re - self.re * o.im) / n)
+
+    def __neg__(self):
+        return RefGQ(-self.re, -self.im)
+
+    def conjugate(self):
+        return RefGQ(self.re, -self.im)
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.im > 0:
+            return f"{self.re}+{self.im}*i"
+        return f"{self.re}-{-self.im}*i"
+
+
+parts = st.one_of(st.integers(-10**20, 10**20), st.integers(-3, 3),
+                  rationals, st.fractions(max_denominator=10**12))
+complex_parts = st.tuples(parts, parts)
+integer_parts = st.tuples(st.integers(-10**6, 10**6), st.just(0))
+operand_parts = st.one_of(complex_parts, integer_parts)
+
+
+def assert_canonical(z):
+    assert type(z._a) is int and type(z._b) is int and type(z._d) is int
+    assert z._d > 0
+    assert math.gcd(z._a, z._b, z._d) == 1
+
+
+def assert_matches(z, ref):
+    assert_canonical(z)
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert str(z) == str(ref)
+    assert hash(z) == hash((ref.re, ref.im))
+
+
+@given(operand_parts, operand_parts)
+def test_matches_fraction_pair_reference(p, q):
+    x, y = gq(*p), gq(*q)
+    rx, ry = RefGQ(*p), RefGQ(*q)
+    assert_matches(x, rx)
+    assert_matches(x + y, rx + ry)
+    assert_matches(x - y, rx - ry)
+    assert_matches(x * y, rx * ry)
+    if ry.re or ry.im:
+        assert_matches(x / y, rx / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert_matches(-x, -rx)
+    assert_matches(x.conjugate(), rx.conjugate())
+    assert (x == y) == (rx == ry)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert bool(x) == bool(rx.re or rx.im)
+    assert GaussianRational.parse(str(x)) == x
+
+
+@given(operand_parts, st.integers(-10**6, 10**6), rationals)
+def test_mixed_operands_match_reference(p, n, r):
+    x, rx = gq(*p), RefGQ(*p)
+    assert_matches(x + n, rx + RefGQ(n))
+    assert_matches(n - x, RefGQ(n) - rx)
+    assert_matches(n * x, RefGQ(n) * rx)
+    assert_matches(x * r, rx * RefGQ(r))
+    assert_matches(x - r, rx - RefGQ(r))
+    if r:
+        assert_matches(x / r, rx / RefGQ(r))
+    assert (x == n) == (rx == RefGQ(n))
+
+
+def test_canonical_form_and_equal_hashes():
+    half = gq(Fraction(2, 4))
+    assert (half._a, half._b, half._d) == (1, 0, 2)
+    assert hash(half) == hash(GaussianRational.parse("1/2"))
+    assert (ZERO._a, ZERO._b, ZERO._d) == (0, 0, 1)
+    assert gq(Fraction(3, 6), Fraction(-1, 3)) == GaussianRational.parse("1/2-1/3*i")
+    assert (gq(Fraction(1, 2)) * 2)._d == 1
+
+
+def test_equality_with_plain_numbers():
+    assert gq(2) == 2
+    assert gq(Fraction(1, 2)) == Fraction(1, 2)
+    assert gq(Fraction(4, 2)) == 2
+    assert gq(2, 1) != 2
+
+
+def test_parts_are_fractions():
+    z = gq(Fraction(1, 2), -3)
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert (z.re, z.im) == (Fraction(1, 2), Fraction(-3))
+    assert isinstance(ONE.re, Fraction) and isinstance(ONE.im, Fraction)
+
+
+def test_immutable():
+    z = gq(Fraction(1, 2), 1)
+    for name in ("re", "im", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, 1)
+    assert z == gq(Fraction(1, 2), 1)

@@ -1,0 +1,129 @@
+"""Golden reports: decompose and smash-table output, byte for byte.
+
+The digests and check counts below were recorded from the Fraction-pair
+scalar that preceded the int-triple one.  A change to the scalar type, the
+Hopf tables or the rendering must keep every report byte-identical and every
+verification covering exactly the same cases.  The ``input:`` line (and the
+JSON ``"input"`` key) holds the path the file was read from, so it is left
+out of the digest.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from liesmash.cli import main
+from liesmash.report import decompose
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+# the Hopf check counts, shared by models of the same shape
+_COUNTS_6 = {"unit": 6, "associativity": 28, "coassociativity": 6,
+             "counit": 6, "bialgebra": 15, "antipode-convolution": 6,
+             "module-intertwining": 6, "factor-embeddings": 18}
+
+# (data file stem, truncation) -> (text sha256, json sha256, check counts)
+GOLDEN = {
+    ("abelian2", 2): (
+        "ba040ee97e6ccd5eb912a63d11103c7432385435099a68b4a364e63e7bfa5f8c",
+        "f3550b058d5202545bb7670634a2252c18f687df5817be93b721b4141a15e85f",
+        _COUNTS_6),
+    ("filiform4", 2): (
+        "c0aa895ed26e36b0ddd2feea68b01680707ad25a8f1731d09f838336d23b95c4",
+        "6003c46c2e01ee11a7f46af07feab1e32b4bf8efc39344cc6589da5ea6e8cd18",
+        {"unit": 15, "associativity": 91, "coassociativity": 15,
+         "counit": 15, "bialgebra": 45, "antipode-convolution": 15,
+         "module-intertwining": 15, "factor-embeddings": 109}),
+    ("heisenberg", 2): (
+        "80d1a305401597c2cff11493d4dba55ebb12c9f65877e45bb3b362ac095a232d",
+        "7d466fc48bdd8cc3f051f1d182ffde025c8f391f6a95d82eb9ea6952bf68cfea",
+        {"unit": 10, "associativity": 55, "coassociativity": 10,
+         "counit": 10, "bialgebra": 28, "antipode-convolution": 10,
+         "module-intertwining": 10, "factor-embeddings": 45}),
+    ("solv2", 2): (
+        "4a40e84eb6f3c970833c2b9659288888300d60fe7c949b93b12485eb739f3d6e",
+        "e44a31c0d2ea453e1d7dc6ac56e2598c69ac3a75e8adc068f66496f0cb578ae8",
+        _COUNTS_6),
+    ("uppertri3", 2): (
+        "93ddeebc7700cb935ad0168a2024a205a9ef85fda7496fe7d27bdcb638c21b6b",
+        "3ee24201266c9c37d63deeb5afd1a20a2c160656e23c89346cca4461a1abd661",
+        {"unit": 28, "associativity": 190, "coassociativity": 28,
+         "counit": 28, "bialgebra": 91, "antipode-convolution": 28,
+         "module-intertwining": 28, "factor-embeddings": 450}),
+    ("heisenberg", 4): (
+        "0f97dc7e6e33662932a65ad009d1a17fb763927f0305805d752a77a3fa09b721",
+        "4faee34fb5799fedce50858b1a63526b291a53ac0b9cf6cb926a2020ee608305",
+        {"unit": 35, "associativity": 715, "coassociativity": 35,
+         "counit": 35, "bialgebra": 210, "antipode-convolution": 35,
+         "module-intertwining": 35, "factor-embeddings": 250}),
+    ("filiform4", 4): (
+        "76e8c443ff765d6a724600c0f102ed3296b071a3ffaf491c1b610bf4ea5e295b",
+        "66c00ff49dc66e83c467f31969f0ccd9a6a02bef96475eb65dd5935fc6cdf5c3",
+        {"unit": 70, "associativity": 1820, "coassociativity": 70,
+         "counit": 70, "bialgebra": 495, "antipode-convolution": 70,
+         "module-intertwining": 70, "factor-embeddings": 1250}),
+}
+
+# (model, table) -> sha256 of `smash-table --truncation 3` output
+GOLDEN_TABLES = {
+    ("cyclic2", "mult"): "2580952e01f773c08f600203e84aba84c9bdddaed03cdfe384de385d5c735288",
+    ("cyclic2", "comult"): "665615c2d82cb639acbbc63d7eff8dc996eb21ac5cd327dc64b73180beb840a2",
+    ("heis3", "mult"): "e83c98c1ceb029b48189be5e4700380dc9badb10bb7a2a70cbf38040920ed292",
+    ("heis3", "comult"): "3877bbc034c45223154c9838ea91e67179e969ae6b7a233439c73fda9ddd4be7",
+    ("series", "mult"): "e09b01ee6aff3396891879ee94d088babceb29155ea2266451ca475dbba0274e",
+    ("series", "comult"): "c23d8fa97aa43bbbedededa68beb9b652c3cc09a7ee0d9d6d99541c00205db70",
+    ("smash2", "mult"): "e7ab33bafd30418b63f42ac47661001f62a3958f7e7408d55af4b02afd2f9dda",
+    ("smash2", "comult"): "8d7fe79c4f592679bef5c30dc2939d305d56eb054d0d761eedaf9a7b2cdfce33",
+    ("solv2", "mult"): "31d68dbf28f4bf270a2bd047e86ea59bc79d7a578868971506b26f15b6939ecf",
+    ("solv2", "comult"): "9e6b48fbb55f3b63afea1d824e2cc3234c0b54c7e9b798c86d106f0ea77fe77a",
+    ("tensor2", "mult"): "b52e011376c44ab5d60c28b13b3d57ddae00b81486e65925a4d52717e6bdc639",
+    ("tensor2", "comult"): "8d7fe79c4f592679bef5c30dc2939d305d56eb054d0d761eedaf9a7b2cdfce33",
+}
+
+
+def run(capsys, argv):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def digest_without_input(text: str) -> str:
+    kept = [line for line in text.splitlines(keepends=True)
+            if not line.startswith(("input: ", '  "input": '))]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def test_golden_cases_cover_every_data_file():
+    stems = {p.stem for p in DATA.glob("*.json")}
+    assert stems == {stem for stem, d in GOLDEN if d == 2}
+
+
+@pytest.mark.parametrize("stem,truncation", sorted(GOLDEN))
+def test_decompose_reports_are_byte_identical(capsys, stem, truncation):
+    text_sha, json_sha, _ = GOLDEN[(stem, truncation)]
+    argv = ["decompose", str(DATA / f"{stem}.json"),
+            "--truncation", str(truncation)]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out.startswith("liesmash-report 1\n")
+    assert digest_without_input(out) == text_sha
+    code, out = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert digest_without_input(out) == json_sha
+
+
+@pytest.mark.parametrize("stem,truncation", sorted(GOLDEN))
+def test_hopf_check_counts_are_unchanged(stem, truncation):
+    counts = GOLDEN[(stem, truncation)][2]
+    report = decompose(str(DATA / f"{stem}.json"), truncation=truncation)
+    assert report.hopf_report.passed
+    assert {r.name: r.checked for r in report.hopf_report.results} == counts
+
+
+@pytest.mark.parametrize("model,table", sorted(GOLDEN_TABLES))
+def test_smash_tables_are_byte_identical(capsys, model, table):
+    code, out = run(capsys, ["smash-table", "--model", model,
+                             "--table", table, "--truncation", "3"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_TABLES[(model, table)]
