@@ -28,8 +28,6 @@ from .hopf import (
     iterated_smash,
     make_group_like_hopf,
     make_primitive_series_hopf,
-    smash_antipode,
-    smash_multiply,
     tau,
     trivial_action,
     verify_hopf_axioms,

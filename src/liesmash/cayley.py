@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
+from .weights import WeightDomainError, _lsq
 
 
 class CayleyGroup:
@@ -210,16 +211,9 @@ class SemidirectZkZ(CayleyGroup):
         return (tuple(-x for x in self.act(-n, v)), -n)
 
     def generators(self):
-        gens = []
-        for i in range(self.k):
-            e = [0] * self.k
-            e[i] = 1
-            gens.append((tuple(e), 0))
-            e[i] = -1
-            gens.append((tuple(e), 0))
-        gens.append(((0,) * self.k, 1))
-        gens.append(((0,) * self.k, -1))
-        return gens
+        zero = (0,) * self.k
+        return ([(e, 0) for e in ZK(self.k).generators()]
+                + [(zero, 1), (zero, -1)])
 
     def parse_element(self, text):
         flat = _parse_int_tuple(text, self.k + 1)
@@ -345,9 +339,6 @@ class WordWeightTable:
         n = self.length(g)
         return None if n is None else 2 ** n
 
-    def shell(self, n: int):
-        return [g for g, l in self.lengths.items() if l == n]
-
 
 _TABLE_CACHE: dict[tuple, WordWeightTable] = {}
 
@@ -381,17 +372,6 @@ class DistortionFit:
     @property
     def exponential(self) -> bool:
         return self.classification == "exponential"
-
-
-def _lsq(xs, ys):
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
-        return 0.0, my
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
-    return slope, my - slope * mx
 
 
 def growth_table(group: CayleyGroup, h, radius: int, max_power: int = 4096):
@@ -551,9 +531,7 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
     for random finitely supported a, b.
     """
     rng = random.Random(seed)
-
-    def wval(g):
-        return weight.eval(g)
+    wval = weight.eval
 
     def sample():
         return group.random_element(rng, size)
@@ -565,7 +543,7 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
         try:
             lhs = wval(group.multiply(g, h))
             rg, rh = wval(g), wval(h)
-        except Exception:
+        except WeightDomainError:
             continue  # beyond a word-weight radius: skip the probe
         if lhs > rg * rh * (1 + 1e-12):
             return SmashCheckResult(False, checked, (g, h),
@@ -586,7 +564,7 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
             lhs = sum(abs(float(c)) * wval(g) for g, c in conv.items())
             na = sum(abs(float(c)) * wval(g) for c, g in zip(ca, sup_a))
             nb = sum(abs(float(c)) * wval(g) for c, g in zip(cb, sup_b))
-        except Exception:
+        except WeightDomainError:
             continue
         if lhs > na * nb * (1 + 1e-12):
             return SmashCheckResult(False, checked, (sup_a, sup_b),

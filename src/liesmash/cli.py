@@ -1,6 +1,10 @@
 """Command-line surface: decompose, hopf-verify, smash-table, weight-check,
 word-weight, norm, selfcheck.
 
+The chain models (heis3, solv2) are built by report.build_chain_model, as in
+decompose; hopf-verify and selfcheck check them with report.check_chain_model,
+and smash-table only builds them.
+
 Exit codes: 0 pass, 1 input error, 2 mathematical precondition violated,
 3 verification failure.
 """
@@ -17,9 +21,7 @@ from . import cayley, corpus, weights as weight_mod
 from .exactnum import GaussianRational
 from .hopf import (
     SmashAlgebra,
-    commutator_table_check,
     derivation_to_action,
-    iterated_smash,
     make_primitive_series_hopf,
     cyclic_group_hopf,
     tensor_degeneration_check,
@@ -30,11 +32,15 @@ from .lie import (
     InputError,
     PreconditionError,
     VerificationError,
-    adjoint_action_matrices,
-    chain_bracket_matrix,
     semidirect_chain,
 )
-from .report import decompose, roundtrip_factorization
+from .report import (
+    ChainModel,
+    build_chain_model,
+    check_chain_model,
+    decompose,
+    roundtrip_factorization,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -125,22 +131,12 @@ def _model_smash2(d):
     return SmashAlgebra(a, h, action)
 
 
-def _chain_model(algebra, d, nprime_selector="N"):
-    g = algebra
-    rad = g.full_subspace()
-    nil = g.nilpotent_radical(rad)
-    exp = g.exponential_radical(rad)
-    nprime = nil if nprime_selector == "N" else exp
-    chain = semidirect_chain(g, nprime)
-    return iterated_smash(chain, d, adjoint_action_matrices(g, chain))
-
-
 def _model_heis3(d):
-    return _chain_model(corpus.heisenberg(), d)
+    return build_chain_model(corpus.heisenberg(), truncation=d)
 
 
 def _model_solv2(d):
-    return _chain_model(corpus.solv2(), d)
+    return build_chain_model(corpus.solv2(), truncation=d)
 
 
 def _model_cyclic2(d):
@@ -183,19 +179,21 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
+def _check_model(model):
+    """A built model's Hopf-axiom report, and for a chain model its
+    commutator-recovery check (None for the other models)."""
+    if isinstance(model, ChainModel):
+        return check_chain_model(model)
+    return verify_hopf_axioms(model), None
+
+
 def cmd_hopf_verify(args) -> int:
     model = MODEL_BUILDERS[args.model](args.truncation)
-    report = verify_hopf_axioms(model)
-    extra = []
-    if args.model in ("heis3", "solv2"):
-        g = corpus.heisenberg() if args.model == "heis3" else corpus.solv2()
-        chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-        names = [f.name for f in chain.factors]
-        extra.append(commutator_table_check(
-            model, chain_bracket_matrix(g, chain), names))
+    report, commutators = _check_model(model)
+    if commutators is not None:
+        report.results.append(commutators)
     if args.model == "tensor2":
-        extra.append(tensor_degeneration_check(model))
-    report.results.extend(extra)
+        report.results.append(tensor_degeneration_check(model))
     if args.format == "json":
         print(json.dumps({
             "model": report.model,
@@ -212,6 +210,8 @@ def cmd_hopf_verify(args) -> int:
 
 def cmd_smash_table(args) -> int:
     model = MODEL_BUILDERS[args.model](args.truncation)
+    if isinstance(model, ChainModel):
+        model = model.smash
     basis = list(model.basis)
     names = [model.key_str(k) for k in basis]
     if args.table == "mult":
@@ -391,19 +391,15 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
 
     if passed:
         # --- hopf suite (skipped when the lie layer is already broken)
+        commutators = {}
         for model_name in ("series", "smash2", "heis3", "solv2", "cyclic2"):
-            rep = verify_hopf_axioms(MODEL_BUILDERS[model_name](truncation))
+            rep, commutators[model_name] = _check_model(
+                MODEL_BUILDERS[model_name](truncation))
             fail = rep.first_failure()
             record("hopf", f"axioms {model_name}", rep.passed,
                    fail.line() if fail else "")
-        for cname in ("heisenberg", "solv2"):
-            g = corpus.named_algebra(cname)
-            chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-            model = iterated_smash(chain, truncation,
-                                   adjoint_action_matrices(g, chain))
-            names = [f.name for f in chain.factors]
-            chk = commutator_table_check(model, chain_bracket_matrix(g, chain),
-                                         names)
+        for model_name, cname in (("heis3", "heisenberg"), ("solv2", "solv2")):
+            chk = commutators[model_name]
             record("hopf", f"commutators {cname}", chk.passed,
                    chk.witness or "")
         record("hopf", "tensor degeneration",

@@ -159,10 +159,9 @@ class GaussianRational:
 
     def __eq__(self, other):
         if other.__class__ is not GaussianRational:
-            try:
-                other = GaussianRational.coerce(other)
-            except TypeError:
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
+            other = GaussianRational.coerce(other)
         return (self._a == other._a and self._b == other._b
                 and self._d == other._d)
 

@@ -124,9 +124,6 @@ class TruncatedHopf:
             out = el_add(out, el_scale(c, self.antipode[k]))
         return out
 
-    def degree_of(self, u: Element) -> int:
-        return max((self.degree[k] for k in u), default=0)
-
     def is_cocommutative(self) -> bool:
         if self._cocommutative is None:
             ok = True
@@ -501,17 +498,6 @@ class SmashAlgebra(TruncatedHopf):
         return {(self.A.unit, k): c for k, c in u.items()}
 
 
-def smash_multiply(s: SmashAlgebra, u: Element, v: Element) -> Element:
-    return s.multiply(u, v)
-
-
-def smash_antipode(s: SmashAlgebra, u: Element) -> Element:
-    if s.antipode is None:
-        raise PreconditionError(
-            "smash antipode needs a cocommutative acting factor")
-    return s.antipode_el(u)
-
-
 def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     """Left-nested smash of a decomposition chain's one-dimensional factors.
 
@@ -520,7 +506,7 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     verified as a module-algebra action before the smash is formed.  A
     reductive tail stays symbolic and contributes no generator.
     """
-    names = [f.name for f in chain.factors if f.kind != "reductive-tail"]
+    names = chain.generator_names()
     if len(names) < 1:
         raise PreconditionError("iterated smash needs at least one factor")
     if len(actions) != len(names) - 1:
@@ -764,16 +750,24 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
 
 
 def commutator_table_check(s: TruncatedHopf, bracket_matrix, names) -> CheckResult:
-    """Assert [gen_i, gen_j] in the smash equals the Lie bracket expansion."""
+    """Assert [gen_i, gen_j] in the smash equals the Lie bracket expansion.
+
+    Generator i is s.generators[i], not looked up by name as the smash was
+    built; names only render the witness.
+    """
+    if len(s.generators) != len(names):
+        return CheckResult(
+            "commutator-recovery", False, 0,
+            f"{len(s.generators)} generators for {len(names)} names")
     count, witness = 0, None
-    gens = {name: s.gen(name) for name in names}
+    gens = [{key: ONE} for _, key in s.generators]
     for (i, j), comps in bracket_matrix.items():
         count += 1
-        u, v = gens[names[i]], gens[names[j]]
+        u, v = gens[i], gens[j]
         comm = el_sub(s.multiply(u, v), s.multiply(v, u))
         expected: Element = {}
         for k, c in comps.items():
-            expected = el_add(expected, el_scale(c, gens[names[k]]))
+            expected = el_add(expected, el_scale(c, gens[k]))
         if not el_eq(comm, expected):
             witness = f"[{names[i]}, {names[j]}] = {s.el_str(comm)}"
             break

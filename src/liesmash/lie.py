@@ -9,7 +9,6 @@ per-factor weights and one-variable factor labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import weights as weight_mod
@@ -51,9 +50,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def union(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.parent, list(self.rows) + list(other.rows))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rows == other.rows
@@ -223,12 +219,7 @@ class LieAlgebra:
 
     def exponential_radical(self, solvable_part: Subspace) -> Subspace:
         """Stable term of r^(1) = [g, r], r^(k+1) = [g, r^(k)]."""
-        witness = self.is_ideal(solvable_part)
-        if witness is not None:
-            raise PreconditionError(
-                f"solvable part is not an ideal: bracket of basis vector "
-                f"{self.basis_names[witness[0]]} with row {witness[1]} escapes")
-        term = self.bracket_spans(self.full_subspace(), solvable_part)
+        term = self.nilpotent_radical(solvable_part)
         while True:
             nxt = self.bracket_spans(self.full_subspace(), term)
             if nxt == term:
@@ -348,17 +339,6 @@ class LieAlgebra:
             table[(i, j)] = comps
         return cls(names, table)
 
-    @classmethod
-    def from_json_file(cls, path) -> "LieAlgebra":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json_dict(data)
-
 
 @dataclass
 class QuotientMap:
@@ -401,6 +381,10 @@ class DecompositionChain:
 
     def basis_vectors(self) -> list[tuple]:
         return [f.vector for f in self.factors if f.kind != REDUCTIVE_TAIL]
+
+    def generator_names(self) -> list[str]:
+        """Names of the factors that become smash generators, in chain order."""
+        return [f.name for f in self.factors if f.kind != REDUCTIVE_TAIL]
 
     def factorization_string(self) -> str:
         labels = self.labels()
@@ -454,6 +438,9 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
     exponents of g/nprime, deepest first, so that every prefix of the chain
     basis is an ideal in the next prefix (verified below).  The containment
     exponential radical <= nprime <= nilpotent radical is checked internally.
+
+    A factor is named after its vector's pivot; a repeated pivot name gets
+    primes (e2, e2', ...) so names stay unique, and labels keep the pivot.
     """
     if not g.is_solvable():
         raise PreconditionError("semidirect_chain needs a solvable algebra")
@@ -499,6 +486,12 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
     else:
         ws = []
         m = 0
+
+    taken: set[str] = set()
+    for f in factors:
+        while f.name in taken:
+            f.name += "'"
+        taken.add(f.name)
 
     if reductive_tail_dim:
         factors.append(ChainFactor(
@@ -581,7 +574,7 @@ def adjoint_action_matrices(g: LieAlgebra, chain: DecompositionChain):
     chain coordinates of the prefix.
     """
     vecs = chain.basis_vectors()
-    names = [f.name for f in chain.factors if f.kind != REDUCTIVE_TAIL]
+    names = chain.generator_names()
     mats = []
     brackets = chain_bracket_matrix(g, chain)
     for step in range(1, len(vecs)):

@@ -28,10 +28,6 @@ def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c, x: Vector) -> Vector:
     c = GaussianRational.coerce(c)
     return tuple(c * a for a in x)

@@ -1,4 +1,9 @@
-"""Decomposition pipeline and its line-oriented report."""
+"""Decomposition pipeline and its line-oriented report.
+
+The chain pipeline is built in one place, build_chain_model, and checked in
+one place, check_chain_model; decompose runs both, and the command-line
+chain models (heis3, solv2) are built by the first.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from .lie import (
     InputError,
     LieAlgebra,
     PreconditionError,
-    REDUCTIVE_TAIL,
     Subspace,
     adjoint_action_matrices,
     chain_bracket_matrix,
@@ -29,19 +33,30 @@ SCHEMA_HEADER = "liesmash-report 1"
 
 
 @dataclass
-class DecompositionReport:
-    input_name: str
-    digest: str
+class ChainModel:
+    """Radicals, N', semidirect chain and iterated smash of an algebra.
+
+    smash is None when the chain has no generator.
+    """
     algebra: LieAlgebra
+    nprime_selector: str
     nilradical: Subspace
     expradical: Subspace
-    nprime_selector: str
     nprime: Subspace
     chain: DecompositionChain
+    truncation: int
+    smash: object | None
+
+
+@dataclass
+class DecompositionReport(ChainModel):
+    """A built chain model with its input, its checks and its renderings."""
+
+    input_name: str
+    digest: str
     hopf_report: object | None
     commutator_check: object | None
     weight_verdict: object | None
-    truncation: int
 
     @property
     def passed(self) -> bool:
@@ -53,9 +68,6 @@ class DecompositionReport:
                 self.weight_verdict.verdict != "equivalent":
             return False
         return True
-
-    def factorization_string(self) -> str:
-        return self.chain.factorization_string()
 
     def _span(self, s: Subspace) -> str:
         return "span{" + ", ".join(s.combo_strings()) + "}"
@@ -79,7 +91,7 @@ class DecompositionReport:
         for idx, f in enumerate(self.chain.factors, 1):
             lines.append(f"factor {idx}: kind={f.kind} name={f.name} "
                          f"label={f.label} weight={f.weight}")
-        lines.append(f"factorization: {self.factorization_string()}")
+        lines.append(f"factorization: {self.chain.factorization_string()}")
         if self.hopf_report is not None:
             status = "pass" if self.hopf_report.passed else "FAIL"
             lines.append(f"verify hopf-axioms: {status} "
@@ -124,7 +136,7 @@ class DecompositionReport:
                  "weight": str(f.weight)}
                 for f in self.chain.factors
             ],
-            "factorization": self.factorization_string(),
+            "factorization": self.chain.factorization_string(),
             "passed": self.passed,
         }
         if self.weight_verdict is not None:
@@ -162,6 +174,31 @@ def resolve_nprime(g: LieAlgebra, selector: str,
     raise InputError(f"bad nprime selector {selector!r}; use E, N or ideal:<names>")
 
 
+def build_chain_model(g: LieAlgebra, nprime_selector: str = "N",
+                      tail_dim: int = 0, truncation: int = 4) -> ChainModel:
+    """Radicals, N' by its selector, the chain through N' and its smash."""
+    rad = g.full_subspace()
+    nilradical = g.nilpotent_radical(rad)
+    expradical = g.exponential_radical(rad)
+    nprime = resolve_nprime(g, nprime_selector, nilradical, expradical)
+    chain = semidirect_chain(g, nprime, tail_dim)
+    smash = None
+    if chain.generator_names():
+        smash = iterated_smash(chain, truncation,
+                               adjoint_action_matrices(g, chain))
+    return ChainModel(g, nprime_selector, nilradical, expradical, nprime,
+                      chain, truncation, smash)
+
+
+def check_chain_model(model: ChainModel) -> tuple:
+    """Hopf axioms of the smash, and the chain brackets recovered from it."""
+    chain = model.chain
+    return (verify_hopf_axioms(model.smash),
+            commutator_table_check(
+                model.smash, chain_bracket_matrix(model.algebra, chain),
+                chain.generator_names()))
+
+
 def decompose(path: str, nprime_selector: str = "N", tail_dim: int = 0,
               truncation: int = 4, seed: int = 0,
               check_weights: bool = True) -> DecompositionReport:
@@ -193,23 +230,14 @@ def decompose_algebra(g: LieAlgebra, input_name: str = "<memory>",
     if not digest:
         digest = hashlib.sha256(
             json.dumps(g.to_json_dict(), sort_keys=True).encode()).hexdigest()
-    rad = g.full_subspace()
-    nilradical = g.nilpotent_radical(rad)
-    expradical = g.exponential_radical(rad)
-    nprime = resolve_nprime(g, nprime_selector, nilradical, expradical)
-    chain = semidirect_chain(g, nprime, tail_dim)
+    model = build_chain_model(g, nprime_selector, tail_dim, truncation)
+    chain = model.chain
 
     hopf_report = None
     comm_check = None
     verdict = None
-    n_gens = len([f for f in chain.factors if f.kind != REDUCTIVE_TAIL])
-    if n_gens >= 1:
-        actions = adjoint_action_matrices(g, chain)
-        smash = iterated_smash(chain, truncation, actions)
-        hopf_report = verify_hopf_axioms(smash)
-        names = [f.name for f in chain.factors if f.kind != REDUCTIVE_TAIL]
-        comm_check = commutator_table_check(
-            smash, chain_bracket_matrix(g, chain), names)
+    if model.smash is not None:
+        hopf_report, comm_check = check_chain_model(model)
     if check_weights and (chain.p or chain.w_exponents):
         cw = weight_mod.chain_weight(chain)
         parts = weight_mod.chain_factor_weights(chain)
@@ -217,14 +245,12 @@ def decompose_algebra(g: LieAlgebra, input_name: str = "<memory>",
         verdict = weight_mod.decompose_check(cw, parts, config)
 
     return DecompositionReport(
-        input_name=input_name, digest=digest, algebra=g,
-        nilradical=nilradical, expradical=expradical,
-        nprime_selector=nprime_selector, nprime=nprime, chain=chain,
+        **vars(model), input_name=input_name, digest=digest,
         hopf_report=hopf_report, commutator_check=comm_check,
-        weight_verdict=verdict, truncation=truncation)
+        weight_verdict=verdict)
 
 
 def roundtrip_factorization(report: DecompositionReport) -> bool:
     """The rendered factorization string parses back to the chain labels."""
-    return parse_factorization(report.factorization_string()) == \
+    return parse_factorization(report.chain.factorization_string()) == \
         report.chain.labels()

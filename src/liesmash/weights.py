@@ -513,10 +513,8 @@ class EquivalenceVerdict:
         return self.verdict == "equivalent"
 
 
-def equivalent(w1: Weight, w2: Weight,
-               config: SamplerConfig = SamplerConfig()) -> EquivalenceVerdict:
-    fwd = majorizes(w1, w2, config)
-    bwd = majorizes(w2, w1, config)
+def _two_sided(fwd: MajorizationVerdict,
+               bwd: MajorizationVerdict) -> EquivalenceVerdict:
     if fwd.verdict == HOLDS and bwd.verdict == HOLDS:
         v = "equivalent"
     elif fwd.verdict == VIOLATED or bwd.verdict == VIOLATED:
@@ -524,6 +522,11 @@ def equivalent(w1: Weight, w2: Weight,
     else:
         v = INCONCLUSIVE
     return EquivalenceVerdict(v, fwd, bwd)
+
+
+def equivalent(w1: Weight, w2: Weight,
+               config: SamplerConfig = SamplerConfig()) -> EquivalenceVerdict:
+    return _two_sided(majorizes(w1, w2, config), majorizes(w2, w1, config))
 
 
 def decompose_check(w: Weight, parts,
@@ -538,16 +541,9 @@ def decompose_check(w: Weight, parts,
     tiers = []
     for pts in sample_points(w.dim, config):
         tiers.append([(p, w.log_eval(p), prod.log_eval(p)) for p in pts])
-    fwd = _majorize_from_tiers(tiers)
-    bwd = _majorize_from_tiers(
-        [[(p, rhs, lhs) for p, lhs, rhs in tier] for tier in tiers])
-    if fwd.verdict == HOLDS and bwd.verdict == HOLDS:
-        v = "equivalent"
-    elif fwd.verdict == VIOLATED or bwd.verdict == VIOLATED:
-        v = VIOLATED
-    else:
-        v = INCONCLUSIVE
-    return EquivalenceVerdict(v, fwd, bwd)
+    # each sample is evaluated once and read in both directions
+    return _two_sided(_majorize_from_tiers(tiers), _majorize_from_tiers(
+        [[(p, rhs, lhs) for p, lhs, rhs in tier] for tier in tiers]))
 
 
 def chain_weight(chain) -> Weight:

@@ -255,6 +255,25 @@ class _ExpSquaresOnZk(W.Weight):
         return float(sum(x * x for x in point))
 
 
+class _BrokenOnZk(W.Weight):
+    dim = 1
+
+    def log_eval(self, point):
+        raise ZeroDivisionError("broken weight")
+
+
+def test_weighted_l1_skips_only_beyond_radius_probes():
+    g = C.ZK(2)
+    # 40 pairs, 8 diagonal probes and 8 convolutions; radius 2 leaves some
+    # probes beyond the table, which are skipped, not failed
+    res = C.weighted_l1_submult_check(
+        g, W.WordWeight(C.word_table(g, 2), "zk:2"), samples=40, seed=0, size=4)
+    assert res.passed
+    assert 0 < res.checked < 56
+    with pytest.raises(ZeroDivisionError):
+        C.weighted_l1_submult_check(g, _BrokenOnZk(), samples=40, seed=0, size=4)
+
+
 def test_weighted_l1_exp_l1_holds_exp_squares_violated():
     g = C.ZK(2)
     ok = C.weighted_l1_submult_check(g, _ExpL1OnZk(), samples=150, seed=0,

@@ -318,3 +318,22 @@ def test_selfcheck_detects_corrupted_brackets():
     assert not ok
     assert any("jacobi broken: FAIL" in l and "witness (e1, e2, e3)" in l
                for l in lines)
+
+
+def test_decompose_repeated_pivot_names(capsys, tmp_path):
+    path = tmp_path / "repeated_pivot.json"
+    path.write_text(json.dumps({
+        "dim": 4, "basis": ["e1", "e2", "e3", "e4"],
+        "brackets": [
+            {"x": "e1", "y": "e2", "value": [["e2", "1"], ["e3", "1"]]},
+            {"x": "e1", "y": "e3", "value": [["e2", "-1"], ["e3", "-1"]]},
+            {"x": "e1", "y": "e4", "value": [["e2", "1"]]},
+        ]}))
+    code, out, _ = run(capsys, ["decompose", str(path), "--nprime", "E"])
+    assert code == 0
+    # the repeated pivot e2 gets a prime in the name, not in the label
+    assert [line.split(" ", 2)[2].split(" weight=")[0]
+            for line in out.splitlines() if line.startswith("factor ")] == [
+        "kind=exp-block name=e2 label=A_2", "kind=exp-block name=e2' label=A_1",
+        "kind=exp-block name=e4 label=O(C)", "kind=exp-block name=e1 label=O(C)"]
+    assert "verify commutator-recovery: pass (6 pairs)" in out

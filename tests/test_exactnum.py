@@ -190,6 +190,12 @@ def test_equality_with_plain_numbers():
     assert gq(2, 1) != 2
 
 
+def test_equality_with_other_types_is_false():
+    assert gq(1) != "1"
+    assert not gq(1) == "x"
+    assert gq(1) != 1.0
+
+
 def test_parts_are_fractions():
     z = gq(Fraction(1, 2), -3)
     assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)

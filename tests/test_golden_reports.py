@@ -1,14 +1,18 @@
-"""Golden reports: decompose and smash-table output, byte for byte.
+"""Golden reports: decompose, smash-table, hopf-verify and selfcheck output,
+byte for byte.
 
-The digests and check counts below were recorded from the Fraction-pair
-scalar that preceded the int-triple one.  A change to the scalar type, the
-Hopf tables or the rendering must keep every report byte-identical and every
-verification covering exactly the same cases.  The ``input:`` line (and the
-JSON ``"input"`` key) holds the path the file was read from, so it is left
-out of the digest.
+The decompose and smash-table digests and the check counts were recorded
+from the Fraction-pair scalar that preceded the int-triple one; the
+hopf-verify and selfcheck digests were recorded before decompose,
+hopf-verify and selfcheck shared one chain-model stage.  A change to the
+scalar type, the Hopf tables, the pipeline or the rendering must keep every
+report byte-identical and every verification covering exactly the same
+cases.  The ``input:`` line (and the JSON ``"input"`` key) holds the path the
+file was read from, so it is left out of the digest.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -81,6 +85,20 @@ GOLDEN_TABLES = {
     ("tensor2", "comult"): "8d7fe79c4f592679bef5c30dc2939d305d56eb054d0d761eedaf9a7b2cdfce33",
 }
 
+# model -> sha256 of `hopf-verify --model M --truncation 3 --format json`
+GOLDEN_HOPF_VERIFY = {
+    "cyclic2": "34180701f7abe4241ae45b51d027bc815f7d1bf5cc55f4d334b955405ca5264c",
+    "heis3": "a57c0c9fe7382c968d08315483fd1808dad681d56f6e37bf53cf611f4d940104",
+    "series": "b880b62faaa783beda4bdd607444bb8689bc8a55ffdd7d9978f0945fe626a360",
+    "smash2": "cc5ab17d5aff47f2d8068a401e93660eca38d28d33bd68328ea5b4ff0141d549",
+    "solv2": "aa9058aaa8708fc0da5dfa5a7b10aa06a398395577446f41b14156e7743cf98f",
+    "tensor2": "1a970245aeb166f5210ba1b950ed33dead58f1fababd4d83806f24e7ea2fba6e",
+}
+
+# sha256 of `selfcheck --truncation 2 --radius 8` text output
+GOLDEN_SELFCHECK = \
+    "ff2e49c3b93160a283a744390e19290e278dcb89dae0e7fcd8a4fac7374a6c20"
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -127,3 +145,29 @@ def test_smash_tables_are_byte_identical(capsys, model, table):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         GOLDEN_TABLES[(model, table)]
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN_HOPF_VERIFY))
+def test_hopf_verify_reports_are_byte_identical(capsys, model):
+    code, out = run(capsys, ["hopf-verify", "--model", model,
+                             "--truncation", "3", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_HOPF_VERIFY[model]
+
+
+def test_selfcheck_report_is_byte_identical(capsys):
+    code, out = run(capsys, ["selfcheck", "--truncation", "2", "--radius", "8"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SELFCHECK
+
+
+@pytest.mark.parametrize("truncation", [2, 3])
+def test_hopf_verify_and_decompose_check_the_same_cases(capsys, truncation):
+    """The heis3 model and data/heisenberg.json run the same checks."""
+    code, out = run(capsys, ["hopf-verify", "--model", "heis3", "--truncation",
+                             str(truncation), "--format", "json"])
+    assert code == 0
+    verified = {c["name"]: c["checked"] for c in json.loads(out)["checks"]}
+    report = decompose(str(DATA / "heisenberg.json"), truncation=truncation)
+    checks = report.hopf_report.results + [report.commutator_check]
+    assert verified == {r.name: r.checked for r in checks}

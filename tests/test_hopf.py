@@ -16,8 +16,6 @@ from liesmash.hopf import (
     derivation_to_action,
     iterated_smash,
     make_primitive_series_hopf,
-    smash_antipode,
-    smash_multiply,
     tau,
     tensor_degeneration_check,
     trivial_action,
@@ -174,7 +172,7 @@ def test_smash_multiply_examples(smash_xddx):
     # (a (x) 1)(1 (x) h) = a (x) h
     assert s.multiply(x, y) == {(1, 1): ONE}
     # (1 (x) y)(x (x) 1) = x (x) 1 + x (x) y
-    assert smash_multiply(s, y, x) == {(1, 0): ONE, (1, 1): ONE}
+    assert s.multiply(y, x) == {(1, 0): ONE, (1, 1): ONE}
     # unit
     for key in s.basis:
         u = {key: ONE}
@@ -183,10 +181,10 @@ def test_smash_multiply_examples(smash_xddx):
 
 def test_smash_antipode_examples(smash_xddx):
     s = smash_xddx
-    assert smash_antipode(s, s.one()) == s.one()
+    assert s.antipode_el(s.one()) == s.one()
     # S(a (x) 1) = S_A(a) (x) 1
     for n in range(D + 1):
-        got = smash_antipode(s, {(n, 0): ONE})
+        got = s.antipode_el({(n, 0): ONE})
         assert got == {(n, 0): GQ((-1) ** n)}
     # full convolution identity mu (S (x) 1) Delta = eta eps on the basis
     for key in s.basis:
@@ -238,7 +236,7 @@ def test_smash_antipode_requires_cocommutative_acting_factor(series):
     s = SmashAlgebra(series, h, trivial_action(h, series))
     assert s.antipode is None
     with pytest.raises(PreconditionError):
-        smash_antipode(s, s.one())
+        s.antipode_el(s.one())
 
 
 def test_iterated_smash_is_cocommutative():
@@ -283,6 +281,16 @@ def test_iterated_smash_heisenberg_commutators():
     assert comm == e3
     check = commutator_table_check(model, chain_bracket_matrix(g, chain), names)
     assert check.passed
+
+
+def test_commutator_check_needs_one_name_per_generator():
+    g = corpus.heisenberg()
+    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
+    model = iterated_smash(chain, 2, adjoint_action_matrices(g, chain))
+    check = commutator_table_check(model, chain_bracket_matrix(g, chain),
+                                   ["e3", "e2"])
+    assert not check.passed and check.checked == 0
+    assert check.witness == "3 generators for 2 names"
 
 
 def test_iterated_smash_abelian_is_commutative():

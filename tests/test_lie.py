@@ -1,8 +1,10 @@
 """Structure theory: series, radicals, quotients, adapted bases, chains."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesmash import corpus
 from liesmash.exactnum import GaussianRational as GQ, ONE, ZERO
@@ -15,7 +17,8 @@ from liesmash.lie import (
     parse_factorization,
     semidirect_chain,
 )
-from liesmash.linalg import unit_vector, vector
+from liesmash.linalg import solve_in_basis, unit_vector, vector
+from liesmash.report import decompose_algebra
 
 
 def span_rows(s):
@@ -202,6 +205,40 @@ def test_chain_heisenberg_nprime_e():
     chain = semidirect_chain(g, g.exponential_radical(g.full_subspace()))
     assert chain.labels() == ["A_1", "O(C)", "O(C)"]
     assert chain.p == 0 and chain.w_exponents == [1, 1, 2]
+
+
+def _base_change(g, rows):
+    """g on the basis f_a = rows[a] (e-coordinates), keeping g's names."""
+    table = {}
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            coords = solve_in_basis(rows, g.bracket(rows[a], rows[b]))
+            comps = {k: c for k, c in enumerate(coords) if c}
+            if comps:
+                table[(a, b)] = comps
+    return LieAlgebra(g.basis_names, table)
+
+
+def unimodular_rows(seed, n):
+    """Integer rows of determinant +-1: seeded row additions on a permutation."""
+    rng = random.Random(seed)
+    rows = [list(unit_vector(n, i)) for i in range(n)]
+    rng.shuffle(rows)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + t * y for x, y in zip(rows[i], rows[j])]
+    return [tuple(r) for r in rows]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_uppertri3_base_changes_decompose_with_distinct_names(seed):
+    g = _base_change(corpus.upper_triangular3(), unimodular_rows(seed, 6))
+    report = decompose_algebra(g, truncation=1)
+    names = [f.name for f in report.chain.factors]
+    assert len(set(names)) == len(names)
+    assert report.passed
 
 
 def test_chain_solv2():
