@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, PreconditionError
 from .weights import WeightDomainError, _lsq
@@ -123,44 +123,65 @@ class Heis3Z(CayleyGroup):
 class BS12(CayleyGroup):
     """Baumslag-Solitar-type group t a t^-1 = a^2, as Z[1/2] x| Z.
 
-    Normal form (x, n) with x a dyadic rational:
-    (x, n)(y, m) = (x + 2^n y, n + m); a = (1, 0), t = (0, 1).
+    The element (x, n), with (x, n)(y, n') = (x + 2^n y, n + n'), is stored
+    as the int triple (m, k, n) with x = m / 2^k, k >= 0 and m odd when
+    k > 0; zero is (0, 0, n).  a = (1, 0, 0), t = (0, 0, 1).
     """
 
     name = "bs12"
 
     def identity(self):
-        return (Fraction(0), 0)
+        return (0, 0, 0)
 
     def multiply(self, g, h):
-        x, n = g
-        y, m = h
-        return (x + _pow2(n) * y, n + m)
+        m, k, n = g
+        m2, k2, n2 = h
+        if not m2:
+            return (m, k, n + n2)
+        e = n - k2      # 2^n y = m2 * 2^e
+        if e + k >= 0:
+            m += m2 << (e + k)
+        else:
+            m = (m << (-e - k)) + m2
+            k = -e
+        return _dyadic(m, k, n + n2)
 
     def inverse(self, g):
-        x, n = g
-        return (-_pow2(-n) * x, -n)
+        m, k, n = g
+        k += n          # -2^-n x = -m / 2^(k + n)
+        if k < 0:
+            return (-m << -k, 0, -n)
+        return _dyadic(-m, k, -n)
 
     def generators(self):
-        one = Fraction(1)
-        return [(one, 0), (-one, 0), (Fraction(0), 1), (Fraction(0), -1)]
+        return [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]
 
     def parse_element(self, text):
+        """Read "(x, n)" with x an integer, a fraction m/2^k or a decimal."""
         parts = [p.strip() for p in text.strip().strip("()").split(",")]
         if len(parts) != 2:
             raise InputError(f"bs12 element needs (x, n), got {text!r}")
-        return (Fraction(parts[0]), int(parts[1]))
+        try:
+            x, n = Fraction(parts[0]), int(parts[1])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad bs12 element {text!r}") from exc
+        den = x.denominator
+        if den & (den - 1):
+            raise InputError(f"bs12 element {text!r}: x must be dyadic "
+                             f"(denominator a power of 2)")
+        return (x.numerator, den.bit_length() - 1, n)
 
 
-_POW2_CACHE: dict[int, Fraction] = {}
-
-
-def _pow2(n: int) -> Fraction:
-    out = _POW2_CACHE.get(n)
-    if out is None:
-        out = Fraction(2) ** n
-        _POW2_CACHE[n] = out
-    return out
+def _dyadic(m: int, k: int, n: int) -> tuple:
+    """The BS12 normal form of (m / 2^k, n) for k >= 0: common powers of 2
+    cancelled, so m is odd when k > 0, and zero is (0, 0, n)."""
+    if k and not m & 1:
+        if not m:
+            return (0, 0, n)
+        s = min((m & -m).bit_length() - 1, k)
+        m >>= s
+        k -= s
+    return (m, k, n)
 
 
 class SemidirectZkZ(CayleyGroup):
@@ -194,9 +215,7 @@ class SemidirectZkZ(CayleyGroup):
         return out
 
     def act(self, n: int, v: tuple) -> tuple:
-        m = self._power_matrix(n)
-        return tuple(sum(m[i][j] * v[j] for j in range(self.k))
-                     for i in range(self.k))
+        return tuple([sum(map(mul, row, v)) for row in self._power_matrix(n)])
 
     def identity(self):
         return ((0,) * self.k, 0)
@@ -204,7 +223,11 @@ class SemidirectZkZ(CayleyGroup):
     def multiply(self, g, h):
         v, n = g
         w, m = h
-        return (tuple(a + b for a, b in zip(v, self.act(n, w))), n + m)
+        if not any(w):
+            return (v, n + m)
+        rows = self._power_matrix(n)
+        return (tuple([a + sum(map(mul, row, w)) for a, row in zip(v, rows)]),
+                n + m)
 
     def inverse(self, g):
         v, n = g
@@ -307,20 +330,41 @@ def make_group(spec: str) -> CayleyGroup:
 # word weights by breadth-first search
 # ---------------------------------------------------------------------------
 
+# A ball element costs about 170 bytes (dict slot, key tuple, ints), so
+# this refuses balls of more than about 340 MB; the BS12 radius-20 ball
+# (1,062,841 elements) still fits.
+MAX_BALL_ELEMENTS = 2_000_000
+
+
 class WordWeightTable:
-    """Exact word lengths on the ball of a given radius (weight = 2^length)."""
+    """Exact word lengths on the ball of a given radius (weight = 2^length).
+
+    Before each layer the size of the ball is estimated, and a ball
+    estimated beyond MAX_BALL_ELEMENTS is refused with PreconditionError
+    before it is allocated.  The next layer adds at most len(gens) - 1
+    elements per frontier element, and each of the remaining layers is
+    taken to be no smaller than the frontier (sphere sizes do not shrink in
+    the models of this module), so the estimate exceeds the true size only
+    through the next-layer bound.
+    """
 
     def __init__(self, group: CayleyGroup, radius: int):
         self.group = group
         self.radius = radius
         lengths = {group.identity(): 0}
-        frontier = deque([group.identity()])
+        frontier = [group.identity()]
         gens = group.generators()
         mult = group.multiply
         for depth in range(radius):
-            nxt = deque()
-            while frontier:
-                g = frontier.popleft()
+            estimate = (len(lengths)
+                        + max(len(gens) - 1, radius - depth) * len(frontier))
+            if estimate > MAX_BALL_ELEMENTS:
+                raise PreconditionError(
+                    f"the {group.name} ball of radius {radius} would hold "
+                    f"about {estimate} elements at depth {depth + 1}, more "
+                    f"than the {MAX_BALL_ELEMENTS} allowed")
+            nxt = []
+            for g in frontier:
                 for u in gens:
                     h = mult(g, u)
                     if h not in lengths:
@@ -424,6 +468,7 @@ class SmashCheckResult:
     checked: int
     witness: object = None
     reason: str = ""
+    skipped: int = 0             # probes outside the weight's domain
 
 
 def delta_smash_check(g1: CayleyGroup, g2: CayleyGroup, alpha,
@@ -528,7 +573,8 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
 
     Checks w(gh) <= w(g) w(h) on sampled pairs (including the diagonal
     probes g = h) and the full convolution inequality ||a b|| <= ||a|| ||b||
-    for random finitely supported a, b.
+    for random finitely supported a, b.  A probe the weight cannot evaluate
+    (beyond a word-weight radius) is skipped and counted.
     """
     rng = random.Random(seed)
     wval = weight.eval
@@ -536,7 +582,7 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
     def sample():
         return group.random_element(rng, size)
 
-    checked = 0
+    checked = skipped = 0
     pairs = [(sample(), sample()) for _ in range(samples)]
     pairs += [(g, g) for g, _ in pairs[: max(8, samples // 8)]]
     for g, h in pairs:
@@ -544,10 +590,12 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
             lhs = wval(group.multiply(g, h))
             rg, rh = wval(g), wval(h)
         except WeightDomainError:
-            continue  # beyond a word-weight radius: skip the probe
+            skipped += 1
+            continue
         if lhs > rg * rh * (1 + 1e-12):
             return SmashCheckResult(False, checked, (g, h),
-                                    "pointwise submultiplicativity fails")
+                                    "pointwise submultiplicativity fails",
+                                    skipped)
         checked += 1
 
     for _ in range(max(8, samples // 8)):
@@ -565,12 +613,14 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
             na = sum(abs(float(c)) * wval(g) for c, g in zip(ca, sup_a))
             nb = sum(abs(float(c)) * wval(g) for c, g in zip(cb, sup_b))
         except WeightDomainError:
+            skipped += 1
             continue
         if lhs > na * nb * (1 + 1e-12):
             return SmashCheckResult(False, checked, (sup_a, sup_b),
-                                    "convolution norm inequality fails")
+                                    "convolution norm inequality fails",
+                                    skipped)
         checked += 1
-    return SmashCheckResult(True, checked)
+    return SmashCheckResult(True, checked, skipped=skipped)
 
 
 def associativity_spot_check(group: CayleyGroup, triples: int = 1000,

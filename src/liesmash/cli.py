@@ -364,7 +364,7 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
             continue
         rad = g.full_subspace()
         nil = g.nilpotent_radical(rad)
-        exp = g.exponential_radical(rad)
+        exp = g.exponential_radical(rad, nil)
         record("lie", f"radical containment {name}", nil.contains_subspace(exp))
         record("lie", f"E=0 iff nilpotent {name}",
                (exp.dim == 0) == g.is_nilpotent())
@@ -486,10 +486,19 @@ COMMANDS = {
 }
 
 
+def _check_run_sizes(args) -> None:
+    """Refuse a negative BFS radius or an empty power range as input errors."""
+    if getattr(args, "radius", 0) < 0:
+        raise InputError(f"--radius must be >= 0, got {args.radius}")
+    if getattr(args, "max_power", 1) < 1:
+        raise InputError(f"--max-power must be >= 1, got {args.max_power}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_run_sizes(args)
         return COMMANDS[args.command](args)
     except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -217,9 +217,14 @@ class LieAlgebra:
                 f"{self.basis_names[witness[0]]} with row {witness[1]} escapes")
         return self.bracket_spans(self.full_subspace(), solvable_part)
 
-    def exponential_radical(self, solvable_part: Subspace) -> Subspace:
-        """Stable term of r^(1) = [g, r], r^(k+1) = [g, r^(k)]."""
-        term = self.nilpotent_radical(solvable_part)
+    def exponential_radical(self, solvable_part: Subspace,
+                            nilradical: Subspace | None = None) -> Subspace:
+        """Stable term of r^(1) = [g, r], r^(k+1) = [g, r^(k)].
+
+        r^(1) is the nilpotent radical; a caller that has it passes it in.
+        """
+        term = nilradical if nilradical is not None \
+            else self.nilpotent_radical(solvable_part)
         while True:
             nxt = self.bracket_spans(self.full_subspace(), term)
             if nxt == term:
@@ -430,14 +435,17 @@ def _exp_label(w: int) -> str:
 
 
 def semidirect_chain(g: LieAlgebra, nprime: Subspace,
-                     reductive_tail_dim: int = 0) -> DecompositionChain:
+                     reductive_tail_dim: int = 0, *,
+                     radicals: tuple[Subspace, Subspace] | None = None
+                     ) -> DecompositionChain:
     """Iterated semidirect chain of a solvable algebra through the ideal nprime.
 
     The first p = dim(nprime) factors are delta-blocks (weight 1+|z|,
     power-series factor labels); the rest are exp-blocks carrying the depth
     exponents of g/nprime, deepest first, so that every prefix of the chain
     basis is an ideal in the next prefix (verified below).  The containment
-    exponential radical <= nprime <= nilpotent radical is checked internally.
+    exponential radical <= nprime <= nilpotent radical is checked internally,
+    against radicals = (nilpotent, exponential) when the caller has them.
 
     A factor is named after its vector's pivot; a repeated pivot name gets
     primes (e2, e2', ...) so names stay unique, and labels keep the pivot.
@@ -449,9 +457,11 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
         i, r = witness
         raise PreconditionError(
             f"nprime is not an ideal: [{g.basis_names[i]}, row {r}] escapes the span")
-    rad = g.full_subspace()
-    nilrad = g.nilpotent_radical(rad)
-    exprad = g.exponential_radical(rad)
+    if radicals is None:
+        rad = g.full_subspace()
+        nilrad = g.nilpotent_radical(rad)
+        radicals = nilrad, g.exponential_radical(rad, nilrad)
+    nilrad, exprad = radicals
     if not nprime.contains_subspace(exprad):
         raise PreconditionError("containment violated: E <= N' fails")
     if not nilrad.contains_subspace(nprime):

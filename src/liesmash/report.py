@@ -179,9 +179,10 @@ def build_chain_model(g: LieAlgebra, nprime_selector: str = "N",
     """Radicals, N' by its selector, the chain through N' and its smash."""
     rad = g.full_subspace()
     nilradical = g.nilpotent_radical(rad)
-    expradical = g.exponential_radical(rad)
+    expradical = g.exponential_radical(rad, nilradical)
     nprime = resolve_nprime(g, nprime_selector, nilradical, expradical)
-    chain = semidirect_chain(g, nprime, tail_dim)
+    chain = semidirect_chain(g, nprime, tail_dim,
+                             radicals=(nilradical, expradical))
     smash = None
     if chain.generator_names():
         smash = iterated_smash(chain, truncation,

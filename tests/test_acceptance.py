@@ -174,7 +174,7 @@ def test_criterion_6_distortion_suite():
         fit_z = C.distortion_fit(zk, gen, 20 if k < 3 else 16)
         assert fit_z.classification == "power"
         assert 0.9 <= fit_z.alpha <= 1.1, (k, fit_z)
-    fit_b = C.distortion_fit(C.BS12(), (Fraction(1), 0), 20)
+    fit_b = C.distortion_fit(C.BS12(), (1, 0, 0), 20)
     assert fit_b.classification == "exponential", fit_b
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"distortion suite took {elapsed:.1f}s"

@@ -34,13 +34,104 @@ def test_heis3z_associativity_spot_check():
 
 def test_bs12_normal_forms():
     g = C.BS12()
-    a = (Fraction(1), 0)
-    t = (Fraction(0), 1)
+    a = (1, 0, 0)
+    t = (0, 0, 1)
     # t a t^-1 = a^2
     conj = g.multiply(g.multiply(t, a), g.inverse(t))
     assert conj == g.multiply(a, a)
     res = C.associativity_spot_check(g, triples=500, seed=5)
     assert res.passed
+
+
+class _RefBS12:
+    """Reference model of BS12: (x, n) with x a Fraction, as in the law
+    (x, n)(y, n') = (x + 2^n y, n + n')."""
+
+    @staticmethod
+    def multiply(g, h):
+        (x, n), (y, m) = g, h
+        return (x + Fraction(2) ** n * y, n + m)
+
+    @staticmethod
+    def inverse(g):
+        x, n = g
+        return (-Fraction(2) ** -n * x, -n)
+
+    generators = [(Fraction(1), 0), (Fraction(-1), 0),
+                  (Fraction(0), 1), (Fraction(0), -1)]
+
+
+def _bs12_value(g):
+    m, k, n = g
+    return (Fraction(m, 2 ** k), n)
+
+
+def _assert_bs12_canonical(g):
+    m, k, n = g
+    assert all(type(c) is int for c in g)
+    assert k >= 0
+    assert k == 0 or m % 2 == 1     # zero is (0, 0, n)
+
+
+bs12_points = st.tuples(
+    st.one_of(st.integers(-40, 40), st.integers(-2 ** 70, 2 ** 70)),
+    st.integers(0, 12),
+    st.one_of(st.integers(-12, 12), st.integers(-200, 200)))
+
+
+def _bs12_element(point):
+    m, k, n = point
+    return C.BS12().parse_element(f"({Fraction(m, 2 ** k)}, {n})")
+
+
+@given(bs12_points, bs12_points, bs12_points)
+def test_bs12_matches_fraction_reference(p, q, r):
+    g = C.BS12()
+    a, b, c = (_bs12_element(x) for x in (p, q, r))
+    for el, x in ((a, p), (b, q), (c, r)):
+        _assert_bs12_canonical(el)
+        assert _bs12_value(el) == (Fraction(x[0], 2 ** x[1]), x[2])
+    ab = g.multiply(a, b)
+    _assert_bs12_canonical(ab)
+    assert _bs12_value(ab) == _RefBS12.multiply(_bs12_value(a), _bs12_value(b))
+    inv = g.inverse(a)
+    _assert_bs12_canonical(inv)
+    assert _bs12_value(inv) == _RefBS12.inverse(_bs12_value(a))
+    assert g.multiply(a, inv) == g.identity() == g.multiply(inv, a)
+    assert g.multiply(ab, c) == g.multiply(a, g.multiply(b, c))
+
+
+def test_bs12_parse_element_forms():
+    g = C.BS12()
+    assert g.parse_element("(1,0)") == (1, 0, 0)
+    assert g.parse_element("(3/4,2)") == (3, 2, 2)
+    assert g.parse_element("(-6/8, -5)") == (-3, 2, -5)
+    assert g.parse_element("(0.5, 0)") == (1, 1, 0)
+    assert g.parse_element("(0/4, 7)") == (0, 0, 7)
+    assert g.parse_element("(12, 3)") == (12, 0, 3)
+    for bad in ("(1/3,0)", "(1/6,2)", "(1,2,3)", "(x,0)", "(1,y)", "(1/0,0)"):
+        with pytest.raises(InputError):
+            g.parse_element(bad)
+
+
+def test_bs12_ball_matches_reference_bfs():
+    """The int normal form builds the reference model's radius-12 ball:
+    the same elements, in the same BFS insertion order, at the same
+    lengths (sample_group_points draws from that order)."""
+    ref = {(Fraction(0), 0): 0}
+    frontier = [(Fraction(0), 0)]
+    for depth in range(12):
+        nxt = []
+        for g in frontier:
+            for u in _RefBS12.generators:
+                h = _RefBS12.multiply(g, u)
+                if h not in ref:
+                    ref[h] = depth + 1
+                    nxt.append(h)
+        frontier = nxt
+    table = C.WordWeightTable(C.BS12(), 12)
+    assert [(_bs12_value(g), n) for g, n in table.lengths.items()] == \
+        list(ref.items())
 
 
 def test_semidirect_model():
@@ -138,6 +229,26 @@ def test_zk_ball_sizes():
     assert len(table) == 2 * 25 + 10 + 1
 
 
+def test_sphere_sizes_never_shrink():
+    """WordWeightTable's size estimate takes every remaining layer to be no
+    smaller than the current one; it holds for each model."""
+    for group, radius in ((C.BS12(), 14), (C.Heis3Z(), 14), (C.ZK(3), 14),
+                          (C.SemidirectZkZ([[2, 1], [1, 1]]), 9),
+                          (C.SemidirectZkZ([[-1]]), 20),
+                          (C.SemidirectZkZ([[1, 0], [1, 1]]), 12)):
+        spheres = [0] * (radius + 1)
+        for n in C.WordWeightTable(group, radius).lengths.values():
+            spheres[n] += 1
+        assert spheres == sorted(spheres), group
+
+
+def test_ball_budget_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(C, "MAX_BALL_ELEMENTS", 5000)
+    with pytest.raises(PreconditionError, match="5000 allowed"):
+        C.WordWeightTable(C.BS12(), 10)
+    assert len(C.WordWeightTable(C.BS12(), 6)) < 5000
+
+
 # ---------------------------------------------------------------------------
 # distortion
 # ---------------------------------------------------------------------------
@@ -159,10 +270,10 @@ def test_distortion_bs12_exponential():
     # len(a^(2^n)) <= 2n+1 via a^(2^n) = t^n a t^-n
     table = C.word_table(g, 13)
     for n in range(1, 7):
-        el = g.power((Fraction(1), 0), 2 ** n)
+        el = g.power((1, 0, 0), 2 ** n)
         assert table.length(el) is not None
         assert table.length(el) <= 2 * n + 1
-    fit = C.distortion_fit(g, (Fraction(1), 0), 13)
+    fit = C.distortion_fit(g, (1, 0, 0), 13)
     assert fit.classification == "exponential"
 
 
@@ -270,6 +381,7 @@ def test_weighted_l1_skips_only_beyond_radius_probes():
         g, W.WordWeight(C.word_table(g, 2), "zk:2"), samples=40, seed=0, size=4)
     assert res.passed
     assert 0 < res.checked < 56
+    assert res.skipped == 56 - res.checked
     with pytest.raises(ZeroDivisionError):
         C.weighted_l1_submult_check(g, _BrokenOnZk(), samples=40, seed=0, size=4)
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -269,6 +270,38 @@ def test_word_weight_beyond_radius(capsys):
                                 "--radius", "4", "--element", "(9,)"])
     assert code == 2
     assert "beyond radius" in out
+
+
+def test_word_weight_rejects_non_dyadic_bs12_element(capsys):
+    code, out, err = run(capsys, ["word-weight", "--group", "bs12",
+                                  "--radius", "6", "--element", "(1/3,0)"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "dyadic" in err
+
+
+def test_word_weight_refuses_oversized_ball_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["word-weight", "--group", "bs12",
+                                  "--radius", "40", "--element", "(1,0)"])
+    assert code == 2
+    assert out == ""
+    assert "precondition violated" in err and "allowed" in err
+    assert time.perf_counter() - start < 1.5
+
+
+@pytest.mark.parametrize("argv", [
+    ["word-weight", "--group", "zk:1", "--radius", "-3", "--element", "(1,)"],
+    ["word-weight", "--group", "zk:1", "--max-power", "0", "--element", "(1,)"],
+    ["weight-check", "--lhs", "word(zk:1)", "--rhs", "poly", "--radius", "-1"],
+    ["weight-check", "--lhs", "poly", "--rhs", "poly", "--radius", "-1"],
+    ["selfcheck", "--radius", "-2"],
+])
+def test_negative_run_sizes_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "input error: --" in err
 
 
 def test_norm_cli(capsys):

@@ -1,5 +1,5 @@
-"""Golden reports: decompose, smash-table, hopf-verify and selfcheck output,
-byte for byte.
+"""Golden reports: decompose, smash-table, hopf-verify, selfcheck,
+word-weight and weight-check output, byte for byte.
 
 The decompose and smash-table digests and the check counts were recorded
 from the Fraction-pair scalar that preceded the int-triple one; the
@@ -99,6 +99,26 @@ GOLDEN_HOPF_VERIFY = {
 GOLDEN_SELFCHECK = \
     "ff2e49c3b93160a283a744390e19290e278dcb89dae0e7fcd8a4fac7374a6c20"
 
+# word-metrics argv -> sha256 of the text output, recorded with BS12 on
+# (Fraction, int) pairs and SemidirectZkZ multiplying through act()
+GOLDEN_WORD_METRICS = {
+    ("word-weight", "--group", "bs12", "--radius", "10",
+     "--element", "(1,0)"):
+        "057c06975b85d29c15ccd5dbc6fa637185e779453cc446e3ab1b97323595aab7",
+    ("word-weight", "--group", "heis3z", "--radius", "12",
+     "--element", "(0,0,1)"):
+        "33523b7646f6bec0f1f6110c0b5b9718f46f7eaa83b6c1081e400d6c540cf290",
+    ("word-weight", "--group", "semidirect:[[2,1],[1,1]]", "--radius", "8",
+     "--element", "(1,0,0)"):
+        "337f59f0b54a877eee80e56eb82e2a20d534a0c0934ffedfe8a3ed7ec908eae6",
+    ("word-weight", "--group", "zk:3", "--radius", "12",
+     "--element", "(1,0,0)"):
+        "af40bb8ded6a051043cd8a816bce3a529d59dd16bc5688f8278c60d1024e1400",
+    ("weight-check", "--lhs", "word(heis3z)", "--rhs", "pow(word(heis3z),2)",
+     "--radius", "8", "--format", "csv"):
+        "c8cfdbb3341e3240a7207820a9ab0d6fb47611078b7cabb9ddb1fa90bc203a92",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -159,6 +179,13 @@ def test_selfcheck_report_is_byte_identical(capsys):
     code, out = run(capsys, ["selfcheck", "--truncation", "2", "--radius", "8"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SELFCHECK
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_WORD_METRICS))
+def test_word_metric_reports_are_byte_identical(capsys, argv):
+    code, out = run(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WORD_METRICS[argv]
 
 
 @pytest.mark.parametrize("truncation", [2, 3])
