@@ -55,6 +55,10 @@ class CayleyGroup:
     def parse_element(self, text: str):
         raise NotImplementedError
 
+    def format_element(self, g) -> str:
+        """The text parse_element reads back as g."""
+        return str(g)
+
     def __repr__(self):
         return f"<CayleyGroup {self.name}>"
 
@@ -171,6 +175,10 @@ class BS12(CayleyGroup):
                              f"(denominator a power of 2)")
         return (x.numerator, den.bit_length() - 1, n)
 
+    def format_element(self, g):
+        m, k, n = g
+        return f"({m}, {n})" if not k else f"({m}/{1 << k}, {n})"
+
 
 def _dyadic(m: int, k: int, n: int) -> tuple:
     """The BS12 normal form of (m / 2^k, n) for k >= 0: common powers of 2
@@ -239,7 +247,9 @@ class SemidirectZkZ(CayleyGroup):
                 + [(zero, 1), (zero, -1)])
 
     def parse_element(self, text):
-        flat = _parse_int_tuple(text, self.k + 1)
+        """Read "(v_1, ..., v_k, n)" or the printed "((v_1, ..., v_k), n)"."""
+        flat = _parse_int_tuple(text.replace("(", " ").replace(")", " "),
+                                self.k + 1)
         return (flat[: self.k], flat[self.k])
 
 

@@ -248,6 +248,8 @@ def cmd_weight_check(args) -> int:
     radii = tuple(float(r) for r in args.radii.split(","))
     config = weight_mod.SamplerConfig(count=args.samples, radii=radii,
                                       seed=args.seed)
+    table = weight_mod.word_table_of(lhs) or weight_mod.word_table_of(rhs)
+    fmt = str if table is None else table.group.format_element
     if args.mode == "majorizes":
         verdict = weight_mod.majorizes(lhs, rhs, config)
         print(f"verdict: {verdict.verdict}")
@@ -255,7 +257,7 @@ def cmd_weight_check(args) -> int:
             print(f"gamma: {verdict.gamma:.6g}")
             print(f"C: {verdict.constant:.6g}")
         if verdict.witness is not None:
-            print(f"witness: {verdict.witness}")
+            print(f"witness: {fmt(verdict.witness)}")
         samples = verdict.samples
         ok = verdict.verdict == weight_mod.HOLDS
     else:
@@ -266,7 +268,7 @@ def cmd_weight_check(args) -> int:
         print(f"backward: {verdict.backward.verdict} "
               f"(gamma={verdict.backward.gamma or 0:.6g})")
         if verdict.forward.witness is not None:
-            print(f"witness: {verdict.forward.witness}")
+            print(f"witness: {fmt(verdict.forward.witness)}")
         samples = verdict.forward.samples
         ok = verdict.verdict == "equivalent"
     if args.format == "csv":
@@ -278,7 +280,7 @@ def cmd_weight_check(args) -> int:
 
         print("point,lhs,rhs,ratio")
         for point, lv, rv in samples:
-            print(f'"{point}",{guarded_exp(lv):.9g},{guarded_exp(rv):.9g},'
+            print(f'"{fmt(point)}",{guarded_exp(lv):.9g},{guarded_exp(rv):.9g},'
                   f'{guarded_exp(lv - rv):.9g}')
     return EXIT_OK if ok else EXIT_VERIFICATION
 

@@ -166,8 +166,10 @@ class GaussianRational:
                 and self._d == other._d)
 
     def __hash__(self):
-        # equal to hash((self.re, self.im)), so equal values hash alike and
-        # set order is as before; hash(Fraction(n)) == hash(n) when d == 1
+        # a real value hashes as its Fraction (and an integral one as its
+        # int), since it compares equal to them; hash(Fraction(n)) == hash(n)
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         if self._d == 1:
             return hash((self._a, self._b))
         return hash((self.re, self.im))

@@ -240,6 +240,10 @@ class LieAlgebra:
             i, r = witness
             raise PreconditionError(
                 f"not an ideal: [{self.basis_names[i]}, row {r}] is outside the span")
+        return self._quotient(ideal)
+
+    def _quotient(self, ideal: Subspace):
+        """quotient() for an ideal the caller has already checked."""
         pivots = pivot_columns(ideal.rows)
         free = [j for j in range(self.dim) if j not in pivots]
         names = [self.basis_names[j] for j in free]
@@ -481,8 +485,9 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
                 weight=weight_mod.Poly(), label=f"C[[{name}]]",
                 vector=ambient))
 
-    # exp blocks: F-basis of g/nprime, lifted, deepest first
-    q, qmap = g.quotient(nprime)
+    # exp blocks: F-basis of g/nprime, lifted, deepest first; nprime was
+    # checked to be an ideal above
+    q, qmap = g._quotient(nprime)
     if q.dim:
         qvecs, ws = q.f_basis()
         m = max(ws)

@@ -7,6 +7,11 @@ verdicts, never theorems: the fit is done on the lower radius tiers and
 tested on the largest one, with fixed slack constants, so genuinely
 asymptotic violations (distortion phenomena) surface as extrapolation
 failures with a concrete witness.
+
+A sample tier is evaluated in one batch per descriptor (log_evals over the
+coordinate columns).  The batch uses the same float operations in the same
+order as evaluating one point at a time, so its values, and every verdict
+built on them, are bit-identical to per-point evaluation.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
+from operator import mul
 
 
 class WeightDomainError(ValueError):
@@ -27,17 +34,31 @@ class WeightDomainError(ValueError):
 # ---------------------------------------------------------------------------
 
 class Weight:
-    """Base class; subclasses define dim, log_eval and a grammar rendering.
+    """Base class; subclasses define dim, an evaluation and a grammar rendering.
 
     log_eval is the primitive (weights compare on the log scale, where the
     huge exponential values stay representable); eval exponentiates and
-    saturates to inf on float overflow.
+    saturates to inf on float overflow.  log_evals evaluates a whole list of
+    points at once: it checks every point's shape against dim and hands the
+    coordinate columns to log_columns, where each built-in descriptor keeps
+    its formula (word() points are group elements, not coordinates, so
+    WordWeight and Power override log_evals).  A subclass may define only
+    log_eval instead (checking its point with _coords); the generic
+    log_columns then maps it over the rows.
     """
 
     dim = 1
 
     def log_eval(self, point) -> float:
-        raise NotImplementedError
+        return self.log_evals((point,))[0]
+
+    def log_evals(self, points) -> list:
+        """log_eval of each point, in order, bit-identical to one call each."""
+        return self.log_columns(self._columns(points), len(points))
+
+    def log_columns(self, cols, n: int) -> list:
+        """One float per row of the coordinate columns cols (n rows)."""
+        return [self.log_eval(row) for row in _rows(cols, n)]
 
     def eval(self, point) -> float:
         try:
@@ -48,13 +69,38 @@ class Weight:
     def __call__(self, point) -> float:
         return self.eval(point)
 
+    def _shape_error(self, got: int) -> WeightDomainError:
+        return WeightDomainError(
+            f"{self} expects {self.dim} coordinates, got {got}")
+
     def _coords(self, point):
         if self.dim == 1 and not isinstance(point, (tuple, list)):
             point = (point,)
         if len(point) != self.dim:
-            raise WeightDomainError(
-                f"{self} expects {self.dim} coordinates, got {len(point)}")
+            raise self._shape_error(len(point))
         return tuple(point)
+
+    def _columns(self, points) -> list:
+        """The coordinate columns of points, each point checked as _coords
+        checks it (a bare scalar is a point of a dim-1 domain)."""
+        dim = self.dim
+        if dim == 1:
+            points = [p if isinstance(p, (tuple, list)) else (p,)
+                      for p in points]
+        if set(map(len, points)) - {dim}:
+            raise self._shape_error(
+                next(len(p) for p in points if len(p) != dim))
+        return list(zip(*points))
+
+
+def _rows(cols, n: int):
+    """The rows of coordinate columns; n empty rows when there are none."""
+    return zip(*cols) if cols else [()] * n
+
+
+def _moduli(col):
+    """abs(complex(z)) of each entry of col, lazily."""
+    return map(abs, map(complex, col))
 
 
 @dataclass(frozen=True)
@@ -63,9 +109,9 @@ class Poly(Weight):
 
     dim: int = 1
 
-    def log_eval(self, point) -> float:
-        coords = self._coords(point)
-        return math.log1p(sum(abs(complex(z)) for z in coords))
+    def log_columns(self, cols, n):
+        moduli = [_moduli(col) for col in cols]
+        return list(map(math.log1p, map(sum, _rows(moduli, n))))
 
     def __str__(self):
         return "poly" if self.dim == 1 else f"poly({self.dim})"
@@ -81,9 +127,10 @@ class ExpPower(Weight):
         if not (isinstance(self.w, int) and self.w >= 1):
             raise WeightDomainError("exp_power needs an integer w >= 1")
 
-    def log_eval(self, point) -> float:
-        (z,) = self._coords(point)
-        return abs(complex(z)) ** (1.0 / self.w)
+    def log_columns(self, cols, n):
+        (col,) = cols
+        e = 1.0 / self.w
+        return [m ** e for m in _moduli(col)]
 
     def __str__(self):
         return f"exppow({self.w})"
@@ -104,10 +151,12 @@ class MaxPower(Weight):
     def dim(self):
         return len(self.ws)
 
-    def log_eval(self, point) -> float:
-        coords = self._coords(point)
-        return max(abs(complex(z)) ** (1.0 / w)
-                   for z, w in zip(coords, self.ws))
+    def log_columns(self, cols, n):
+        powered = []
+        for col, w in zip(cols, self.ws):
+            e = 1.0 / w
+            powered.append([m ** e for m in _moduli(col)])
+        return list(map(max, zip(*powered)))
 
     def __str__(self):
         return "maxpow(" + ",".join(str(w) for w in self.ws) + ")"
@@ -119,9 +168,9 @@ class ExpSum(Weight):
 
     dim: int = 2
 
-    def log_eval(self, point) -> float:
-        coords = self._coords(point)
-        return abs(sum(complex(z) for z in coords))
+    def log_columns(self, cols, n):
+        return list(map(abs, map(sum, _rows(
+            [list(map(complex, col)) for col in cols], n))))
 
     def __str__(self):
         return f"expsum({self.dim})"
@@ -133,16 +182,19 @@ class Const(Weight):
 
     dim: int = 1
 
-    def log_eval(self, point) -> float:
-        self._coords(point)
-        return 0.0
+    def log_columns(self, cols, n):
+        return [0.0] * n
 
     def __str__(self):
         return "const" if self.dim == 1 else f"const({self.dim})"
 
 
 class WordWeight(Weight):
-    """2^(word length) on a finitely generated group model, via its BFS table."""
+    """2^(word length) on a finitely generated group model, via its BFS table.
+
+    Points are group elements (or 1-tuples holding one), not coordinate
+    tuples, so log_evals looks them up as they are.
+    """
 
     dim = 1
 
@@ -150,13 +202,19 @@ class WordWeight(Weight):
         self.table = table  # cayley.WordWeightTable
         self.name = name
 
-    def log_eval(self, point) -> float:
-        n = self.table.length(point)
-        if n is None and isinstance(point, (tuple, list)) and len(point) == 1:
-            n = self.table.length(point[0])
-        if n is None:
-            raise WeightDomainError(f"element {point!r} beyond BFS radius")
-        return n * math.log(2.0)
+    def log_evals(self, points):
+        length = self.table.length
+        lengths = list(map(length, points))
+        for i, n in enumerate(lengths):
+            if n is None:
+                point = points[i]
+                if isinstance(point, (tuple, list)) and len(point) == 1:
+                    n = lengths[i] = length(point[0])
+                if n is None:
+                    raise WeightDomainError(
+                        f"element {point!r} beyond BFS radius")
+        log2 = math.log(2.0)
+        return [n * log2 for n in lengths]
 
     def __eq__(self, other):
         return isinstance(other, WordWeight) and other.table is self.table
@@ -181,17 +239,12 @@ class Product(Weight):
     def dim(self):
         return sum(p.dim for p in self.parts)
 
-    def blocks(self, point):
-        coords = self._coords(point)
-        out, pos = [], 0
+    def log_columns(self, cols, n):
+        values, pos = [], 0
         for p in self.parts:
-            out.append(coords[pos:pos + p.dim])
+            values.append(p.log_columns(cols[pos:pos + p.dim], n))
             pos += p.dim
-        return out
-
-    def log_eval(self, point) -> float:
-        return sum(p.log_eval(block)
-                   for p, block in zip(self.parts, self.blocks(point)))
+        return list(map(sum, _rows(values, n)))
 
     def __str__(self):
         return "prod(" + ",".join(str(p) for p in self.parts) + ")"
@@ -199,7 +252,11 @@ class Product(Weight):
 
 @dataclass(frozen=True)
 class Power(Weight):
-    """Pointwise power w^gamma (gamma > 0 keeps submultiplicativity classes)."""
+    """Pointwise power w^gamma (gamma > 0 keeps submultiplicativity classes).
+
+    log_evals hands the points to the base untouched, so word() points stay
+    group elements.
+    """
 
     base: Weight = None
     gamma: Fraction = Fraction(1)
@@ -213,8 +270,15 @@ class Power(Weight):
     def dim(self):
         return self.base.dim
 
-    def log_eval(self, point) -> float:
-        return float(self.gamma) * self.base.log_eval(point)
+    def _scaled(self, values):
+        g = float(self.gamma)
+        return [g * v for v in values]
+
+    def log_evals(self, points):
+        return self._scaled(self.base.log_evals(points))
+
+    def log_columns(self, cols, n):
+        return self._scaled(self.base.log_columns(cols, n))
 
     def __str__(self):
         return f"pow({self.base},{self.gamma})"
@@ -237,10 +301,9 @@ class Restriction(Weight):
     def dim(self):
         return sum(p.dim for p in self.base.parts[: self.prefix])
 
-    def log_eval(self, point) -> float:
-        coords = self._coords(point)
+    def log_columns(self, cols, n):
         pad = self.base.dim - self.dim
-        return self.base.log_eval(tuple(coords) + (0,) * pad)
+        return self.base.log_columns(list(cols) + [(0,) * n] * pad, n)
 
     def __str__(self):
         return f"restrict({self.base},{self.prefix})"
@@ -389,32 +452,33 @@ def _structured_points(dim: int, radius: float):
 def sample_points(dim: int, config: SamplerConfig):
     """Deterministic per-tier samples: random disk points plus structured
     probes (axes, diagonal, antidiagonal) that expose cancellation effects."""
-    rng = random.Random(config.seed)
+    draws = iter(random.Random(config.seed).random, None)  # endless
     tiers = []
     for radius in config.radii:
-        pts = list(_structured_points(dim, radius))
-        for _ in range(config.count):
-            pt = []
-            for _ in range(dim):
-                r = radius * math.sqrt(rng.random())
-                phi = rng.random() * 2 * math.pi
-                pt.append(cmath.rect(r, phi))
-            pts.append(tuple(pt))
+        # map pulls its arguments left to right, so each coordinate draws
+        # its modulus u before its angle v: rect(radius * sqrt(u), v * 2 * pi)
+        coords = map(cmath.rect,
+                     map(mul, repeat(radius), map(math.sqrt, draws)),
+                     map(mul, map(mul, draws, repeat(2)), repeat(math.pi)))
+        pts = _structured_points(dim, radius)
+        pts += (islice(zip(*[coords] * dim), config.count) if dim
+                else [()] * config.count)
         tiers.append(pts)
     return tiers
 
 
-def _word_table_of(w: Weight):
+def word_table_of(w: Weight):
+    """The BFS table of the first word() descriptor inside w, or None."""
     if isinstance(w, WordWeight):
         return w.table
     if isinstance(w, Product):
         for p in w.parts:
-            t = _word_table_of(p)
+            t = word_table_of(p)
             if t is not None:
                 return t
         return None
     if isinstance(w, (Power, Restriction)):
-        return _word_table_of(w.base)
+        return word_table_of(w.base)
     return None
 
 
@@ -438,10 +502,10 @@ def _lsq(xs, ys):
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
+    sxx = sum([(x - mx) ** 2 for x in xs])
     if sxx == 0:
         return 0.0, my
-    b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    b = sum([(x - mx) * (y - my) for x, y in zip(xs, ys)]) / sxx
     return b, my - b * mx
 
 
@@ -460,30 +524,23 @@ def _majorize_from_tiers(tiers):
     logy = [r[1] for r in train]
     slope, _ = _lsq(logx, logy)
     base = max(slope, 1e-6)
-    frontier = []
+    worst = None
+    # gamma ascends, so the first candidate that holds is the smallest
     for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
         gamma = base * mult
-        logc = max(ly - gamma * lx for lx, ly in zip(logx, logy))
-        frontier.append((gamma, logc))
-
-    best = None
-    worst_excess = None
-    for gamma, logc in frontier:
-        excess, witness = 0.0, None
-        for point, lhs, rhs in every:
-            e = lhs - (logc + gamma * rhs)
-            if e > excess:
-                excess, witness = e, point
+        logc = max([ly - gamma * lx for lx, ly in zip(logx, logy)])
+        excesses = [lhs - (logc + gamma * rhs) for _, lhs, rhs in every]
+        # max keeps its first argument until a later one is strictly
+        # greater, so excess is 0.0 when no sample exceeds
+        excess = max(0.0, *excesses)
         if excess <= math.log(_SLACK):
-            if best is None or gamma < best[0]:
-                best = (gamma, logc)
-        if worst_excess is None or excess < worst_excess[0]:
-            worst_excess = (excess, witness, gamma, logc)
-    if best is not None:
-        gamma, logc = best
-        return MajorizationVerdict(HOLDS, gamma=gamma, constant=math.exp(logc),
-                                   samples=every)
-    excess, witness, gamma, logc = worst_excess
+            return MajorizationVerdict(HOLDS, gamma=gamma,
+                                       constant=math.exp(logc), samples=every)
+        if worst is None or excess < worst[0]:
+            # excess > log(_SLACK) > 0 here; the witness is the first
+            # sample reaching it
+            worst = (excess, gamma, logc, every[excesses.index(excess)][0])
+    excess, gamma, logc, witness = worst
     verdict = VIOLATED if excess > math.log(_EXCESS) else INCONCLUSIVE
     return MajorizationVerdict(verdict, gamma=gamma, constant=math.exp(logc),
                                witness=witness, excess=excess, samples=every)
@@ -494,13 +551,12 @@ def majorizes(w1: Weight, w2: Weight,
     """Sampled test of the majorization w1 <= C * w2^gamma."""
     if w1.dim != w2.dim:
         raise WeightDomainError("majorizes needs a common domain")
-    table = _word_table_of(w1) or _word_table_of(w2)
+    table = word_table_of(w1) or word_table_of(w2)
     point_tiers = (sample_group_points(table, config) if table is not None
                    else sample_points(w1.dim, config))
-    tiers = []
-    for pts in point_tiers:
-        tiers.append([(p, w1.log_eval(p), w2.log_eval(p)) for p in pts])
-    return _majorize_from_tiers(tiers)
+    return _majorize_from_tiers(
+        [list(zip(pts, w1.log_evals(pts), w2.log_evals(pts)))
+         for pts in point_tiers])
 
 
 @dataclass
@@ -538,9 +594,8 @@ def decompose_check(w: Weight, parts,
         raise WeightDomainError(
             f"parts dimensions sum to {total}, weight domain has {w.dim}")
     prod = Product(tuple(parts))
-    tiers = []
-    for pts in sample_points(w.dim, config):
-        tiers.append([(p, w.log_eval(p), prod.log_eval(p)) for p in pts])
+    tiers = [list(zip(pts, w.log_evals(pts), prod.log_evals(pts)))
+             for pts in sample_points(w.dim, config)]
     # each sample is evaluated once and read in both directions
     return _two_sided(_majorize_from_tiers(tiers), _majorize_from_tiers(
         [[(p, rhs, lhs) for p, lhs, rhs in tier] for tier in tiers]))

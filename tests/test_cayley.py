@@ -229,6 +229,17 @@ def test_zk_ball_sizes():
     assert len(table) == 2 * 25 + 10 + 1
 
 
+def test_format_element_round_trips_through_parse_element():
+    for group in (C.BS12(), C.Heis3Z(), C.ZK(3), C.SemidirectZkZ([[2, 1], [1, 1]]),
+                  C.SemidirectZkZ([[-1]]), C.SemidirectZkZ([[1, 0], [1, 1]])):
+        for g in C.WordWeightTable(group, 6).lengths:
+            assert group.parse_element(group.format_element(g)) == g, group
+    bs = C.BS12()
+    assert bs.format_element((3, 2, 2)) == "(3/4, 2)"
+    assert bs.format_element((-5, 0, -1)) == "(-5, -1)"
+    assert C.Heis3Z().format_element((1, -2, 3)) == str((1, -2, 3))
+
+
 def test_sphere_sizes_never_shrink():
     """WordWeightTable's size estimate takes every remaining layer to be no
     smaller than the current one; it holds for each model."""

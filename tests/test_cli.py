@@ -13,7 +13,7 @@ import pytest
 
 import liesmash
 import liesmash.__main__ as liesmash_main
-from liesmash import corpus
+from liesmash import cayley, corpus
 from liesmash.cli import EXIT_INPUT, main
 
 
@@ -246,6 +246,22 @@ def test_weight_check_word_descriptor(capsys):
         "--mode", "majorizes", "--radius", "8"])
     assert code == 0
     assert "verdict: holds" in out
+
+
+def test_weight_check_bs12_points_paste_back(capsys):
+    code, out, _ = run(capsys, [
+        "weight-check", "--lhs", "word(bs12)", "--rhs", "pow(word(bs12),2)",
+        "--radius", "8", "--format", "csv"])
+    assert code == 0
+    rows = out.split("point,lhs,rhs,ratio\n", 1)[1].splitlines()
+    assert len(rows) == 371
+    group = cayley.BS12()
+    table = cayley.word_table(group, 8)
+    for row in rows:
+        text, lhs, _, _ = row.rsplit(",", 3)
+        g = group.parse_element(text.strip('"'))
+        assert float(lhs) == 2.0 ** table.length(g)
+    assert any("/" in row.split('",')[0] for row in rows)  # dyadic x printed
 
 
 def test_word_weight_cli(capsys):

@@ -119,6 +119,30 @@ GOLDEN_WORD_METRICS = {
         "c8cfdbb3341e3240a7207820a9ab0d6fb47611078b7cabb9ddb1fa90bc203a92",
 }
 
+# weight-check argv on coordinate descriptors -> (exit code, sha256 of the
+# output), recorded while each sample was evaluated one point at a time
+_RADII = ("--radii", "1,100,10000,1000000")
+GOLDEN_WEIGHT_CHECK = {
+    ("weight-check", "--lhs", "poly", "--rhs", "exppow(2)",
+     "--mode", "majorizes") + _RADII:
+        (0, "3dd08685c3b214af62531e0fcc74eae21a3568622e7b02491de0e11b28dff6c3"),
+    ("weight-check", "--lhs", "poly", "--rhs", "exppow(2)",
+     "--mode", "majorizes", "--format", "csv") + _RADII:
+        (0, "58959907da1f490b3d022cafde0248bd55bb03fc4153d73064710e95008447e6"),
+    ("weight-check", "--lhs", "poly", "--rhs", "pow(poly,1/2)",
+     "--mode", "equivalent") + _RADII:
+        (0, "f3449e30caaea435e614906d1060076a715e5a342665c0ede3b478b7f7792abb"),
+    ("weight-check", "--lhs", "poly", "--rhs", "pow(poly,1/2)",
+     "--mode", "equivalent", "--format", "csv") + _RADII:
+        (0, "49df6f8fb120fa08e5c93ff664648bd1003f9fd970d51145cc368b917265dd44"),
+    ("weight-check", "--lhs", "exppow(1)", "--rhs", "exppow(2)",
+     "--mode", "equivalent") + _RADII:
+        (3, "a6eb807614ede0e99f40e8ebadbe394babe80ad66178754e064fe6f0ecb057e6"),
+    ("weight-check", "--lhs", "exppow(1)", "--rhs", "exppow(2)",
+     "--mode", "equivalent", "--format", "csv") + _RADII:
+        (3, "38270b0fd798046c6d89f908846546d1e0ae87657f53660bd6fac2e37da34e1c"),
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -186,6 +210,13 @@ def test_word_metric_reports_are_byte_identical(capsys, argv):
     code, out = run(capsys, list(argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WORD_METRICS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_WEIGHT_CHECK))
+def test_weight_check_reports_are_byte_identical(capsys, argv):
+    code, out = run(capsys, list(argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        GOLDEN_WEIGHT_CHECK[argv]
 
 
 @pytest.mark.parametrize("truncation", [2, 3])

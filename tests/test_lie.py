@@ -301,6 +301,23 @@ def test_chain_rejects_non_ideal():
         semidirect_chain(g, g.subspace([unit_vector(3, 1)]))
 
 
+def test_chain_checks_nprime_is_an_ideal_once(monkeypatch):
+    g = corpus.upper_triangular3()
+    rad = g.full_subspace()
+    nil = g.nilpotent_radical(rad)
+    radicals = (nil, g.exponential_radical(rad, nil))
+    checked = []
+    is_ideal = LieAlgebra.is_ideal
+    monkeypatch.setattr(LieAlgebra, "is_ideal",
+                        lambda self, s: checked.append(s) or is_ideal(self, s))
+    semidirect_chain(g, nil, radicals=radicals)
+    assert checked == [nil]
+    h = corpus.heisenberg()
+    with pytest.raises(PreconditionError,
+                       match=r"^nprime is not an ideal: \[e1, row 0\] escapes"):
+        semidirect_chain(h, h.subspace([unit_vector(3, 1)]))
+
+
 def test_chain_requires_solvable():
     # sl2: [h,e]=2e, [h,f]=-2f, [e,f]=h is not solvable
     sl2 = LieAlgebra(["h", "e", "f"], {

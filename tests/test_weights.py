@@ -1,11 +1,14 @@
 """Weight descriptors, sampled majorization, series norms."""
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from liesmash import cayley as C
 from liesmash import weights as W
 from liesmash.exactnum import GaussianRational as GQ, gq
 
@@ -62,6 +65,261 @@ def test_eval_at_least_one(w, a, b, c, d):
         coords.append(0j)
     assert w.eval(tuple(coords)) >= 1.0
     assert w.log_eval(tuple(coords)) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation against a per-point reference
+# ---------------------------------------------------------------------------
+
+def _ref_coords(w, point):
+    if w.dim == 1 and not isinstance(point, (tuple, list)):
+        point = (point,)
+    if len(point) != w.dim:
+        raise W.WeightDomainError(f"{w} expects {w.dim} coordinates")
+    return tuple(point)
+
+
+def _ref_log_eval(w, point):
+    """One point at a time, each descriptor's formula written out."""
+    if isinstance(w, W.WordWeight):
+        n = w.table.length(point)
+        if n is None and isinstance(point, (tuple, list)) and len(point) == 1:
+            n = w.table.length(point[0])
+        if n is None:
+            raise W.WeightDomainError(f"element {point!r} beyond BFS radius")
+        return n * math.log(2.0)
+    if isinstance(w, W.Power):
+        return float(w.gamma) * _ref_log_eval(w.base, point)
+    coords = _ref_coords(w, point)
+    if isinstance(w, W.Poly):
+        return math.log1p(sum(abs(complex(z)) for z in coords))
+    if isinstance(w, W.ExpPower):
+        (z,) = coords
+        return abs(complex(z)) ** (1.0 / w.w)
+    if isinstance(w, W.MaxPower):
+        return max(abs(complex(z)) ** (1.0 / k) for z, k in zip(coords, w.ws))
+    if isinstance(w, W.ExpSum):
+        return abs(sum(complex(z) for z in coords))
+    if isinstance(w, W.Const):
+        return 0.0
+    if isinstance(w, W.Product):
+        blocks, pos = [], 0
+        for p in w.parts:
+            blocks.append(coords[pos:pos + p.dim])
+            pos += p.dim
+        return sum(_ref_log_eval(p, b) for p, b in zip(w.parts, blocks))
+    if isinstance(w, W.Restriction):
+        return _ref_log_eval(w.base, coords + (0,) * (w.base.dim - w.dim))
+    raise TypeError(w)
+
+
+def _ref_sample_points(dim, config):
+    rng = random.Random(config.seed)
+    tiers = []
+    for radius in config.radii:
+        pts = list(W._structured_points(dim, radius))
+        for _ in range(config.count):
+            pt = []
+            for _ in range(dim):
+                r = radius * math.sqrt(rng.random())
+                phi = rng.random() * 2 * math.pi
+                pt.append(cmath.rect(r, phi))
+            pts.append(tuple(pt))
+        tiers.append(pts)
+    return tiers
+
+
+def _ref_lsq(xs, ys):
+    n = len(xs)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        return 0.0, my
+    b = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    return b, my - b * mx
+
+
+def _ref_majorize_from_tiers(tiers):
+    train = [rec for tier in tiers[:-1] for rec in tier] or tiers[-1]
+    every = [rec for tier in tiers for rec in tier]
+    logx = [r[2] for r in train]
+    logy = [r[1] for r in train]
+    slope, _ = _ref_lsq(logx, logy)
+    base = max(slope, 1e-6)
+    frontier = []
+    for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
+        gamma = base * mult
+        logc = max(ly - gamma * lx for lx, ly in zip(logx, logy))
+        frontier.append((gamma, logc))
+    best = None
+    worst_excess = None
+    for gamma, logc in frontier:
+        excess, witness = 0.0, None
+        for point, lhs, rhs in every:
+            e = lhs - (logc + gamma * rhs)
+            if e > excess:
+                excess, witness = e, point
+        if excess <= math.log(1.05):
+            if best is None or gamma < best[0]:
+                best = (gamma, logc)
+        if worst_excess is None or excess < worst_excess[0]:
+            worst_excess = (excess, witness, gamma, logc)
+    if best is not None:
+        gamma, logc = best
+        return W.MajorizationVerdict(W.HOLDS, gamma=gamma,
+                                     constant=math.exp(logc), samples=every)
+    excess, witness, gamma, logc = worst_excess
+    verdict = W.VIOLATED if excess > math.log(5.0) else W.INCONCLUSIVE
+    return W.MajorizationVerdict(verdict, gamma=gamma, constant=math.exp(logc),
+                                 witness=witness, excess=excess, samples=every)
+
+
+def _ref_majorizes(w1, w2, config):
+    table = W.word_table_of(w1) or W.word_table_of(w2)
+    point_tiers = (W.sample_group_points(table, config) if table is not None
+                   else _ref_sample_points(w1.dim, config))
+    return _ref_majorize_from_tiers(
+        [[(p, _ref_log_eval(w1, p), _ref_log_eval(w2, p)) for p in pts]
+         for pts in point_tiers])
+
+
+def _ref_decompose_check(w, parts, config):
+    prod = W.Product(tuple(parts))
+    tiers = [[(p, _ref_log_eval(w, p), _ref_log_eval(prod, p)) for p in pts]
+             for pts in _ref_sample_points(w.dim, config)]
+    return (_ref_majorize_from_tiers(tiers), _ref_majorize_from_tiers(
+        [[(p, rhs, lhs) for p, lhs, rhs in tier] for tier in tiers]))
+
+
+_TRIPLE = W.Product((W.Poly(), W.ExpPower(2), W.Const()))
+BATCH_DESCRIPTORS = [
+    W.Poly(), W.Poly(3), W.ExpPower(1), W.ExpPower(3), W.MaxPower((1, 2)),
+    W.MaxPower((1, 1, 2)), W.ExpSum(2), W.ExpSum(3), W.Const(), W.Const(2),
+    W.Product((W.Poly(2), W.MaxPower((1, 1)))), _TRIPLE,
+    W.Power(W.Poly(), Fraction(1, 2)),
+    W.Power(W.Product((W.Poly(), W.ExpPower(1))), Fraction(3, 2)),
+    W.Restriction(_TRIPLE, 2),
+    W.Power(W.Restriction(W.Product((W.MaxPower((1, 2)), W.Poly())), 1), 2),
+    W.Product((W.Power(W.ExpSum(2), Fraction(1, 3)),
+               W.Restriction(W.Product((W.Poly(), W.Const())), 1))),
+]
+SAMPLER_CONFIGS = [W.SamplerConfig(count=24, radii=(1.0, 100.0, 1e4, 1e6),
+                                   seed=seed) for seed in (0, 1, 2)]
+
+
+def _word_descriptors():
+    heis = W.WordWeight(C.word_table(C.Heis3Z(), 5), "heis3z")
+    z1 = W.WordWeight(C.word_table(C.ZK(1), 6), "zk:1")
+    return heis, z1
+
+
+@pytest.mark.parametrize("w", BATCH_DESCRIPTORS, ids=str)
+def test_log_evals_match_per_point_reference(w):
+    for config in SAMPLER_CONFIGS:
+        tiers = W.sample_points(w.dim, config)
+        assert tiers == _ref_sample_points(w.dim, config)
+        for pts in tiers:
+            want = [_ref_log_eval(w, p) for p in pts]
+            assert w.log_evals(pts) == want
+            assert [w.log_eval(p) for p in pts] == want
+    exact = [tuple(GQ(k - j, j) for j in range(w.dim)) for k in range(-3, 4)]
+    exact.append(tuple(range(w.dim)))
+    assert w.log_evals(exact) == [_ref_log_eval(w, p) for p in exact]
+    if w.dim == 1:
+        bare = [5, -2.5, 1 + 1j, GQ(Fraction(1, 2), -3), (7,), [0.25]]
+        assert w.log_evals(bare) == [_ref_log_eval(w, p) for p in bare]
+
+
+def test_log_evals_on_group_elements_match_reference():
+    heis, z1 = _word_descriptors()
+    for w in (heis, W.Power(heis, 2), W.Power(W.Power(heis, Fraction(1, 3)), 3)):
+        pts = list(heis.table.lengths)
+        pts += [(g,) for g in pts[:20]]          # elements wrapped in 1-tuples
+        assert w.log_evals(pts) == [_ref_log_eval(w, p) for p in pts]
+    pts = list(z1.table.lengths)
+    for w in (z1, W.Poly(), W.Power(z1, Fraction(1, 2))):
+        assert w.log_evals(pts) == [_ref_log_eval(w, p) for p in pts]
+    with pytest.raises(W.WeightDomainError, match="beyond BFS radius"):
+        heis.log_evals([(0, 0, 0), (0, 0, 10 ** 6)])
+
+
+MAJORIZE_PAIRS = [
+    (W.Poly(), W.ExpPower(1)), (W.ExpPower(1), W.Poly()),
+    (W.Poly(), W.Power(W.Poly(), Fraction(1, 2))),
+    (W.Power(W.Poly(), Fraction(1, 2)), W.Poly()),
+    (W.ExpPower(1), W.ExpPower(2)), (W.MaxPower((1, 2)), W.ExpSum(2)),
+    (W.Product((W.Poly(), W.ExpPower(2))), W.Poly(2)),
+    (W.Restriction(_TRIPLE, 2), W.MaxPower((1, 2))),
+    (W.Const(2), W.Poly(2)),
+]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the OverflowError it raises: at radius 1e6 the constant
+    exp(log C) of some verdicts (maxpow(1,2) against expsum(2)) overflows,
+    in the reference as well."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("config", SAMPLER_CONFIGS[:2] + [W.SamplerConfig()])
+def test_majorizes_matches_per_point_reference(config):
+    heis, z1 = _word_descriptors()
+    pairs = MAJORIZE_PAIRS + [(heis, W.Power(heis, 2)), (W.Power(heis, 2), heis),
+                              (z1, W.Poly()), (W.Poly(), z1)]
+    for w1, w2 in pairs:
+        got = _outcome(W.majorizes, w1, w2, config)
+        want = _outcome(_ref_majorizes, w1, w2, config)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert (got.verdict, got.gamma, got.constant, got.witness,
+                got.excess) == (want.verdict, want.gamma, want.constant,
+                                want.witness, want.excess), (w1, w2)
+        assert got.samples == want.samples
+        back = _outcome(_ref_majorizes, w2, w1, config)
+        eq = _outcome(W.equivalent, w1, w2, config)
+        assert eq == back if isinstance(back, str) else \
+            (eq.forward, eq.backward) == (want, back)
+
+
+DECOMPOSE_CASES = [
+    (W.Product((W.Poly(2), W.MaxPower((1, 1)))),
+     [W.Poly(), W.Poly(), W.ExpPower(1), W.ExpPower(1)]),
+    (W.ExpSum(2), [W.ExpPower(1), W.ExpPower(1)]),
+    (W.Poly(3), [W.Poly()] * 3),
+    (W.Product((W.Poly(2), W.MaxPower((1, 1, 2)), W.Const())),
+     [W.Poly(), W.Poly(), W.ExpPower(1), W.ExpPower(1), W.ExpPower(2),
+      W.Const()]),
+]
+
+
+@pytest.mark.parametrize("config", SAMPLER_CONFIGS[:2] + [W.SamplerConfig()])
+def test_decompose_check_matches_per_point_reference(config):
+    for w, parts in DECOMPOSE_CASES:
+        got = _outcome(W.decompose_check, w, parts, config)
+        want = _outcome(_ref_decompose_check, w, parts, config)
+        if not isinstance(want, str):
+            got = (got.forward, got.backward)
+        assert got == want, str(w)
+
+
+def test_log_evals_reject_a_point_of_the_wrong_length():
+    cases = [(W.Poly(2), [(1, 2), (1, 2, 3), (1,)], 3),
+             (W.MaxPower((1, 2)), [(1,)], 1),
+             (W.ExpPower(1), [3, (1, 2)], 2),
+             (_TRIPLE, [(1, 2, 3), (1, 2)], 2),
+             (W.Power(W.Poly(2), 2), [(1, 2, 3)], 3),
+             (W.Restriction(_TRIPLE, 2), [(1, 2, 3)], 3)]
+    for w, pts, got in cases:
+        with pytest.raises(W.WeightDomainError,
+                           match=f"expects {w.dim} coordinates, got {got}"):
+            w.log_evals(pts)
+        with pytest.raises(W.WeightDomainError):
+            w.log_eval(pts[-1])
 
 
 def test_restriction_pads_with_zero():
