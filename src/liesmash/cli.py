@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -214,23 +213,26 @@ def cmd_smash_table(args) -> int:
         model = model.smash
     basis = list(model.basis)
     names = [model.key_str(k) for k in basis]
+
+    def dense(row, index):
+        # a row's nonzero cells scattered into the column order of index
+        cells = ["0"] * len(index)
+        for k, c in row.items():
+            cells[index[k]] = str(c)
+        return ",".join(cells)
+
     if args.table == "mult":
+        index = {k: i for i, k in enumerate(basis)}
         print("left,right," + ",".join(f'"{n}"' for n in names))
-        for k1 in basis:
-            for k2 in basis:
-                row = model.mult[(k1, k2)]
-                cells = [str(row[k]) if k in row else "0" for k in basis]
-                print(f'"{model.key_str(k1)}","{model.key_str(k2)}",'
-                      + ",".join(cells))
+        for k1, n1 in zip(basis, names):
+            for k2, n2 in zip(basis, names):
+                print(f'"{n1}","{n2}",' + dense(model.mult[(k1, k2)], index))
     else:
         pairs = [(a, b) for a in basis for b in basis]
-        header = ",".join(f'"{model.key_str(a)}|{model.key_str(b)}"'
-                          for a, b in pairs)
-        print("element," + header)
-        for k in basis:
-            table = model.comult[k]
-            cells = [str(table[p]) if p in table else "0" for p in pairs]
-            print(f'"{model.key_str(k)}",' + ",".join(cells))
+        index = {p: i for i, p in enumerate(pairs)}
+        print("element," + ",".join(f'"{a}|{b}"' for a in names for b in names))
+        for k, n in zip(basis, names):
+            print(f'"{n}",' + dense(model.comult[k], index))
     return EXIT_OK
 
 
@@ -272,12 +274,7 @@ def cmd_weight_check(args) -> int:
         samples = verdict.forward.samples
         ok = verdict.verdict == "equivalent"
     if args.format == "csv":
-        def guarded_exp(x):
-            try:
-                return math.exp(x)
-            except OverflowError:
-                return math.inf
-
+        guarded_exp = weight_mod.guarded_exp
         print("point,lhs,rhs,ratio")
         for point, lv, rv in samples:
             print(f'"{fmt(point)}",{guarded_exp(lv):.9g},{guarded_exp(rv):.9g},'

@@ -4,7 +4,8 @@ A scalar (a + b*i) / d is stored as three Python ints in canonical form:
 d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1) and two scalars are equal
 exactly when their triples are.  Integer values (d == 1) are the common case
 in the Hopf layer, which never divides; sums, differences and products of
-two of them skip the gcd entirely.
+two of them skip the gcd entirely, and a product with a factor 1 returns
+the other factor.
 """
 
 from __future__ import annotations
@@ -120,11 +121,17 @@ class GaussianRational:
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d1, d2 = self._d, other._d
         if b1 == 0 and b2 == 0:
+            # most Hopf-table products have a factor 1; instances are
+            # canonical and immutable, so the other factor is the product
+            if a1 == 1 and d1 == 1:
+                return other
+            if a2 == 1 and d2 == 1:
+                return self
             a, b = a1 * a2, 0
         else:
             a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-        d1, d2 = self._d, other._d
         if d1 == 1 and d2 == 1:
             return _make(a, b, 1)
         return _normalised(a, b, d1 * d2)

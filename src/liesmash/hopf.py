@@ -12,6 +12,13 @@ Actions are derivations (and their powers) of the underlying algebra whose
 generator images have degree <= 1; this makes truncation commute with the
 action, keeps the module-algebra axioms decidable exactly, and covers all
 actions arising from a Lie chain's adjoint representation.
+
+A smash product's multiplication table (SmashProducts) computes each entry
+on its first lookup and keeps it, so the checks pay only for the products
+they read; a dense dump still reads all B^2 entries.  The primitive-series
+and group-like tables are built eagerly.  Elements are sparse dicts that
+never hold a zero coefficient, accumulated in place by el_axpy, so two
+elements are equal exactly when their dicts are.
 """
 
 from __future__ import annotations
@@ -22,22 +29,32 @@ from dataclasses import dataclass, field
 from .exactnum import GaussianRational, ONE, ZERO
 from .errors import PreconditionError
 
-Element = dict  # basis key -> GaussianRational
+Element = dict  # basis key -> GaussianRational, never holding a zero
+
+# Largest basis an iterated smash may have; B = C(n + D, D) is refused above
+# it before anything is built.  uppertri3 at D=7 has B = 1716.
+MAX_SMASH_BASIS = 2000
 
 
 # ---------------------------------------------------------------------------
 # sparse element helpers
 # ---------------------------------------------------------------------------
 
+def el_axpy(out: Element, c, y: Element) -> Element:
+    """out += c*y in place, dropping keys whose coefficient becomes zero."""
+    for k, v in y.items():
+        acc = out.get(k, ZERO) + c * v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
+
+
 def el_add(*elements) -> Element:
     out: Element = {}
     for el in elements:
-        for k, c in el.items():
-            acc = out.get(k, ZERO) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
+        el_axpy(out, ONE, el)
     return out
 
 
@@ -49,11 +66,7 @@ def el_scale(c, el: Element) -> Element:
 
 
 def el_sub(a: Element, b: Element) -> Element:
-    return el_add(a, el_scale(-1, b))
-
-
-def el_eq(a: Element, b: Element) -> bool:
-    return not el_sub(a, b)
+    return el_axpy(el_add(a), -ONE, b)
 
 
 class TruncatedHopf:
@@ -88,25 +101,16 @@ class TruncatedHopf:
 
     def multiply(self, u: Element, v: Element) -> Element:
         out: Element = {}
+        mult = self.mult
         for k1, c1 in u.items():
             for k2, c2 in v.items():
-                for k, c in self.mult[(k1, k2)].items():
-                    acc = out.get(k, ZERO) + c1 * c2 * c
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
+                el_axpy(out, c1 * c2, mult[(k1, k2)])
         return out
 
     def comultiply(self, u: Element) -> dict:
         out: dict = {}
         for k, c in u.items():
-            for pair, cc in self.comult[k].items():
-                acc = out.get(pair, ZERO) + c * cc
-                if acc:
-                    out[pair] = acc
-                else:
-                    out.pop(pair, None)
+            el_axpy(out, c, self.comult[k])
         return out
 
     def counit_el(self, u: Element):
@@ -121,7 +125,7 @@ class TruncatedHopf:
                 f"{self.name} has no antipode table (acting factor not cocommutative)")
         out: Element = {}
         for k, c in u.items():
-            out = el_add(out, el_scale(c, self.antipode[k]))
+            el_axpy(out, c, self.antipode[k])
         return out
 
     def is_cocommutative(self) -> bool:
@@ -246,7 +250,7 @@ class ModuleAlgebraAction:
         out: Element = {}
         for hk, ch in h.items():
             for ak, ca in a.items():
-                out = el_add(out, el_scale(ch * ca, self.table[(hk, ak)]))
+                el_axpy(out, ch * ca, self.table[(hk, ak)])
         return out
 
     def is_trivial(self) -> bool:
@@ -304,13 +308,13 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
                 term = A.multiply(term, step)
                 if not term:
                     break
-            total = el_add(total, term)
+            el_axpy(total, ONE, term)
         der[key] = total
 
     def der_el(u: Element) -> Element:
         out: Element = {}
         for k, c in u.items():
-            out = el_add(out, el_scale(c, der[k]))
+            el_axpy(out, c, der[k])
         return out
 
     # Leibniz against the multiplication table (catches maps that are not
@@ -320,9 +324,9 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
             if A.degree[k1] + A.degree[k2] > d:
                 continue
             lhs = der_el(A.mult[(k1, k2)])
-            rhs = el_add(A.multiply(der[k1], {k2: ONE}),
-                         A.multiply({k1: ONE}, der[k2]))
-            if not el_eq(lhs, rhs):
+            rhs = el_axpy(A.multiply(der[k1], {k2: ONE}), ONE,
+                          A.multiply({k1: ONE}, der[k2]))
+            if lhs != rhs:
                 raise PreconditionError(
                     f"not a derivation: Leibniz fails on "
                     f"({A.key_str(k1)}, {A.key_str(k2)})")
@@ -344,7 +348,7 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
     # h . 1 = eps(h) 1
     for hk in H.basis:
         expected = {A.unit: H.counit[hk]} if H.counit[hk] else {}
-        if not el_eq(action.table[(hk, A.unit)], expected):
+        if action.table[(hk, A.unit)] != expected:
             raise PreconditionError(f"module-algebra axiom h.1 = eps(h)1 fails at "
                                     f"{H.key_str(hk)}")
     # module axiom (hg).a = h.(g.a) on the overflow-free set
@@ -356,7 +360,7 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
             for ak in A.basis:
                 lhs = action.act(prod, {ak: ONE})
                 rhs = action.act({h1: ONE}, action.table[(h2, ak)])
-                if not el_eq(lhs, rhs):
+                if lhs != rhs:
                     raise PreconditionError(
                         f"module axiom fails at ({H.key_str(h1)}, "
                         f"{H.key_str(h2)}, {A.key_str(ak)})")
@@ -369,9 +373,9 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
                 lhs = action.act({hk: ONE}, A.mult[(a, b)])
                 rhs: Element = {}
                 for (h1, h2), c in H.comult[hk].items():
-                    rhs = el_add(rhs, el_scale(c, A.multiply(
-                        action.table[(h1, a)], action.table[(h2, b)])))
-                if not el_eq(lhs, rhs):
+                    el_axpy(rhs, c, A.multiply(action.table[(h1, a)],
+                                               action.table[(h2, b)]))
+                if lhs != rhs:
                     raise PreconditionError(
                         f"module-algebra axiom fails at ({H.key_str(hk)}, "
                         f"{A.key_str(a)}, {A.key_str(b)})")
@@ -391,18 +395,54 @@ def tau(action: ModuleAlgebraAction, h: Element, a: Element) -> Element:
     for hk, ch in h.items():
         for (h1, h2), c in H.comult[hk].items():
             acted = action.act({h1: ONE}, a)
-            for ak, ca in acted.items():
-                key = (ak, h2)
-                acc = out.get(key, ZERO) + ch * c * ca
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+            el_axpy(out, ch * c, {(ak, h2): ca for ak, ca in acted.items()})
     return out
 
 
+def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
+    """(a # h)(b # g) = sum a (h_(1) . b) # h_(2) g, truncated at degree D."""
+    A, H, table = action.A, action.H, action.table
+    d = A.truncation
+    (a, h), (b, g) = left, right
+    out: Element = {}
+    for (h1, h2), c in H.comult[h].items():
+        acted = table[(h1, b)]
+        if not acted:
+            continue
+        hg = H.mult[(h2, g)]
+        if not hg:
+            continue
+        for bk, cb in acted.items():
+            ccb = c * cb
+            for ak, ca in A.mult[(a, bk)].items():
+                room = d - A.degree[ak]
+                el_axpy(out, ccb * ca, {(ak, hk): chg for hk, chg in hg.items()
+                                        if H.degree[hk] <= room})
+    return out
+
+
+class SmashProducts(dict):
+    """The multiplication table of A # H: (left key, right key) -> Element.
+
+    Each entry is computed by smash_product on its first lookup and kept.
+    Only ``table[pair]`` computes; ``in``, ``get``, ``len`` and iteration
+    see just the entries computed so far.
+    """
+
+    def __init__(self, action: ModuleAlgebraAction):
+        super().__init__()
+        self.action = action
+
+    def __missing__(self, pair):
+        out = self[pair] = smash_product(self.action, *pair)
+        return out
+
+
 class SmashAlgebra(TruncatedHopf):
-    """A # H on the pair basis, with the smash product multiplication."""
+    """A # H on the pair basis, with the smash product multiplication.
+
+    The multiplication table is a SmashProducts, filled on demand.
+    """
 
     def __init__(self, A: TruncatedHopf, H: TruncatedHopf,
                  action: ModuleAlgebraAction, name=None):
@@ -416,31 +456,6 @@ class SmashAlgebra(TruncatedHopf):
                  if A.degree[a] + H.degree[h] <= d]
         degree = {(a, h): A.degree[a] + H.degree[h] for (a, h) in basis}
         unit = (A.unit, H.unit)
-
-        mult = {}
-        for (a, h) in basis:
-            for (b, g) in basis:
-                out: Element = {}
-                for (h1, h2), c in H.comult[h].items():
-                    acted = action.table[(h1, b)]
-                    if not acted:
-                        continue
-                    hg = H.mult[(h2, g)]
-                    if not hg:
-                        continue
-                    for bk, cb in acted.items():
-                        ab = A.mult[(a, bk)]
-                        for ak, ca in ab.items():
-                            for hk, chg in hg.items():
-                                if A.degree[ak] + H.degree[hk] > d:
-                                    continue
-                                key = (ak, hk)
-                                acc = out.get(key, ZERO) + c * cb * ca * chg
-                                if acc:
-                                    out[key] = acc
-                                else:
-                                    out.pop(key, None)
-                mult[((a, h), (b, g))] = out
 
         comult = {}
         for (a, h) in basis:
@@ -456,22 +471,18 @@ class SmashAlgebra(TruncatedHopf):
         if H.is_cocommutative() and A.antipode is not None:
             antipode = {}
             for (a, h) in basis:
-                out = {}
+                out: Element = {}
                 sa = A.antipode[a]
                 sh = H.antipode_el({h: ONE})
                 for hk, ch in sh.items():
                     for (h1, h2), c2 in H.comult[hk].items():
+                        room = d - H.degree[h2]
+                        chc2 = ch * c2
                         for sk, cs in sa.items():
-                            acted = action.table[(h1, sk)]
-                            for ak, ca in acted.items():
-                                if A.degree[ak] + H.degree[h2] > d:
-                                    continue
-                                key = (ak, h2)
-                                acc = out.get(key, ZERO) + ch * c2 * cs * ca
-                                if acc:
-                                    out[key] = acc
-                                else:
-                                    out.pop(key, None)
+                            el_axpy(out, chc2 * cs,
+                                    {(ak, h2): ca
+                                     for ak, ca in action.table[(h1, sk)].items()
+                                     if A.degree[ak] <= room})
                 antipode[(a, h)] = out
 
         factorization = {}
@@ -485,8 +496,9 @@ class SmashAlgebra(TruncatedHopf):
 
         super().__init__(
             kind="smash", name=name, generators=generators, truncation=d,
-            basis=basis, degree=degree, unit=unit, mult=mult, comult=comult,
-            counit=counit, antipode=antipode, factorization=factorization)
+            basis=basis, degree=degree, unit=unit, mult=SmashProducts(action),
+            comult=comult, counit=counit, antipode=antipode,
+            factorization=factorization)
         self.A = A
         self.H = H
         self.action = action
@@ -504,7 +516,8 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     actions[i] is the derivation matrix of step i+1 acting on the prefix
     (generator name -> image as {generator name: coefficient}); each step is
     verified as a module-algebra action before the smash is formed.  A
-    reductive tail stays symbolic and contributes no generator.
+    reductive tail stays symbolic and contributes no generator.  A basis of
+    more than MAX_SMASH_BASIS elements is refused before any step is built.
     """
     names = chain.generator_names()
     if len(names) < 1:
@@ -512,6 +525,13 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     if len(actions) != len(names) - 1:
         raise PreconditionError(
             f"need {len(names) - 1} action matrices, got {len(actions)}")
+    if truncation >= 1:
+        size = math.comb(len(names) + truncation, truncation)
+        if size > MAX_SMASH_BASIS:
+            raise PreconditionError(
+                f"truncation {truncation} over {len(names)} generators gives "
+                f"a smash basis of {size} elements; at most {MAX_SMASH_BASIS} "
+                "are built")
     current = make_primitive_series_hopf(names[0], truncation)
     for step, gen_name in enumerate(names[1:]):
         H = make_primitive_series_hopf(gen_name, truncation)
@@ -520,7 +540,8 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
         for target, combo in matrix.items():
             img: Element = {}
             for src_name, coeff in combo.items():
-                img = el_add(img, el_scale(coeff, current.gen(src_name)))
+                el_axpy(img, GaussianRational.coerce(coeff),
+                        current.gen(src_name))
             images[target] = img
         action = derivation_to_action(H, current, images)
         current = SmashAlgebra(current, H, action)
@@ -570,15 +591,12 @@ def _tensor_square_product(X: TruncatedHopf, u_pairs: dict, v_pairs: dict) -> di
     for (a1, a2), c1 in u_pairs.items():
         for (b1, b2), c2 in v_pairs.items():
             left = X.mult[(a1, b1)]
+            if not left:
+                continue
             right = X.mult[(a2, b2)]
+            c12 = c1 * c2
             for k1, d1 in left.items():
-                for k2, d2 in right.items():
-                    key = (k1, k2)
-                    acc = out.get(key, ZERO) + c1 * c2 * d1 * d2
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                el_axpy(out, c12 * d1, {(k1, k2): d2 for k2, d2 in right.items()})
     return out
 
 
@@ -600,7 +618,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     for k in X.basis:
         u = {k: ONE}
         count += 1
-        if not (el_eq(X.multiply(one, u), u) and el_eq(X.multiply(u, one), u)):
+        if not (X.multiply(one, u) == u == X.multiply(u, one)):
             witness = X.key_str(k)
             break
     res(CheckResult("unit", witness is None, count, witness))
@@ -621,7 +639,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
                 count += 1
                 lhs = X.multiply(X.mult[(k1, k2)], {k3: ONE})
                 rhs = X.multiply({k1: ONE}, X.mult[(k2, k3)])
-                if not el_eq(lhs, rhs):
+                if lhs != rhs:
                     witness = (f"({X.key_str(k1)}, {X.key_str(k2)}, "
                                f"{X.key_str(k3)})")
                     break
@@ -654,9 +672,9 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
         left: Element = {}
         right: Element = {}
         for (k1, k2), c in X.comult[k].items():
-            left = el_add(left, el_scale(c * X.counit[k1], {k2: ONE}))
-            right = el_add(right, el_scale(c * X.counit[k2], {k1: ONE}))
-        if not (el_eq(left, {k: ONE}) and el_eq(right, {k: ONE})):
+            el_axpy(left, c * X.counit[k1], {k2: ONE})
+            el_axpy(right, c * X.counit[k2], {k1: ONE})
+        if not (left == {k: ONE} == right):
             witness = X.key_str(k)
             break
     res(CheckResult("counit", witness is None, count, witness))
@@ -672,8 +690,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             count += 1
             lhs = X.comultiply(X.mult[(k1, k2)])
             rhs = _tensor_square_product(X, X.comult[k1], X.comult[k2])
-            diff = el_sub(lhs, rhs)
-            if diff:
+            if lhs != rhs:
                 witness = f"({X.key_str(k1)}, {X.key_str(k2)})"
                 break
             if X.counit_el(X.mult[(k1, k2)]) != X.counit[k1] * X.counit[k2]:
@@ -691,11 +708,9 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             left: Element = {}
             right: Element = {}
             for (k1, k2), c in X.comult[k].items():
-                left = el_add(left, el_scale(
-                    c, X.multiply(X.antipode[k1], {k2: ONE})))
-                right = el_add(right, el_scale(
-                    c, X.multiply({k1: ONE}, X.antipode[k2])))
-            if not (el_eq(left, expected) and el_eq(right, expected)):
+                el_axpy(left, c, X.multiply(X.antipode[k1], {k2: ONE}))
+                el_axpy(right, c, X.multiply({k1: ONE}, X.antipode[k2]))
+            if not (left == expected == right):
                 witness = X.key_str(k)
                 break
         res(CheckResult("antipode-convolution", witness is None, count, witness))
@@ -717,8 +732,8 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
                     term = X.multiply(X.embed_h({h1: ONE}),
                                       X.embed_a({ak: ONE}))
                     term = X.multiply(term, X.embed_h(H.antipode_el({h2: ONE})))
-                    rhs = el_add(rhs, el_scale(c, term))
-                if not el_eq(lhs, rhs):
+                    el_axpy(rhs, c, term)
+                if lhs != rhs:
                     witness = f"({H.key_str(hk)}, {A.key_str(ak)})"
                     break
         res(CheckResult("module-intertwining", witness is None, count, witness))
@@ -729,7 +744,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             for k2 in A.basis:
                 count += 1
                 lhs = X.multiply(X.embed_a({k1: ONE}), X.embed_a({k2: ONE}))
-                if not el_eq(lhs, X.embed_a(A.mult[(k1, k2)])):
+                if lhs != X.embed_a(A.mult[(k1, k2)]):
                     witness = f"i on ({A.key_str(k1)}, {A.key_str(k2)})"
                     break
             if witness:
@@ -739,7 +754,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
                 for k2 in H.basis:
                     count += 1
                     lhs = X.multiply(X.embed_h({k1: ONE}), X.embed_h({k2: ONE}))
-                    if not el_eq(lhs, X.embed_h(H.mult[(k1, k2)])):
+                    if lhs != X.embed_h(H.mult[(k1, k2)]):
                         witness = f"j on ({H.key_str(k1)}, {H.key_str(k2)})"
                         break
                 if witness:
@@ -764,11 +779,11 @@ def commutator_table_check(s: TruncatedHopf, bracket_matrix, names) -> CheckResu
     for (i, j), comps in bracket_matrix.items():
         count += 1
         u, v = gens[i], gens[j]
-        comm = el_sub(s.multiply(u, v), s.multiply(v, u))
+        comm = el_axpy(s.multiply(u, v), -ONE, s.multiply(v, u))
         expected: Element = {}
         for k, c in comps.items():
-            expected = el_add(expected, el_scale(c, gens[k]))
-        if not el_eq(comm, expected):
+            el_axpy(expected, GaussianRational.coerce(c), gens[k])
+        if comm != expected:
             witness = f"[{names[i]}, {names[j]}] = {s.el_str(comm)}"
             break
     return CheckResult("commutator-recovery", witness is None, count, witness)
@@ -786,7 +801,7 @@ def tensor_degeneration_check(s: SmashAlgebra) -> CheckResult:
                 for hk, ch in H.mult[(h, g)].items():
                     if A.degree[ak] + H.degree[hk] <= s.truncation:
                         expected[(ak, hk)] = ca * ch
-            if not el_eq(s.mult[((a, h), (b, g))], expected):
+            if s.mult[((a, h), (b, g))] != expected:
                 witness = f"({s.key_str((a, h))}, {s.key_str((b, g))})"
                 break
         if witness:

@@ -29,6 +29,14 @@ class WeightDomainError(ValueError):
     pass
 
 
+def guarded_exp(x: float) -> float:
+    """exp(x), saturating to inf where the float overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
@@ -61,10 +69,7 @@ class Weight:
         return [self.log_eval(row) for row in _rows(cols, n)]
 
     def eval(self, point) -> float:
-        try:
-            return math.exp(self.log_eval(point))
-        except OverflowError:
-            return math.inf
+        return guarded_exp(self.log_eval(point))
 
     def __call__(self, point) -> float:
         return self.eval(point)
@@ -535,14 +540,14 @@ def _majorize_from_tiers(tiers):
         excess = max(0.0, *excesses)
         if excess <= math.log(_SLACK):
             return MajorizationVerdict(HOLDS, gamma=gamma,
-                                       constant=math.exp(logc), samples=every)
+                                       constant=guarded_exp(logc), samples=every)
         if worst is None or excess < worst[0]:
             # excess > log(_SLACK) > 0 here; the witness is the first
             # sample reaching it
             worst = (excess, gamma, logc, every[excesses.index(excess)][0])
     excess, gamma, logc, witness = worst
     verdict = VIOLATED if excess > math.log(_EXCESS) else INCONCLUSIVE
-    return MajorizationVerdict(verdict, gamma=gamma, constant=math.exp(logc),
+    return MajorizationVerdict(verdict, gamma=gamma, constant=guarded_exp(logc),
                                witness=witness, excess=excess, samples=every)
 
 

@@ -306,6 +306,27 @@ def test_word_weight_refuses_oversized_ball_quickly(capsys):
     assert time.perf_counter() - start < 1.5
 
 
+def test_decompose_refuses_oversized_truncation_quickly(capsys, heis_file):
+    # heisenberg at D=40 has a smash basis of C(43, 3) = 12341 elements
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["decompose", heis_file, "--truncation", "40"])
+    assert code == 2
+    assert out == ""
+    assert "precondition violated" in err and "12341" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_weight_check_overflowing_constant_gives_a_verdict(capsys):
+    argv = ["weight-check", "--lhs", "maxpow(1,2)", "--rhs", "expsum(2)",
+            "--radii", "1,100,10000,1000000", "--samples", "24"]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert out.splitlines()[:3] == ["verdict: violated", "gamma: 0.138699",
+                                    "C: inf"]
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 3 and ",inf," in out
+
+
 @pytest.mark.parametrize("argv", [
     ["word-weight", "--group", "zk:1", "--radius", "-3", "--element", "(1,)"],
     ["word-weight", "--group", "zk:1", "--max-power", "0", "--element", "(1,)"],

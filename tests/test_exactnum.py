@@ -122,7 +122,9 @@ parts = st.one_of(st.integers(-10**20, 10**20), st.integers(-3, 3),
                   rationals, st.fractions(max_denominator=10**12))
 complex_parts = st.tuples(parts, parts)
 integer_parts = st.tuples(st.integers(-10**6, 10**6), st.just(0))
-operand_parts = st.one_of(complex_parts, integer_parts)
+# +-1 often: a product with a factor 1 returns the other factor unchanged
+unit_parts = st.sampled_from([(1, 0), (-1, 0)])
+operand_parts = st.one_of(unit_parts, complex_parts, integer_parts)
 
 
 def assert_canonical(z):
@@ -148,6 +150,9 @@ def test_matches_fraction_pair_reference(p, q):
     assert_matches(x + y, rx + ry)
     assert_matches(x - y, rx - ry)
     assert_matches(x * y, rx * ry)
+    for unit_product in (x * ONE, ONE * x, x * 1, 1 * x):
+        assert unit_product == x
+        assert_matches(unit_product, rx)
     if ry.re or ry.im:
         assert_matches(x / y, rx / ry)
     else:

@@ -1,12 +1,14 @@
 """Truncated Hopf models and smash products, checked against hand oracles."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesmash import corpus
+from liesmash import corpus, hopf
 from liesmash.exactnum import GaussianRational as GQ, ONE, ZERO
 from liesmash.lie import LieAlgebra
 from liesmash.hopf import (
@@ -29,6 +31,7 @@ from liesmash.lie import (
 )
 
 D = 4
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 @pytest.fixture(scope="module")
@@ -404,3 +407,96 @@ def test_associativity_on_overflow_free_triples_exact(smash_xddx):
     rhs = s.multiply(y, vw)
     expected = {(2, 0): GQ(2), (2, 1): ONE}
     assert lhs == rhs == expected
+
+
+# -- products on demand and the pruned-element invariant ----------------------
+
+def _tower(model):
+    """Every TruncatedHopf a (nested) smash model is built from."""
+    while isinstance(model, SmashAlgebra):
+        yield model
+        yield model.H
+        model = model.A
+    yield model
+
+
+def _models_at_d3():
+    from liesmash.cli import MODEL_BUILDERS
+    from liesmash.report import ChainModel, build_chain_model
+    models = {}
+    for name, build in MODEL_BUILDERS.items():
+        model = build(3)
+        models[name] = model.smash if isinstance(model, ChainModel) else model
+    for path in sorted(DATA.glob("*.json")):
+        g = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+        models[path.stem] = build_chain_model(g, truncation=3).smash
+    return models
+
+
+def test_every_table_element_is_pruned():
+    """No table entry, antipode or action image holds a zero coefficient;
+    element equality is plain dict equality because of it."""
+    for name, top in _models_at_d3().items():
+        for X in _tower(top):
+            elements = [X.mult[(k1, k2)] for k1 in X.basis for k2 in X.basis]
+            elements += [X.comult[k] for k in X.basis]
+            if X.antipode is not None:
+                elements += [X.antipode[k] for k in X.basis]
+            if isinstance(X, SmashAlgebra):
+                elements += list(X.action.table.values())
+            for el in elements:
+                assert all(el.values()), (name, X.name, el)
+
+
+def _eager_smash_table(s):
+    """Reference: every smash product of basis elements, built eagerly with
+    its own accumulate-and-prune loop."""
+    A, H, table, d = s.A, s.H, s.action.table, s.truncation
+    mult = {}
+    for (a, h) in s.basis:
+        for (b, g) in s.basis:
+            out = {}
+            for (h1, h2), c in H.comult[h].items():
+                acted = table[(h1, b)]
+                hg = H.mult[(h2, g)]
+                for bk, cb in acted.items():
+                    for ak, ca in A.mult[(a, bk)].items():
+                        for hk, chg in hg.items():
+                            if A.degree[ak] + H.degree[hk] > d:
+                                continue
+                            acc = out.get((ak, hk), ZERO) + c * cb * ca * chg
+                            if acc:
+                                out[(ak, hk)] = acc
+                            else:
+                                out.pop((ak, hk), None)
+            mult[((a, h), (b, g))] = out
+    return mult
+
+
+def test_smash_products_are_computed_on_demand():
+    from liesmash.report import build_chain_model, check_chain_model
+    model = build_chain_model(corpus.filiform4(), truncation=4)
+    hopf_report, commutators = check_chain_model(model)
+    assert hopf_report.passed and commutators.passed
+    s = model.smash
+    b = len(s.basis)
+    assert b == math.comb(4 + 4, 4)
+    read = len(s.mult)
+    assert 0 < read < b * b
+    eager = _eager_smash_table(s)
+    for pair, want in eager.items():
+        # equal entries, with their keys in the same order
+        assert list(s.mult[pair].items()) == list(want.items()), pair
+    assert len(s.mult) == b * b
+
+
+def test_iterated_smash_refuses_an_oversized_basis(monkeypatch):
+    # uppertri3 (6 generators) at D=7 stays within the budget
+    assert math.comb(6 + 7, 7) == 1716 <= hopf.MAX_SMASH_BASIS
+    g = corpus.heisenberg()
+    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
+    actions = adjoint_action_matrices(g, chain)
+    monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", math.comb(3 + 2, 2))
+    assert len(iterated_smash(chain, 2, actions).basis) == 10
+    with pytest.raises(PreconditionError, match="smash basis of 20 elements"):
+        iterated_smash(chain, 3, actions)
