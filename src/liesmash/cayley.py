@@ -3,8 +3,9 @@
 Discrete lattices stand in for the complex Lie groups (the Heisenberg
 lattice for the Heisenberg group, a Baumslag-Solitar-type group for the
 exponentially distorted directions).  Word lengths come from an exact,
-radius-bounded breadth-first search; all asymptotic statements are reported
-as finite-radius fits with explicit tolerances.
+radius-bounded breadth-first search, which grows each layer from one lazy
+step per generator (CayleyGroup.right_steps); all asymptotic statements are
+reported as finite-radius fits with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain, repeat
+from operator import add, mul
 
 from .errors import InputError, PreconditionError
 from .weights import WeightDomainError, _lsq
@@ -36,6 +38,13 @@ class CayleyGroup:
     def generators(self) -> list:
         """Symmetric generating set U, identity excluded."""
         raise NotImplementedError
+
+    def right_steps(self, frontier) -> list:
+        """One lazy iterator per generator u, in generators() order, each
+        yielding g u for every g of frontier in order.  Models with a closed
+        form for a generator step override this."""
+        mult = self.multiply
+        return [map(mult, frontier, repeat(u)) for u in self.generators()]
 
     def random_element(self, rng: random.Random, size: int):
         """Random element from a word of length <= size (always in the group)."""
@@ -91,6 +100,11 @@ class ZK(CayleyGroup):
             gens.append(tuple(e))
         return gens
 
+    def right_steps(self, frontier):
+        def shift(i, s):
+            return (g[:i] + (g[i] + s,) + g[i + 1:] for g in frontier)
+        return [shift(i, s) for i in range(self.k) for s in (1, -1)]
+
     def parse_element(self, text):
         return _parse_int_tuple(text, self.k)
 
@@ -119,6 +133,12 @@ class Heis3Z(CayleyGroup):
 
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+
+    def right_steps(self, frontier):
+        return [((a + 1, b, c) for a, b, c in frontier),
+                ((a - 1, b, c) for a, b, c in frontier),
+                ((a, b + 1, c + a) for a, b, c in frontier),
+                ((a, b - 1, c - a) for a, b, c in frontier)]
 
     def parse_element(self, text):
         return _parse_int_tuple(text, 3)
@@ -160,6 +180,11 @@ class BS12(CayleyGroup):
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]
 
+    def right_steps(self, frontier):
+        return [_bs12_a_step(frontier, 1), _bs12_a_step(frontier, -1),
+                ((m, k, n + 1) for m, k, n in frontier),
+                ((m, k, n - 1) for m, k, n in frontier)]
+
     def parse_element(self, text):
         """Read "(x, n)" with x an integer, a fraction m/2^k or a decimal."""
         parts = [p.strip() for p in text.strip().strip("()").split(",")]
@@ -178,6 +203,18 @@ class BS12(CayleyGroup):
     def format_element(self, g):
         m, k, n = g
         return f"({m}, {n})" if not k else f"({m}/{1 << k}, {n})"
+
+
+def _bs12_a_step(frontier, s: int):
+    """g a^s for each g = (m, k, n) of frontier: x + s 2^n, in normal form."""
+    for m, k, n in frontier:
+        e = n + k       # s 2^n = s 2^e / 2^k
+        if e < 0:       # odd over 2^-n, with -n > k
+            yield ((m << -e) + s, -n, n)
+        elif e or not k:
+            yield (m + (s << e), k, n)
+        else:           # odd m plus s over 2^k: cancel powers of 2
+            yield _dyadic(m + s, k, n)
 
 
 def _dyadic(m: int, k: int, n: int) -> tuple:
@@ -199,15 +236,20 @@ class SemidirectZkZ(CayleyGroup):
     """
 
     def __init__(self, matrix):
+        if not (isinstance(matrix, (list, tuple)) and matrix and all(
+                isinstance(row, (list, tuple)) and len(row) == len(matrix)
+                and all(isinstance(x, int) and not isinstance(x, bool)
+                        for x in row) for row in matrix)):
+            raise InputError("semidirect matrix must be a non-empty square "
+                             f"matrix of integers, got {matrix!r}")
         self.k = len(matrix)
-        self.matrix = tuple(tuple(int(x) for x in row) for row in matrix)
-        if any(len(row) != self.k for row in self.matrix):
-            raise InputError("semidirect matrix must be square")
+        self.matrix = tuple(tuple(row) for row in matrix)
         det = _int_det(self.matrix)
         if det not in (1, -1):
             raise InputError(f"semidirect matrix must have det +-1, got {det}")
         self._inv = _int_inverse(self.matrix, det)
         self._powers: dict[int, tuple] = {0: _int_identity(self.k)}
+        self._images: dict[int, tuple] = {}   # n -> generator images of M^n
         rows = ";".join(",".join(str(x) for x in row) for row in self.matrix)
         self.name = f"semidirect:{self.k}:[{rows}]"
 
@@ -245,6 +287,26 @@ class SemidirectZkZ(CayleyGroup):
         zero = (0,) * self.k
         return ([(e, 0) for e in ZK(self.k).generators()]
                 + [(zero, 1), (zero, -1)])
+
+    def _generator_images(self, n: int) -> tuple:
+        """M^n e_i and -M^n e_i for each i, in generators() order."""
+        out = self._images.get(n)
+        if out is None:
+            out = tuple(w for col in zip(*self._power_matrix(n))
+                        for w in (col, tuple(-x for x in col)))
+            self._images[n] = out
+        return out
+
+    def _image_step(self, frontier, j: int):
+        images = self._images
+        for v, n in frontier:
+            w = images[n][j] if n in images else self._generator_images(n)[j]
+            yield (tuple(map(add, v, w)), n)
+
+    def right_steps(self, frontier):
+        return ([self._image_step(frontier, j) for j in range(2 * self.k)]
+                + [((v, n + 1) for v, n in frontier),
+                   ((v, n - 1) for v, n in frontier)])
 
     def parse_element(self, text):
         """Read "(v_1, ..., v_k, n)" or the printed "((v_1, ..., v_k), n)"."""
@@ -349,6 +411,12 @@ MAX_BALL_ELEMENTS = 2_000_000
 class WordWeightTable:
     """Exact word lengths on the ball of a given radius (weight = 2^length).
 
+    Each layer grows from the frontier by the group's right_steps, read
+    frontier-element-major and generator-minor: g u_1, ..., g u_s, then the
+    next g.  That is the order of a loop over g and then u, so lengths keeps
+    the same insertion order (which sample_group_points draws from) and the
+    same lengths.
+
     Before each layer the size of the ball is estimated, and a ball
     estimated beyond MAX_BALL_ELEMENTS is refused with PreconditionError
     before it is allocated.  The next layer adds at most len(gens) - 1
@@ -364,7 +432,6 @@ class WordWeightTable:
         lengths = {group.identity(): 0}
         frontier = [group.identity()]
         gens = group.generators()
-        mult = group.multiply
         for depth in range(radius):
             estimate = (len(lengths)
                         + max(len(gens) - 1, radius - depth) * len(frontier))
@@ -374,12 +441,10 @@ class WordWeightTable:
                     f"about {estimate} elements at depth {depth + 1}, more "
                     f"than the {MAX_BALL_ELEMENTS} allowed")
             nxt = []
-            for g in frontier:
-                for u in gens:
-                    h = mult(g, u)
-                    if h not in lengths:
-                        lengths[h] = depth + 1
-                        nxt.append(h)
+            for h in chain.from_iterable(zip(*group.right_steps(frontier))):
+                if h not in lengths:
+                    lengths[h] = depth + 1
+                    nxt.append(h)
             frontier = nxt
         self.lengths = lengths
 

@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 input error, 2 mathematical precondition violated,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from . import cayley, corpus, weights as weight_mod
 from .exactnum import GaussianRational
 from .hopf import (
     SmashAlgebra,
+    check_smash_basis,
     derivation_to_action,
     make_primitive_series_hopf,
     cyclic_group_hopf,
@@ -54,7 +56,10 @@ def _common_flags(sp):
     sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and building it costs about 20 times a parse."""
     parser = argparse.ArgumentParser(
         prog="liesmash",
         description="Iterated analytic smash-product decompositions of "
@@ -120,10 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _model_series(d):
+    check_smash_basis(1, d)
     return make_primitive_series_hopf("x", d)
 
 
 def _model_smash2(d):
+    check_smash_basis(2, d)
     a = make_primitive_series_hopf("x", d)
     h = make_primitive_series_hopf("y", d)
     action = derivation_to_action(h, a, {"x": {1: GaussianRational(1)}})
@@ -143,6 +150,7 @@ def _model_cyclic2(d):
 
 
 def _model_tensor2(d):
+    check_smash_basis(2, d)
     a = make_primitive_series_hopf("x", d)
     h = make_primitive_series_hopf("y", d)
     return SmashAlgebra(a, h, trivial_action(h, a))

@@ -31,8 +31,9 @@ from .errors import PreconditionError
 
 Element = dict  # basis key -> GaussianRational, never holding a zero
 
-# Largest basis an iterated smash may have; B = C(n + D, D) is refused above
-# it before anything is built.  uppertri3 at D=7 has B = 1716.
+# Largest basis a model over n series generators at truncation D may have;
+# B = C(n + D, D) is refused above it before anything is built.  uppertri3 at
+# D=7 has B = 1716.
 MAX_SMASH_BASIS = 2000
 
 
@@ -510,6 +511,19 @@ class SmashAlgebra(TruncatedHopf):
         return {(self.A.unit, k): c for k, c in u.items()}
 
 
+def check_smash_basis(generators: int, truncation: int) -> None:
+    """Refuse a model over this many primitive-series generators whose basis
+    of C(n + D, D) monomials would exceed MAX_SMASH_BASIS."""
+    if truncation < 1:
+        return      # the series builder refuses it
+    size = math.comb(generators + truncation, truncation)
+    if size > MAX_SMASH_BASIS:
+        raise PreconditionError(
+            f"truncation {truncation} over {generators} generators gives "
+            f"a smash basis of {size} elements; at most {MAX_SMASH_BASIS} "
+            "are built")
+
+
 def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     """Left-nested smash of a decomposition chain's one-dimensional factors.
 
@@ -525,13 +539,7 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     if len(actions) != len(names) - 1:
         raise PreconditionError(
             f"need {len(names) - 1} action matrices, got {len(actions)}")
-    if truncation >= 1:
-        size = math.comb(len(names) + truncation, truncation)
-        if size > MAX_SMASH_BASIS:
-            raise PreconditionError(
-                f"truncation {truncation} over {len(names)} generators gives "
-                f"a smash basis of {size} elements; at most {MAX_SMASH_BASIS} "
-                "are built")
+    check_smash_basis(len(names), truncation)
     current = make_primitive_series_hopf(names[0], truncation)
     for step, gen_name in enumerate(names[1:]):
         H = make_primitive_series_hopf(gen_name, truncation)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liesmash import cayley as C
 from liesmash import weights as W
@@ -160,6 +160,14 @@ def test_generating_sets_symmetric():
             assert g.inverse(u) in gens
 
 
+def test_semidirect_refuses_malformed_matrices():
+    for bad in ([1], [], [[]], [[1.5]], [[True]], [[1, 0], [1]], [[1, 0]],
+                "[[1]]", [[1, 0], [0, "1"]]):
+        with pytest.raises(InputError, match="non-empty square matrix"):
+            C.SemidirectZkZ(bad)
+    assert C.SemidirectZkZ(((0, 1), (1, 0))).matrix == ((0, 1), (1, 0))
+
+
 def test_make_group_specs():
     assert isinstance(C.make_group("heis3z"), C.Heis3Z)
     assert isinstance(C.make_group("bs12"), C.BS12)
@@ -167,6 +175,84 @@ def test_make_group_specs():
     assert C.make_group("semidirect:[[-1]]").k == 1
     with pytest.raises(InputError):
         C.make_group("nope")
+
+
+# ---------------------------------------------------------------------------
+# per-generator steps
+# ---------------------------------------------------------------------------
+
+big_ints = st.one_of(small_ints, st.integers(-2 ** 70, 2 ** 70))
+bs12_elements = bs12_points.map(_bs12_element)
+heis_elements = st.tuples(big_ints, big_ints, big_ints)
+
+
+def _semidirect_elements(k):
+    return st.tuples(st.tuples(*[big_ints] * k), st.integers(-7, 7))
+
+
+# (group, element strategy, elements always in the frontier)
+STEP_MODELS = {
+    "zk1": (C.ZK(1), st.tuples(big_ints), [(0,)]),
+    "zk3": (C.ZK(3), st.tuples(big_ints, big_ints, big_ints), [(0, 0, 0)]),
+    "heis3z": (C.Heis3Z(), heis_elements, [(0, 0, 0)]),
+    # every branch of the a-steps: n + k < 0, n + k = 0 with k > 0 (the sum
+    # loses powers of 2), n + k > 0, k = 0, and m near 2^70
+    "bs12": (C.BS12(), bs12_elements,
+             [(0, 0, 0), (1, 3, -5), (-3, 2, -7), (1, 1, -1), (-1, 4, -4),
+              (3, 2, 1), (5, 0, 3), (2 ** 70 + 1, 0, 2), (2 ** 70 - 1, 9, -70)]),
+    "semidirect-det-1": (C.SemidirectZkZ([[1, 1], [1, 0]]),
+                         _semidirect_elements(2), [((0, 0), 0), ((1, -2), -3)]),
+    "semidirect-2x2": (C.SemidirectZkZ([[2, 1], [1, 1]]),
+                       _semidirect_elements(2), [((0, 0), 0)]),
+    "semidirect-3x3": (C.SemidirectZkZ([[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
+                       _semidirect_elements(3), [((0, 0, 0), 0)]),
+    "product": (C.DirectProduct(C.Heis3Z(), C.BS12()),
+                st.tuples(heis_elements, bs12_elements),
+                [((0, 0, 0), (0, 0, 0)), ((1, 2, 3), (1, 3, -5))]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(STEP_MODELS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_right_steps_match_multiply(model, data):
+    group, elements, fixed = STEP_MODELS[model]
+    frontier = fixed + data.draw(st.lists(elements, max_size=10))
+    steps = group.right_steps(frontier)
+    gens = group.generators()
+    assert len(steps) == len(gens)
+    for step, u in zip(steps, gens):
+        assert iter(step) is step       # a lazy iterator, not a list
+        assert list(step) == [group.multiply(g, u) for g in frontier]
+
+
+def _per_element_bfs(group, radius):
+    """The ball as a loop over frontier elements, then over generators."""
+    lengths = {group.identity(): 0}
+    frontier = [group.identity()]
+    for depth in range(radius):
+        nxt = []
+        for g in frontier:
+            for u in group.generators():
+                h = group.multiply(g, u)
+                if h not in lengths:
+                    lengths[h] = depth + 1
+                    nxt.append(h)
+        frontier = nxt
+    return lengths
+
+
+@pytest.mark.parametrize("group, radius", [
+    (C.ZK(3), 16), (C.Heis3Z(), 11), (C.BS12(), 11),
+    (C.SemidirectZkZ([[-1]]), 52), (C.SemidirectZkZ([[1, 1], [1, 0]]), 10),
+    (C.SemidirectZkZ([[0, 1, 0], [0, 0, 1], [1, 1, 0]]), 8),
+    (C.DirectProduct(C.ZK(1), C.Heis3Z()), 8),
+], ids=lambda x: getattr(x, "name", str(x)))
+def test_ball_matches_per_element_bfs(group, radius):
+    table = C.WordWeightTable(group, radius)
+    assert len(table) >= 5000
+    assert list(table.lengths.items()) == \
+        list(_per_element_bfs(group, radius).items())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 
 import liesmash
 import liesmash.__main__ as liesmash_main
-from liesmash import cayley, corpus
-from liesmash.cli import EXIT_INPUT, main
+from liesmash import cayley, cli, corpus, hopf
+from liesmash.cli import EXIT_INPUT, build_parser, main
 
 
 @pytest.fixture()
@@ -281,6 +282,17 @@ def test_word_weight_semidirect_group(capsys):
     assert "length: 1" in out
 
 
+@pytest.mark.parametrize("spec", [
+    "semidirect:[1]", "semidirect:[[1.5]]", "semidirect:[[true]]"])
+def test_word_weight_malformed_semidirect_is_input_error(capsys, spec):
+    code, out, err = run(capsys, ["word-weight", "--group", spec,
+                                  "--radius", "4", "--element", "(1,0)"])
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("input error: semidirect matrix must be a "
+                          "non-empty square matrix of integers")
+
+
 def test_word_weight_beyond_radius(capsys):
     code, out, _ = run(capsys, ["word-weight", "--group", "zk:1",
                                 "--radius", "4", "--element", "(9,)"])
@@ -314,6 +326,44 @@ def test_decompose_refuses_oversized_truncation_quickly(capsys, heis_file):
     assert out == ""
     assert "precondition violated" in err and "12341" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("command", ["hopf-verify", "smash-table"])
+def test_model_builders_refuse_an_oversized_basis(capsys, monkeypatch, command):
+    # smash2 and tensor2 have C(2 + D, D) basis elements, series D + 1
+    assert math.comb(2 + 61, 61) == 1953 <= hopf.MAX_SMASH_BASIS
+    assert math.comb(2 + 62, 62) == 2016 > hopf.MAX_SMASH_BASIS
+
+    def build(*args):
+        raise AssertionError("a refused model was built")
+    monkeypatch.setattr(cli, "make_primitive_series_hopf", build)
+    cases = (("smash2", 62, 2016), ("tensor2", 62, 2016),
+             ("smash2", 100, 5151), ("series", 2000, 2001),
+             ("series", 3000, 3001))
+    for model, d, size in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, "--model", model,
+                                      "--truncation", str(d)])
+        assert code == 2, (model, d)
+        assert out == ""
+        assert "precondition violated" in err and f"of {size} elements" in err
+        assert time.perf_counter() - start < 1.0
+
+
+def test_model_builder_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", math.comb(2 + 3, 3))
+    for model, accepted in (("series", 9), ("smash2", 3), ("tensor2", 3)):
+        code, out, _ = run(capsys, ["hopf-verify", "--model", model,
+                                    "--truncation", str(accepted)])
+        assert code == 0 and out.endswith("result: pass\n"), model
+        code, out, err = run(capsys, ["hopf-verify", "--model", model,
+                                      "--truncation", str(accepted + 1)])
+        assert code == 2 and out == "" and "smash basis" in err, model
+    # the group algebra of Z/2 has two elements at every truncation
+    monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", 1)
+    code, out, _ = run(capsys, ["hopf-verify", "--model", "cyclic2",
+                                "--truncation", "30"])
+    assert code == 0 and out.endswith("result: pass\n")
 
 
 def test_weight_check_overflowing_constant_gives_a_verdict(capsys):
@@ -407,3 +457,44 @@ def test_decompose_repeated_pivot_names(capsys, tmp_path):
         "kind=exp-block name=e2 label=A_2", "kind=exp-block name=e2' label=A_1",
         "kind=exp-block name=e4 label=O(C)", "kind=exp-block name=e1 label=O(C)"]
     assert "verify commutator-recovery: pass (6 pairs)" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main, with argparse's exits caught."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_prints_what_fresh_processes_print(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")     # the same help width on both sides
+    sequence = [
+        ["word-weight", "--group", "zk:2"],             # argparse error
+        ["word-weight", "--group", "zk:2", "--radius", "3",
+         "--element", "(1,0)"],
+        ["norm", "--coeffs", "1,1/2,i"],
+        ["hopf-verify", "--model", "nope"],             # argparse error
+        ["hopf-verify", "--model", "cyclic2", "--truncation", "2"],
+        ["--help"],
+        ["word-weight", "--help"],
+        ["norm", "--coeffs", "1,1/2,i"],
+    ]
+    build_parser()
+    seen = [_in_process(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in seen] == [2, 0, 0, 2, 0, 0, 0, 0]
+    for argv, got in zip(sequence, seen):
+        proc = _run_process([sys.executable, "-m", "liesmash"] + argv)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    # the help text of the shared parser is that of a newly built one
+    assert seen[5][1] == build_parser.__wrapped__().format_help()

@@ -500,3 +500,14 @@ def test_iterated_smash_refuses_an_oversized_basis(monkeypatch):
     assert len(iterated_smash(chain, 2, actions).basis) == 10
     with pytest.raises(PreconditionError, match="smash basis of 20 elements"):
         iterated_smash(chain, 3, actions)
+
+
+def test_check_smash_basis_boundary():
+    assert math.comb(1 + 1999, 1999) == hopf.MAX_SMASH_BASIS
+    hopf.check_smash_basis(1, 1999)
+    with pytest.raises(PreconditionError, match="smash basis of 2001 elements"):
+        hopf.check_smash_basis(1, 2000)
+    hopf.check_smash_basis(2, 61)               # 1953 elements
+    with pytest.raises(PreconditionError, match="smash basis of 2016 elements"):
+        hopf.check_smash_basis(2, 62)
+    hopf.check_smash_basis(2, 0)                # left to the series builder
