@@ -10,6 +10,7 @@ reported as finite-radius fits with explicit tolerances.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -392,7 +393,6 @@ def make_group(spec: str) -> CayleyGroup:
     if spec.startswith("zk:"):
         return ZK(int(spec.split(":", 1)[1]))
     if spec.startswith("semidirect:"):
-        import json
         body = spec.split(":", 1)[1]
         return SemidirectZkZ(json.loads(body))
     raise InputError(f"unknown group spec {spec!r}")
@@ -454,10 +454,6 @@ class WordWeightTable:
     def length(self, g):
         return self.lengths.get(g)
 
-    def weight(self, g):
-        n = self.length(g)
-        return None if n is None else 2 ** n
-
 
 _TABLE_CACHE: dict[tuple, WordWeightTable] = {}
 
@@ -469,11 +465,6 @@ def word_table(group: CayleyGroup, radius: int) -> WordWeightTable:
         table = WordWeightTable(group, radius)
         _TABLE_CACHE[key] = table
     return table
-
-
-def word_weight(group: CayleyGroup, element, radius: int):
-    """Exact weight 2^(word length), or None when beyond the BFS radius."""
-    return word_table(group, radius).weight(element)
 
 
 # ---------------------------------------------------------------------------

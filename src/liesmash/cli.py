@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .lie import (
     VerificationError,
     semidirect_chain,
 )
+from .linalg import rref
 from .report import (
     ChainModel,
     build_chain_model,
@@ -387,7 +389,6 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
         if g.is_nilpotent() and g.dim:
             vecs, ws = g.f_basis()
             series_ok = True
-            from .linalg import rref
             for j in range(1, max(ws) + 1):
                 span_j = rref([v for v, w in zip(vecs, ws) if w >= j])
                 term = series[j - 1] if j - 1 < len(series) else series[-1]
@@ -437,8 +438,7 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
     sym_ok = all(table.length(heis.inverse(g)) == n
                  for g, n in table.lengths.items())
     record("cayley", "word length symmetric", sym_ok)
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     tri_ok = True
     elems = sorted(table.lengths)
     for _ in range(2000):
@@ -494,9 +494,13 @@ COMMANDS = {
 
 
 def _check_run_sizes(args) -> None:
-    """Refuse a negative BFS radius or an empty power range as input errors."""
-    if getattr(args, "radius", 0) < 0:
-        raise InputError(f"--radius must be >= 0, got {args.radius}")
+    """Refuse a negative BFS radius, tail dimension, sample count or check
+    degree, and an empty power range, as input errors."""
+    for dest in ("radius", "tail_dim", "samples", "check_degree"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            flag = "--" + dest.replace("_", "-")
+            raise InputError(f"{flag} must be >= 0, got {value}")
     if getattr(args, "max_power", 1) < 1:
         raise InputError(f"--max-power must be >= 1, got {args.max_power}")
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .exactnum import GaussianRational
 from .lie import LieAlgebra
 
@@ -66,18 +64,3 @@ CORPUS = {
     "filiform4": filiform4,
     "uppertri3": upper_triangular3,
 }
-
-
-def named_algebra(name: str) -> LieAlgebra:
-    try:
-        return CORPUS[name]()
-    except KeyError:
-        raise KeyError(f"unknown corpus algebra {name!r}; "
-                       f"have {sorted(CORPUS)}") from None
-
-
-def write_example_file(name: str, path) -> None:
-    alg = named_algebra(name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(alg.to_json_dict(), fh, indent=2)
-        fh.write("\n")

@@ -233,13 +233,5 @@ def _normalised(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
-GQ = GaussianRational
-
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
-def gq(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor used all over the test-suite and the corpus."""
-    return GaussianRational(re, im)

@@ -19,6 +19,10 @@ they read; a dense dump still reads all B^2 entries.  The primitive-series
 and group-like tables are built eagerly.  Elements are sparse dicts that
 never hold a zero coefficient, accumulated in place by el_axpy, so two
 elements are equal exactly when their dicts are.
+
+Every exact check is one sweep over its cases (_sweep): cases are counted up
+to and including the first failure, and that failure's witness is reported.
+A passing check therefore reports every case it covered.
 """
 
 from __future__ import annotations
@@ -50,24 +54,6 @@ def el_axpy(out: Element, c, y: Element) -> Element:
         else:
             out.pop(k, None)
     return out
-
-
-def el_add(*elements) -> Element:
-    out: Element = {}
-    for el in elements:
-        el_axpy(out, ONE, el)
-    return out
-
-
-def el_scale(c, el: Element) -> Element:
-    c = GaussianRational.coerce(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in el.items()}
-
-
-def el_sub(a: Element, b: Element) -> Element:
-    return el_axpy(el_add(a), -ONE, b)
 
 
 class TruncatedHopf:
@@ -203,36 +189,22 @@ def make_primitive_series_hopf(name: str, truncation: int) -> TruncatedHopf:
         factorization=factorization)
 
 
-def make_group_like_hopf(name: str, elements, multiply, inverse, identity,
-                         truncation: int = 4) -> TruncatedHopf:
-    """Group algebra of a finite group: every basis element is group-like."""
-    elems = list(elements)
-    eset = set(elems)
-    for g in elems:
-        if inverse(g) not in eset:
-            raise PreconditionError(f"element set not closed under inverse at {g!r}")
-        for h in elems:
-            if multiply(g, h) not in eset:
-                raise PreconditionError(
-                    f"element set not closed under products at ({g!r}, {h!r})")
-    mult = {(g, h): {multiply(g, h): ONE} for g in elems for h in elems}
+def cyclic_group_hopf(name: str, order: int, truncation: int = 4) -> TruncatedHopf:
+    """Group algebra of Z/order on the residues 0..order-1: every basis
+    element is group-like, and 0 is the unit."""
+    elems = range(order)
+    mult = {(g, h): {(g + h) % order: ONE} for g in elems for h in elems}
     comult = {g: {(g, g): ONE} for g in elems}
     counit = {g: ONE for g in elems}
-    antipode = {g: {inverse(g): ONE} for g in elems}
-    factorization = {g: () if g == identity else (g,) for g in elems}
+    antipode = {g: {(-g) % order: ONE} for g in elems}
+    factorization = {g: (g,) if g else () for g in elems}
     return TruncatedHopf(
         kind="group-like", name=name,
-        generators=[(f"d[{g}]", g) for g in elems if g != identity],
+        generators=[(f"d[{g}]", g) for g in elems if g],
         truncation=truncation, basis=tuple(elems),
-        degree={g: 0 for g in elems}, unit=identity,
+        degree={g: 0 for g in elems}, unit=0,
         mult=mult, comult=comult, counit=counit, antipode=antipode,
         factorization=factorization)
-
-
-def cyclic_group_hopf(name: str, order: int, truncation: int = 4) -> TruncatedHopf:
-    return make_group_like_hopf(
-        name, range(order), lambda a, b: (a + b) % order,
-        lambda a: (-a) % order, 0, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +225,6 @@ class ModuleAlgebraAction:
             for ak, ca in a.items():
                 el_axpy(out, ch * ca, self.table[(hk, ak)])
         return out
-
-    def is_trivial(self) -> bool:
-        return all(self.table[(hk, ak)] == el_scale(self.H.counit[hk], {ak: ONE})
-                   for hk in self.H.basis for ak in self.A.basis)
 
 
 def trivial_action(H: TruncatedHopf, A: TruncatedHopf) -> ModuleAlgebraAction:
@@ -385,20 +353,6 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
 # ---------------------------------------------------------------------------
 # the smash product
 # ---------------------------------------------------------------------------
-
-def tau(action: ModuleAlgebraAction, h: Element, a: Element) -> Element:
-    """The braiding H (x) A -> A (x) H: h (x) a -> sum (h_(1) . a) (x) h_(2).
-
-    The result uses smash basis keys (a key, h key).
-    """
-    H = action.H
-    out: Element = {}
-    for hk, ch in h.items():
-        for (h1, h2), c in H.comult[hk].items():
-            acted = action.act({h1: ONE}, a)
-            el_axpy(out, ch * c, {(ak, h2): ca for ak, ca in acted.items()})
-    return out
-
 
 def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
     """(a # h)(b # g) = sum a (h_(1) . b) # h_(2) g, truncated at degree D."""
@@ -608,6 +562,18 @@ def _tensor_square_product(X: TruncatedHopf, u_pairs: dict, v_pairs: dict) -> di
     return out
 
 
+def _sweep(name: str, cases) -> CheckResult:
+    """Run one check: cases yields None for each case that holds and a
+    witness string for one that fails.  Cases are counted up to and
+    including the first failure, and the sweep stops there."""
+    count = 0
+    for witness in cases:
+        count += 1
+        if witness is not None:
+            return CheckResult(name, False, count, witness)
+    return CheckResult(name, True, count)
+
+
 def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     """Exhaustive exact verification of the Hopf axioms at truncation.
 
@@ -617,100 +583,69 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     basis.
     """
     d = X.truncation
-    report = HopfReport(model=X.name)
-    res = report.results.append
 
-    # unit
-    count, witness = 0, None
-    one = X.one()
-    for k in X.basis:
-        u = {k: ONE}
-        count += 1
-        if not (X.multiply(one, u) == u == X.multiply(u, one)):
-            witness = X.key_str(k)
-            break
-    res(CheckResult("unit", witness is None, count, witness))
-
-    # associativity on the overflow-free set
-    count, witness = 0, None
-    for k1 in X.basis:
-        if witness:
-            break
-        for k2 in X.basis:
-            if witness:
-                break
-            if X.degree[k1] + X.degree[k2] > d:
-                continue
-            for k3 in X.basis:
-                if X.degree[k1] + X.degree[k2] + X.degree[k3] > d:
-                    continue
-                count += 1
-                lhs = X.multiply(X.mult[(k1, k2)], {k3: ONE})
-                rhs = X.multiply({k1: ONE}, X.mult[(k2, k3)])
-                if lhs != rhs:
-                    witness = (f"({X.key_str(k1)}, {X.key_str(k2)}, "
-                               f"{X.key_str(k3)})")
-                    break
-    res(CheckResult("associativity", witness is None, count, witness))
-
-    # coassociativity on the basis
-    count, witness = 0, None
-    for k in X.basis:
-        count += 1
-        left: dict = {}
-        right: dict = {}
-        for (k1, k2), c in X.comult[k].items():
-            for (k11, k12), c2 in X.comult[k1].items():
-                key = (k11, k12, k2)
-                left[key] = left.get(key, ZERO) + c * c2
-            for (k21, k22), c2 in X.comult[k2].items():
-                key = (k1, k21, k22)
-                right[key] = right.get(key, ZERO) + c * c2
-        diff = {k3: v for k3, v in left.items() if v != right.get(k3, ZERO)}
-        diff.update({k3: v for k3, v in right.items() if v != left.get(k3, ZERO)})
-        if diff:
-            witness = X.key_str(k)
-            break
-    res(CheckResult("coassociativity", witness is None, count, witness))
-
-    # counit
-    count, witness = 0, None
-    for k in X.basis:
-        count += 1
-        left: Element = {}
-        right: Element = {}
-        for (k1, k2), c in X.comult[k].items():
-            el_axpy(left, c * X.counit[k1], {k2: ONE})
-            el_axpy(right, c * X.counit[k2], {k1: ONE})
-        if not (left == {k: ONE} == right):
-            witness = X.key_str(k)
-            break
-    res(CheckResult("counit", witness is None, count, witness))
-
-    # bialgebra law on the overflow-free set
-    count, witness = 0, None
-    for k1 in X.basis:
-        if witness:
-            break
-        for k2 in X.basis:
-            if X.degree[k1] + X.degree[k2] > d:
-                continue
-            count += 1
-            lhs = X.comultiply(X.mult[(k1, k2)])
-            rhs = _tensor_square_product(X, X.comult[k1], X.comult[k2])
-            if lhs != rhs:
-                witness = f"({X.key_str(k1)}, {X.key_str(k2)})"
-                break
-            if X.counit_el(X.mult[(k1, k2)]) != X.counit[k1] * X.counit[k2]:
-                witness = f"counit at ({X.key_str(k1)}, {X.key_str(k2)})"
-                break
-    res(CheckResult("bialgebra", witness is None, count, witness))
-
-    # antipode convolution identities on the basis
-    if X.antipode is not None:
-        count, witness = 0, None
+    def unit():
+        one = X.one()
         for k in X.basis:
-            count += 1
+            u = {k: ONE}
+            ok = X.multiply(one, u) == u == X.multiply(u, one)
+            yield None if ok else X.key_str(k)
+
+    def associativity():
+        # on the overflow-free set
+        for k1 in X.basis:
+            for k2 in X.basis:
+                if X.degree[k1] + X.degree[k2] > d:
+                    continue
+                for k3 in X.basis:
+                    if X.degree[k1] + X.degree[k2] + X.degree[k3] > d:
+                        continue
+                    lhs = X.multiply(X.mult[(k1, k2)], {k3: ONE})
+                    rhs = X.multiply({k1: ONE}, X.mult[(k2, k3)])
+                    yield None if lhs == rhs else (
+                        f"({X.key_str(k1)}, {X.key_str(k2)}, {X.key_str(k3)})")
+
+    def coassociativity():
+        for k in X.basis:
+            left: dict = {}
+            right: dict = {}
+            for (k1, k2), c in X.comult[k].items():
+                for (k11, k12), c2 in X.comult[k1].items():
+                    key = (k11, k12, k2)
+                    left[key] = left.get(key, ZERO) + c * c2
+                for (k21, k22), c2 in X.comult[k2].items():
+                    key = (k1, k21, k22)
+                    right[key] = right.get(key, ZERO) + c * c2
+            diff = {k3: v for k3, v in left.items() if v != right.get(k3, ZERO)}
+            diff.update({k3: v for k3, v in right.items() if v != left.get(k3, ZERO)})
+            yield X.key_str(k) if diff else None
+
+    def counit():
+        for k in X.basis:
+            left: Element = {}
+            right: Element = {}
+            for (k1, k2), c in X.comult[k].items():
+                el_axpy(left, c * X.counit[k1], {k2: ONE})
+                el_axpy(right, c * X.counit[k2], {k1: ONE})
+            yield None if left == {k: ONE} == right else X.key_str(k)
+
+    def bialgebra():
+        # on the overflow-free set
+        for k1 in X.basis:
+            for k2 in X.basis:
+                if X.degree[k1] + X.degree[k2] > d:
+                    continue
+                lhs = X.comultiply(X.mult[(k1, k2)])
+                rhs = _tensor_square_product(X, X.comult[k1], X.comult[k2])
+                if lhs != rhs:
+                    yield f"({X.key_str(k1)}, {X.key_str(k2)})"
+                elif X.counit_el(X.mult[(k1, k2)]) != X.counit[k1] * X.counit[k2]:
+                    yield f"counit at ({X.key_str(k1)}, {X.key_str(k2)})"
+                else:
+                    yield None
+
+    def antipode_convolution():
+        for k in X.basis:
             eps = X.counit[k]
             expected = {X.unit: eps} if eps else {}
             left: Element = {}
@@ -718,22 +653,28 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             for (k1, k2), c in X.comult[k].items():
                 el_axpy(left, c, X.multiply(X.antipode[k1], {k2: ONE}))
                 el_axpy(right, c, X.multiply({k1: ONE}, X.antipode[k2]))
-            if not (left == expected == right):
-                witness = X.key_str(k)
-                break
-        res(CheckResult("antipode-convolution", witness is None, count, witness))
+            yield None if left == expected == right else X.key_str(k)
 
-    # smash-specific: i intertwines the action with conjugation by j
-    if isinstance(X, SmashAlgebra):
-        A, H, action = X.A, X.H, X.action
-        count, witness = 0, None
+    report = HopfReport(model=X.name, results=[
+        _sweep("unit", unit()),
+        _sweep("associativity", associativity()),
+        _sweep("coassociativity", coassociativity()),
+        _sweep("counit", counit()),
+        _sweep("bialgebra", bialgebra()),
+    ])
+    if X.antipode is not None:
+        report.results.append(
+            _sweep("antipode-convolution", antipode_convolution()))
+    if not isinstance(X, SmashAlgebra):
+        return report
+    A, H, action = X.A, X.H, X.action
+
+    def module_intertwining():
+        # i intertwines the action with conjugation by j
         for hk in H.basis:
-            if witness:
-                break
             for ak in A.basis:
                 if H.degree[hk] + A.degree[ak] > d:
                     continue
-                count += 1
                 lhs = X.embed_a(action.table[(hk, ak)])
                 rhs: Element = {}
                 for (h1, h2), c in H.comult[hk].items():
@@ -741,34 +682,23 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
                                       X.embed_a({ak: ONE}))
                     term = X.multiply(term, X.embed_h(H.antipode_el({h2: ONE})))
                     el_axpy(rhs, c, term)
-                if lhs != rhs:
-                    witness = f"({H.key_str(hk)}, {A.key_str(ak)})"
-                    break
-        res(CheckResult("module-intertwining", witness is None, count, witness))
+                yield None if lhs == rhs else f"({H.key_str(hk)}, {A.key_str(ak)})"
 
+    def factor_embeddings():
         # i and j are algebra maps
-        count, witness = 0, None
         for k1 in A.basis:
             for k2 in A.basis:
-                count += 1
                 lhs = X.multiply(X.embed_a({k1: ONE}), X.embed_a({k2: ONE}))
-                if lhs != X.embed_a(A.mult[(k1, k2)]):
-                    witness = f"i on ({A.key_str(k1)}, {A.key_str(k2)})"
-                    break
-            if witness:
-                break
-        if witness is None:
-            for k1 in H.basis:
-                for k2 in H.basis:
-                    count += 1
-                    lhs = X.multiply(X.embed_h({k1: ONE}), X.embed_h({k2: ONE}))
-                    if lhs != X.embed_h(H.mult[(k1, k2)]):
-                        witness = f"j on ({H.key_str(k1)}, {H.key_str(k2)})"
-                        break
-                if witness:
-                    break
-        res(CheckResult("factor-embeddings", witness is None, count, witness))
+                yield None if lhs == X.embed_a(A.mult[(k1, k2)]) else (
+                    f"i on ({A.key_str(k1)}, {A.key_str(k2)})")
+        for k1 in H.basis:
+            for k2 in H.basis:
+                lhs = X.multiply(X.embed_h({k1: ONE}), X.embed_h({k2: ONE}))
+                yield None if lhs == X.embed_h(H.mult[(k1, k2)]) else (
+                    f"j on ({H.key_str(k1)}, {H.key_str(k2)})")
 
+    report.results += [_sweep("module-intertwining", module_intertwining()),
+                       _sweep("factor-embeddings", factor_embeddings())]
     return report
 
 
@@ -782,36 +712,34 @@ def commutator_table_check(s: TruncatedHopf, bracket_matrix, names) -> CheckResu
         return CheckResult(
             "commutator-recovery", False, 0,
             f"{len(s.generators)} generators for {len(names)} names")
-    count, witness = 0, None
     gens = [{key: ONE} for _, key in s.generators]
-    for (i, j), comps in bracket_matrix.items():
-        count += 1
-        u, v = gens[i], gens[j]
-        comm = el_axpy(s.multiply(u, v), -ONE, s.multiply(v, u))
-        expected: Element = {}
-        for k, c in comps.items():
-            el_axpy(expected, GaussianRational.coerce(c), gens[k])
-        if comm != expected:
-            witness = f"[{names[i]}, {names[j]}] = {s.el_str(comm)}"
-            break
-    return CheckResult("commutator-recovery", witness is None, count, witness)
+
+    def cases():
+        for (i, j), comps in bracket_matrix.items():
+            u, v = gens[i], gens[j]
+            comm = el_axpy(s.multiply(u, v), -ONE, s.multiply(v, u))
+            expected: Element = {}
+            for k, c in comps.items():
+                el_axpy(expected, GaussianRational.coerce(c), gens[k])
+            yield None if comm == expected else (
+                f"[{names[i]}, {names[j]}] = {s.el_str(comm)}")
+
+    return _sweep("commutator-recovery", cases())
 
 
 def tensor_degeneration_check(s: SmashAlgebra) -> CheckResult:
     """For the trivial action the smash table is the tensor-product table."""
     A, H = s.A, s.H
-    count, witness = 0, None
-    for (a, h) in s.basis:
-        for (b, g) in s.basis:
-            count += 1
-            expected: Element = {}
-            for ak, ca in A.mult[(a, b)].items():
-                for hk, ch in H.mult[(h, g)].items():
-                    if A.degree[ak] + H.degree[hk] <= s.truncation:
-                        expected[(ak, hk)] = ca * ch
-            if s.mult[((a, h), (b, g))] != expected:
-                witness = f"({s.key_str((a, h))}, {s.key_str((b, g))})"
-                break
-        if witness:
-            break
-    return CheckResult("tensor-degeneration", witness is None, count, witness)
+
+    def cases():
+        for (a, h) in s.basis:
+            for (b, g) in s.basis:
+                expected: Element = {}
+                for ak, ca in A.mult[(a, b)].items():
+                    for hk, ch in H.mult[(h, g)].items():
+                        if A.degree[ak] + H.degree[hk] <= s.truncation:
+                            expected[(ak, hk)] = ca * ch
+                yield None if s.mult[((a, h), (b, g))] == expected else (
+                    f"({s.key_str((a, h))}, {s.key_str((b, g))})")
+
+    return _sweep("tensor-degeneration", cases())

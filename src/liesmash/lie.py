@@ -132,9 +132,6 @@ class LieAlgebra:
                     acc[k] = acc[k] + xi * yj * c
         return tuple(acc)
 
-    def zero_subspace(self) -> Subspace:
-        return Subspace(self, [])
-
     def full_subspace(self) -> Subspace:
         return Subspace(self, [unit_vector(self.dim, i) for i in range(self.dim)])
 

@@ -28,6 +28,7 @@ from .lie import (
     parse_factorization,
     semidirect_chain,
 )
+from .linalg import unit_vector
 
 SCHEMA_HEADER = "liesmash-report 1"
 
@@ -168,7 +169,6 @@ def resolve_nprime(g: LieAlgebra, selector: str,
         for n in names:
             if n not in index:
                 raise InputError(f"unknown basis name {n!r} in nprime selector")
-            from .linalg import unit_vector
             rows.append(unit_vector(g.dim, index[n]))
         return Subspace(g, rows)
     raise InputError(f"bad nprime selector {selector!r}; use E, N or ideal:<names>")

@@ -267,15 +267,15 @@ def heis_table():
 def test_word_weight_identity_and_generators(heis_table):
     g = C.Heis3Z()
     assert heis_table.length(g.identity()) == 0
-    assert C.word_weight(g, g.identity(), 12) == 1  # 2^0
+    assert 2 ** C.word_table(g, 12).length(g.identity()) == 1  # 2^0
     for u in g.generators():
         assert heis_table.length(u) == 1
-        assert C.word_weight(g, u, 12) == 2
+        assert 2 ** C.word_table(g, 12).length(u) == 2
 
 
 def test_word_weight_beyond_radius():
     g = C.ZK(1)
-    assert C.word_weight(g, (99,), 5) is None
+    assert C.word_table(g, 5).length((99,)) is None
 
 
 def test_heis_central_element_word_lengths(heis_table):

@@ -14,21 +14,23 @@ import pytest
 
 import liesmash
 import liesmash.__main__ as liesmash_main
-from liesmash import cayley, cli, corpus, hopf
+from liesmash import cayley, cli, hopf
 from liesmash.cli import EXIT_INPUT, build_parser, main
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 @pytest.fixture()
 def heis_file(tmp_path):
     path = tmp_path / "heisenberg.json"
-    corpus.write_example_file("heisenberg", path)
+    shutil.copy(DATA / "heisenberg.json", path)
     return str(path)
 
 
 @pytest.fixture()
 def solv_file(tmp_path):
     path = tmp_path / "solv2.json"
-    corpus.write_example_file("solv2", path)
+    shutil.copy(DATA / "solv2.json", path)
     return str(path)
 
 
@@ -383,6 +385,9 @@ def test_weight_check_overflowing_constant_gives_a_verdict(capsys):
     ["weight-check", "--lhs", "word(zk:1)", "--rhs", "poly", "--radius", "-1"],
     ["weight-check", "--lhs", "poly", "--rhs", "poly", "--radius", "-1"],
     ["selfcheck", "--radius", "-2"],
+    ["decompose", "missing.json", "--tail-dim", "-1"],
+    ["weight-check", "--lhs", "poly", "--rhs", "poly", "--samples", "-3"],
+    ["norm", "--check-degree", "-1"],
 ])
 def test_negative_run_sizes_are_input_errors(capsys, argv):
     code, out, err = run(capsys, argv)

@@ -16,9 +16,9 @@ from liesmash.hopf import (
     commutator_table_check,
     cyclic_group_hopf,
     derivation_to_action,
+    el_axpy,
     iterated_smash,
     make_primitive_series_hopf,
-    tau,
     tensor_degeneration_check,
     trivial_action,
     verify_hopf_axioms,
@@ -121,7 +121,7 @@ def test_derivation_action_xddx(smash_xddx):
 def test_trivial_action_is_counit_scaling(series):
     h = make_primitive_series_hopf("y", D)
     action = trivial_action(h, series)
-    assert action.is_trivial()
+    assert action.table == trivial_action(h, series).table
     for n in range(D + 1):
         assert action.table[(0, n)] == {n: ONE}
         assert action.table[(1, n)] == {}
@@ -130,7 +130,7 @@ def test_trivial_action_is_counit_scaling(series):
 def test_zero_derivation_equals_trivial_action(series):
     h = make_primitive_series_hopf("y", D)
     action = derivation_to_action(h, series, {"x": {}})
-    assert action.is_trivial()
+    assert action.table == trivial_action(h, series).table
 
 
 def test_derivation_rejects_high_degree_image(series):
@@ -152,20 +152,6 @@ def test_derivation_leibniz_negative_control():
     with pytest.raises(PreconditionError) as err:
         derivation_to_action(h, model, bad_images)
     assert "Leibniz" in str(err.value) or "module" in str(err.value)
-
-
-def test_tau_examples(smash_xddx):
-    action = smash_xddx.action
-    a_alg, h_alg = smash_xddx.A, smash_xddx.H
-    x = a_alg.gen("x")
-    y = h_alg.gen("y")
-    # tau(1 (x) a) = a (x) 1
-    assert tau(action, h_alg.one(), x) == {(1, 0): ONE}
-    # with y . x = x: tau(y (x) x) = x (x) 1 + x (x) y
-    assert tau(action, y, x) == {(1, 0): ONE, (1, 1): ONE}
-    # trivial action reduces to the flip
-    triv = trivial_action(h_alg, a_alg)
-    assert tau(triv, y, x) == {(1, 1): ONE}
 
 
 def test_smash_multiply_examples(smash_xddx):
@@ -193,9 +179,7 @@ def test_smash_antipode_examples(smash_xddx):
     for key in s.basis:
         acc = {}
         for (k1, k2), c in s.comult[key].items():
-            from liesmash.hopf import el_add, el_scale
-            acc = el_add(acc, el_scale(
-                c, s.multiply(s.antipode[k1], {k2: ONE})))
+            el_axpy(acc, c, s.multiply(s.antipode[k1], {k2: ONE}))
         eps = s.counit[key]
         expected = {s.unit: eps} if eps else {}
         assert acc == expected
@@ -217,6 +201,12 @@ def test_smash_with_ddx_is_module_algebra_but_not_bialgebra(smash_ddx):
                  "factor-embeddings", "coassociativity", "counit"):
         assert by_name[name].passed, by_name[name].line()
     assert not by_name["bialgebra"].passed
+    assert (by_name["bialgebra"].checked, by_name["bialgebra"].witness) == (20, "(y, x)")
+
+
+def _failures(report):
+    return {r.name: (r.checked, r.witness) for r in report.results
+            if not r.passed}
 
 
 def test_corrupted_comultiplication_detected(series):
@@ -229,6 +219,45 @@ def test_corrupted_comultiplication_detected(series):
     assert not report.passed
     fail = report.first_failure()
     assert fail.witness is not None
+    assert _failures(report) == {"coassociativity": (5, "x^4"),
+                                 "bialgebra": (7, "(x, x)"),
+                                 "antipode-convolution": (3, "x^2")}
+
+
+def _xddx_with_products_read():
+    """A fresh x d/dx smash whose every product has been computed, so that a
+    table corrupted afterwards disagrees with the multiplication."""
+    a = make_primitive_series_hopf("x", D)
+    h = make_primitive_series_hopf("y", D)
+    s = SmashAlgebra(a, h, derivation_to_action(h, a, {"x": {1: GQ(1)}}))
+    for k1 in s.basis:
+        for k2 in s.basis:
+            s.mult[(k1, k2)]
+    return s
+
+
+def test_corrupted_smash_product_fails_associativity():
+    s = _xddx_with_products_read()
+    s.mult[((1, 0), (1, 0))] = {(2, 0): GQ(3)}  # x * x should be x^2
+    assert _failures(verify_hopf_axioms(s))["associativity"] == (94, "(y, x, x)")
+
+
+def test_corrupted_action_entry_fails_module_intertwining():
+    s = _xddx_with_products_read()
+    s.action.table[(1, 1)] = {1: GQ(2)}  # y . x should be x
+    assert _failures(verify_hopf_axioms(s)) == {"module-intertwining": (7, "(y, x)")}
+
+
+def test_corrupted_acting_factor_product_fails_j_embedding():
+    s = _xddx_with_products_read()
+    s.H.mult[(1, 1)] = {2: GQ(3)}  # y * y should be y^2
+    assert _failures(verify_hopf_axioms(s)) == {
+        "factor-embeddings": (32, "j on (y, y)")}
+
+
+def test_tensor_degeneration_fails_for_a_nontrivial_action(smash_xddx):
+    check = tensor_degeneration_check(smash_xddx)
+    assert (check.passed, check.checked, check.witness) == (False, 21, "(y, x)")
 
 
 def test_smash_antipode_requires_cocommutative_acting_factor(series):
@@ -279,8 +308,7 @@ def test_iterated_smash_heisenberg_commutators():
     names = [f.name for f in chain.factors]
     # [e1, e2] = e3 recovered as a commutator of smash generators
     e1, e2, e3 = model.gen("e1"), model.gen("e2"), model.gen("e3")
-    from liesmash.hopf import el_sub
-    comm = el_sub(model.multiply(e1, e2), model.multiply(e2, e1))
+    comm = el_axpy(model.multiply(e1, e2), -ONE, model.multiply(e2, e1))
     assert comm == e3
     check = commutator_table_check(model, chain_bracket_matrix(g, chain), names)
     assert check.passed
@@ -311,8 +339,7 @@ def test_iterated_smash_solv2_commutator():
     chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
     model = iterated_smash(chain, D, adjoint_action_matrices(g, chain))
     e1, e2 = model.gen("e1"), model.gen("e2")
-    from liesmash.hopf import el_sub
-    assert el_sub(model.multiply(e1, e2), model.multiply(e2, e1)) == e2
+    assert el_axpy(model.multiply(e1, e2), -ONE, model.multiply(e2, e1)) == e2
 
 
 def test_iterated_smash_rejects_wrong_action_count():

@@ -12,6 +12,7 @@ from liesmash.lie import (
     InputError,
     LieAlgebra,
     PreconditionError,
+    Subspace,
     adjoint_action_matrices,
     chain_bracket_matrix,
     parse_factorization,
@@ -75,7 +76,7 @@ def test_lower_central_series():
 
 def test_series_terms_are_ideals():
     for name in corpus.CORPUS:
-        g = corpus.named_algebra(name)
+        g = corpus.CORPUS[name]()
         series = g.lower_central_series()
         full = g.full_subspace()
         for k, term in enumerate(series):
@@ -115,7 +116,7 @@ def test_exponential_radical():
 
 def test_radical_ordering_everywhere():
     for name in corpus.CORPUS:
-        g = corpus.named_algebra(name)
+        g = corpus.CORPUS[name]()
         rad = g.full_subspace()
         nil = g.nilpotent_radical(rad)
         exp = g.exponential_radical(rad)
@@ -143,7 +144,7 @@ def test_quotient_heisenberg_center():
 
 def test_quotient_degenerate():
     g = corpus.heisenberg()
-    q0, _ = g.quotient(g.zero_subspace())
+    q0, _ = g.quotient(Subspace(g, []))
     assert q0.dim == 3 and q0.brackets == g.brackets
     qfull, _ = g.quotient(g.full_subspace())
     assert qfull.dim == 0
@@ -177,7 +178,7 @@ def test_f_basis_abelian_and_quotient():
 def test_f_basis_adapted_invariant():
     from liesmash.linalg import rref
     for name in ("heisenberg", "filiform4", "abelian4"):
-        g = corpus.named_algebra(name)
+        g = corpus.CORPUS[name]()
         vecs, ws = g.f_basis()
         series = g.lower_central_series()
         assert ws == sorted(ws) and ws[0] == 1
@@ -263,7 +264,7 @@ def test_chain_filiform_n_preset_all_exp_blocks_flat():
 
 def test_chain_delta_count_matches_preset_dimension():
     for name in ("heisenberg", "solv2", "filiform4", "uppertri3"):
-        g = corpus.named_algebra(name)
+        g = corpus.CORPUS[name]()
         rad = g.full_subspace()
         nil = g.nilpotent_radical(rad)
         exp = g.exponential_radical(rad)
@@ -276,7 +277,7 @@ def test_chain_delta_count_matches_preset_dimension():
 
 def test_chain_prefix_ideals():
     for name in ("heisenberg", "solv2", "filiform4", "uppertri3"):
-        g = corpus.named_algebra(name)
+        g = corpus.CORPUS[name]()
         chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
         vecs = chain.basis_vectors()
         from liesmash.linalg import in_span, rref
@@ -291,7 +292,7 @@ def test_chain_containment_errors():
     g = corpus.solv2()
     # nprime = 0 violates E <= N' since E = span(e2) != 0
     with pytest.raises(PreconditionError) as err:
-        semidirect_chain(g, g.zero_subspace())
+        semidirect_chain(g, Subspace(g, []))
     assert "E <= N'" in str(err.value)
 
 
@@ -328,7 +329,7 @@ def test_chain_requires_solvable():
     assert sl2.jacobi_check()[0]
     assert not sl2.is_solvable()
     with pytest.raises(PreconditionError):
-        semidirect_chain(sl2, sl2.zero_subspace())
+        semidirect_chain(sl2, Subspace(sl2, []))
 
 
 def test_chain_reductive_tail():
@@ -340,8 +341,8 @@ def test_chain_reductive_tail():
 
 
 def test_chain_determinism():
-    g1 = corpus.named_algebra("uppertri3")
-    g2 = corpus.named_algebra("uppertri3")
+    g1 = corpus.CORPUS["uppertri3"]()
+    g2 = corpus.CORPUS["uppertri3"]()
     c1 = semidirect_chain(g1, g1.nilpotent_radical(g1.full_subspace()))
     c2 = semidirect_chain(g2, g2.nilpotent_radical(g2.full_subspace()))
     assert c1.labels() == c2.labels()
@@ -354,7 +355,7 @@ def test_zero_dimensional_algebra():
     z = LieAlgebra([], {})
     assert z.jacobi_check()[0]
     assert z.nilpotency_degree() == 0
-    chain = semidirect_chain(z, z.zero_subspace())
+    chain = semidirect_chain(z, Subspace(z, []))
     assert chain.factors == [] and chain.p == 0
 
 
@@ -372,7 +373,7 @@ def test_adjoint_matrices_heisenberg():
 
 def test_json_roundtrip():
     for name in corpus.CORPUS:
-        g = corpus.named_algebra(name)
+        g = corpus.CORPUS[name]()
         data = g.to_json_dict()
         g2 = LieAlgebra.from_json_dict(json.loads(json.dumps(data)))
         assert g2.basis_names == g.basis_names

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from liesmash.exactnum import GaussianRational, ONE, ZERO, gq
+from liesmash.exactnum import GaussianRational, ONE, ZERO
 from liesmash.linalg import (
     in_span, pivot_columns, reduce_mod, rref, solve_in_basis, unit_vector,
     vector,
@@ -54,7 +54,7 @@ def test_solve_in_basis():
     basis = [vector([1, 0, 1]), vector([0, 1, 1])]
     x = vector([2, 3, 5])
     coords = solve_in_basis(basis, x)
-    assert coords == (gq(2), gq(3))
+    assert coords == (GaussianRational(2), GaussianRational(3))
     assert solve_in_basis(basis, vector([0, 0, 1])) is None
 
 

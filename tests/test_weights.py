@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from liesmash import cayley as C
 from liesmash import weights as W
-from liesmash.exactnum import GaussianRational as GQ, gq
+from liesmash.exactnum import GaussianRational as GQ
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,7 @@ def test_series_norm_examples():
     # exact rationals in, exact Fraction out
     assert isinstance(W.series_norm(x, n21), Fraction)
     # complex coefficients give floats
-    assert isinstance(W.series_norm([gq(0, 1)], n21), float)
+    assert isinstance(W.series_norm([GQ(0, 1)], n21), float)
 
 
 def test_series_norm_monotone_in_r_antitone_in_s():
