@@ -494,9 +494,9 @@ COMMANDS = {
 
 
 def _check_run_sizes(args) -> None:
-    """Refuse a negative BFS radius, tail dimension, sample count or check
-    degree, and an empty power range, as input errors."""
-    for dest in ("radius", "tail_dim", "samples", "check_degree"):
+    """Refuse a negative BFS radius, tail dimension, sample count, check
+    degree or truncation degree, and an empty power range, as input errors."""
+    for dest in ("radius", "tail_dim", "samples", "check_degree", "truncation"):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             flag = "--" + dest.replace("_", "-")

@@ -17,12 +17,20 @@ A smash product's multiplication table (SmashProducts) computes each entry
 on its first lookup and keeps it, so the checks pay only for the products
 they read; a dense dump still reads all B^2 entries.  The primitive-series
 and group-like tables are built eagerly.  Elements are sparse dicts that
-never hold a zero coefficient, accumulated in place by el_axpy, so two
-elements are equal exactly when their dicts are.
+never hold a zero coefficient, so two elements are equal exactly when their
+dicts are.  Every sparse sum out += c*y follows one accumulate rule (el_axpy,
+written out in smash_product and _tensor_square_product): c == 0 adds
+nothing; a factor that is the ONE object is not multiplied; a key absent
+from out takes c*v as it is, since y never holds a zero (el_axpy relies on
+that); a present key is summed, and dropped if the sum is zero.
 
 Every exact check is one sweep over its cases (_sweep): cases are counted up
 to and including the first failure, and that failure's witness is reported.
-A passing check therefore reports every case it covered.
+A passing check therefore reports every case it covered.  Degree-filtered
+sweeps enumerate exactly their overflow-free cases, in basis order, from
+degree buckets: upto[m] holds the basis keys of degree <= m, so k2 runs over
+upto[D - deg k1] and k3 over upto[D - deg k1 - deg k2], and a remainder
+below 0 has no bucket and yields no cases.
 """
 
 from __future__ import annotations
@@ -46,13 +54,23 @@ MAX_SMASH_BASIS = 2000
 # ---------------------------------------------------------------------------
 
 def el_axpy(out: Element, c, y: Element) -> Element:
-    """out += c*y in place, dropping keys whose coefficient becomes zero."""
+    """out += c*y in place, by the accumulate rule; y must hold no zero."""
+    if not c:
+        return out
+    one = c is ONE
+    get = out.get
     for k, v in y.items():
-        acc = out.get(k, ZERO) + c * v
-        if acc:
-            out[k] = acc
+        if not one:
+            v = c * v
+        acc = get(k)
+        if acc is None:
+            out[k] = v
         else:
-            out.pop(k, None)
+            acc += v
+            if acc:
+                out[k] = acc
+            else:
+                del out[k]
     return out
 
 
@@ -77,9 +95,6 @@ class TruncatedHopf:
 
     # -- elements ----------------------------------------------------------
 
-    def one(self) -> Element:
-        return {self.unit: ONE}
-
     def gen(self, name) -> Element:
         for gname, key in self.generators:
             if gname == name:
@@ -91,7 +106,8 @@ class TruncatedHopf:
         mult = self.mult
         for k1, c1 in u.items():
             for k2, c2 in v.items():
-                el_axpy(out, c1 * c2, mult[(k1, k2)])
+                el_axpy(out, c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2,
+                        mult[(k1, k2)])
         return out
 
     def comultiply(self, u: Element) -> dict:
@@ -114,6 +130,11 @@ class TruncatedHopf:
         for k, c in u.items():
             el_axpy(out, c, self.antipode[k])
         return out
+
+    def degree_buckets(self, d: int) -> dict:
+        """upto[m] for 0 <= m <= d; upto.get(m, ()) is empty below 0."""
+        return {m: tuple(k for k in self.basis if self.degree[k] <= m)
+                for m in range(d + 1)}
 
     def is_cocommutative(self) -> bool:
         if self._cocommutative is None:
@@ -177,10 +198,12 @@ def make_primitive_series_hopf(name: str, truncation: int) -> TruncatedHopf:
     basis = tuple(range(d + 1))
     mult = {(a, b): ({a + b: ONE} if a + b <= d else {})
             for a in basis for b in basis}
-    comult = {n: {(k, n - k): GaussianRational(math.comb(n, k))
+    # every coefficient 1 is the ONE object, which products skip
+    comult = {n: {(k, n - k): (ONE if k in (0, n)
+                               else GaussianRational(math.comb(n, k)))
                   for k in range(n + 1)} for n in basis}
     counit = {n: (ONE if n == 0 else ZERO) for n in basis}
-    antipode = {n: {n: GaussianRational((-1) ** n)} for n in basis}
+    antipode = {n: {n: -ONE if n % 2 else ONE} for n in basis}
     factorization = {n: (1,) * n for n in basis}
     return TruncatedHopf(
         kind="primitive-series", name=f"C[[{name}]]", generators=[(name, 1)],
@@ -288,10 +311,9 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
 
     # Leibniz against the multiplication table (catches maps that are not
     # derivations of A's actual relations)
+    upto = A.degree_buckets(d)
     for k1 in A.basis:
-        for k2 in A.basis:
-            if A.degree[k1] + A.degree[k2] > d:
-                continue
+        for k2 in upto.get(d - A.degree[k1], ()):
             lhs = der_el(A.mult[(k1, k2)])
             rhs = el_axpy(A.multiply(der[k1], {k2: ONE}), ONE,
                           A.multiply({k1: ONE}, der[k2]))
@@ -314,6 +336,7 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
 def _verify_module_algebra(action: ModuleAlgebraAction):
     H, A = action.H, action.A
     d = min(H.truncation, A.truncation)
+    h_upto, a_upto = H.degree_buckets(d), A.degree_buckets(d)
     # h . 1 = eps(h) 1
     for hk in H.basis:
         expected = {A.unit: H.counit[hk]} if H.counit[hk] else {}
@@ -322,9 +345,7 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
                                     f"{H.key_str(hk)}")
     # module axiom (hg).a = h.(g.a) on the overflow-free set
     for h1 in H.basis:
-        for h2 in H.basis:
-            if H.degree[h1] + H.degree[h2] > d:
-                continue
+        for h2 in h_upto.get(d - H.degree[h1], ()):
             prod = H.mult[(h1, h2)]
             for ak in A.basis:
                 lhs = action.act(prod, {ak: ONE})
@@ -335,10 +356,9 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
                         f"{H.key_str(h2)}, {A.key_str(ak)})")
     # Leibniz compatibility h.(ab) = sum (h1.a)(h2.b)
     for hk in H.basis:
-        for a in A.basis:
-            for b in A.basis:
-                if H.degree[hk] + A.degree[a] + A.degree[b] > d:
-                    continue
+        room = d - H.degree[hk]
+        for a in a_upto.get(room, ()):
+            for b in a_upto.get(room - A.degree[a], ()):
                 lhs = action.act({hk: ONE}, A.mult[(a, b)])
                 rhs: Element = {}
                 for (h1, h2), c in H.comult[hk].items():
@@ -359,7 +379,9 @@ def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
     A, H, table = action.A, action.H, action.table
     d = A.truncation
     (a, h), (b, g) = left, right
+    a_degree, h_degree = A.degree, H.degree
     out: Element = {}
+    get = out.get
     for (h1, h2), c in H.comult[h].items():
         acted = table[(h1, b)]
         if not acted:
@@ -368,11 +390,24 @@ def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
         if not hg:
             continue
         for bk, cb in acted.items():
-            ccb = c * cb
+            ccb = cb if c is ONE else c if cb is ONE else c * cb
             for ak, ca in A.mult[(a, bk)].items():
-                room = d - A.degree[ak]
-                el_axpy(out, ccb * ca, {(ak, hk): chg for hk, chg in hg.items()
-                                        if H.degree[hk] <= room})
+                cc = ca if ccb is ONE else ccb if ca is ONE else ccb * ca
+                room = d - a_degree[ak]
+                for hk, chg in hg.items():
+                    if h_degree[hk] > room:
+                        continue
+                    v = chg if cc is ONE else cc if chg is ONE else cc * chg
+                    key = (ak, hk)
+                    acc = get(key)
+                    if acc is None:
+                        out[key] = v
+                    else:
+                        acc += v
+                        if acc:
+                            out[key] = acc
+                        else:
+                            del out[key]
     return out
 
 
@@ -549,16 +584,30 @@ class HopfReport:
 
 
 def _tensor_square_product(X: TruncatedHopf, u_pairs: dict, v_pairs: dict) -> dict:
+    mult = X.mult
     out: dict = {}
+    get = out.get
     for (a1, a2), c1 in u_pairs.items():
         for (b1, b2), c2 in v_pairs.items():
-            left = X.mult[(a1, b1)]
+            left = mult[(a1, b1)]
             if not left:
                 continue
-            right = X.mult[(a2, b2)]
-            c12 = c1 * c2
+            right = mult[(a2, b2)].items()
+            c12 = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
             for k1, d1 in left.items():
-                el_axpy(out, c12 * d1, {(k1, k2): d2 for k2, d2 in right.items()})
+                c = d1 if c12 is ONE else c12 if d1 is ONE else c12 * d1
+                for k2, d2 in right:
+                    v = d2 if c is ONE else c if d2 is ONE else c * d2
+                    key = (k1, k2)
+                    acc = get(key)
+                    if acc is None:
+                        out[key] = v
+                    else:
+                        acc += v
+                        if acc:
+                            out[key] = acc
+                        else:
+                            del out[key]
     return out
 
 
@@ -582,26 +631,24 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     coalgebraic identities and the antipode convolutions run on the whole
     basis.
     """
-    d = X.truncation
+    d, mult, degree, comult = X.truncation, X.mult, X.degree, X.comult
+    upto = X.degree_buckets(d)
 
     def unit():
-        one = X.one()
         for k in X.basis:
             u = {k: ONE}
-            ok = X.multiply(one, u) == u == X.multiply(u, one)
+            ok = mult[(X.unit, k)] == u == mult[(k, X.unit)]
             yield None if ok else X.key_str(k)
 
     def associativity():
-        # on the overflow-free set
+        # (k1 k2) k3 = k1 (k2 k3) on the overflow-free set
         for k1 in X.basis:
-            for k2 in X.basis:
-                if X.degree[k1] + X.degree[k2] > d:
-                    continue
-                for k3 in X.basis:
-                    if X.degree[k1] + X.degree[k2] + X.degree[k3] > d:
-                        continue
-                    lhs = X.multiply(X.mult[(k1, k2)], {k3: ONE})
-                    rhs = X.multiply({k1: ONE}, X.mult[(k2, k3)])
+            room = d - degree[k1]
+            for k2 in upto.get(room, ()):
+                p12 = mult[(k1, k2)]
+                for k3 in upto.get(room - degree[k2], ()):
+                    lhs = X.multiply(p12, {k3: ONE})
+                    rhs = X.multiply({k1: ONE}, mult[(k2, k3)])
                     yield None if lhs == rhs else (
                         f"({X.key_str(k1)}, {X.key_str(k2)}, {X.key_str(k3)})")
 
@@ -609,16 +656,12 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
         for k in X.basis:
             left: dict = {}
             right: dict = {}
-            for (k1, k2), c in X.comult[k].items():
-                for (k11, k12), c2 in X.comult[k1].items():
-                    key = (k11, k12, k2)
-                    left[key] = left.get(key, ZERO) + c * c2
-                for (k21, k22), c2 in X.comult[k2].items():
-                    key = (k1, k21, k22)
-                    right[key] = right.get(key, ZERO) + c * c2
-            diff = {k3: v for k3, v in left.items() if v != right.get(k3, ZERO)}
-            diff.update({k3: v for k3, v in right.items() if v != left.get(k3, ZERO)})
-            yield X.key_str(k) if diff else None
+            for (k1, k2), c in comult[k].items():
+                el_axpy(left, c, {(k11, k12, k2): c2
+                                  for (k11, k12), c2 in comult[k1].items()})
+                el_axpy(right, c, {(k1, k21, k22): c2
+                                   for (k21, k22), c2 in comult[k2].items()})
+            yield None if left == right else X.key_str(k)
 
     def counit():
         for k in X.basis:
@@ -632,14 +675,13 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     def bialgebra():
         # on the overflow-free set
         for k1 in X.basis:
-            for k2 in X.basis:
-                if X.degree[k1] + X.degree[k2] > d:
-                    continue
-                lhs = X.comultiply(X.mult[(k1, k2)])
-                rhs = _tensor_square_product(X, X.comult[k1], X.comult[k2])
+            for k2 in upto.get(d - degree[k1], ()):
+                prod = mult[(k1, k2)]
+                lhs = X.comultiply(prod)
+                rhs = _tensor_square_product(X, comult[k1], comult[k2])
                 if lhs != rhs:
                     yield f"({X.key_str(k1)}, {X.key_str(k2)})"
-                elif X.counit_el(X.mult[(k1, k2)]) != X.counit[k1] * X.counit[k2]:
+                elif X.counit_el(prod) != X.counit[k1] * X.counit[k2]:
                     yield f"counit at ({X.key_str(k1)}, {X.key_str(k2)})"
                 else:
                     yield None
@@ -650,7 +692,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             expected = {X.unit: eps} if eps else {}
             left: Element = {}
             right: Element = {}
-            for (k1, k2), c in X.comult[k].items():
+            for (k1, k2), c in comult[k].items():
                 el_axpy(left, c, X.multiply(X.antipode[k1], {k2: ONE}))
                 el_axpy(right, c, X.multiply({k1: ONE}, X.antipode[k2]))
             yield None if left == expected == right else X.key_str(k)
@@ -670,17 +712,15 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     A, H, action = X.A, X.H, X.action
 
     def module_intertwining():
-        # i intertwines the action with conjugation by j
+        # i(h . a) = sum j(h_(1)) i(a) j(S h_(2)) on the overflow-free set
+        a_upto = A.degree_buckets(d)
         for hk in H.basis:
-            for ak in A.basis:
-                if H.degree[hk] + A.degree[ak] > d:
-                    continue
+            for ak in a_upto.get(d - H.degree[hk], ()):
                 lhs = X.embed_a(action.table[(hk, ak)])
                 rhs: Element = {}
                 for (h1, h2), c in H.comult[hk].items():
-                    term = X.multiply(X.embed_h({h1: ONE}),
-                                      X.embed_a({ak: ONE}))
-                    term = X.multiply(term, X.embed_h(H.antipode_el({h2: ONE})))
+                    term = X.multiply(mult[((A.unit, h1), (ak, H.unit))],
+                                      X.embed_h(H.antipode_el({h2: ONE})))
                     el_axpy(rhs, c, term)
                 yield None if lhs == rhs else f"({H.key_str(hk)}, {A.key_str(ak)})"
 
@@ -688,12 +728,12 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
         # i and j are algebra maps
         for k1 in A.basis:
             for k2 in A.basis:
-                lhs = X.multiply(X.embed_a({k1: ONE}), X.embed_a({k2: ONE}))
+                lhs = mult[((k1, H.unit), (k2, H.unit))]
                 yield None if lhs == X.embed_a(A.mult[(k1, k2)]) else (
                     f"i on ({A.key_str(k1)}, {A.key_str(k2)})")
         for k1 in H.basis:
             for k2 in H.basis:
-                lhs = X.multiply(X.embed_h({k1: ONE}), X.embed_h({k2: ONE}))
+                lhs = mult[((A.unit, k1), (A.unit, k2))]
                 yield None if lhs == X.embed_h(H.mult[(k1, k2)]) else (
                     f"j on ({H.key_str(k1)}, {H.key_str(k2)})")
 

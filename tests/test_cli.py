@@ -388,12 +388,36 @@ def test_weight_check_overflowing_constant_gives_a_verdict(capsys):
     ["decompose", "missing.json", "--tail-dim", "-1"],
     ["weight-check", "--lhs", "poly", "--rhs", "poly", "--samples", "-3"],
     ["norm", "--check-degree", "-1"],
+    ["hopf-verify", "--model", "cyclic2", "--truncation", "-3"],
+    ["decompose", str(DATA / "heisenberg.json"), "--truncation", "-3"],
 ])
 def test_negative_run_sizes_are_input_errors(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == EXIT_INPUT
     assert out == ""
     assert "input error: --" in err
+
+
+# one run of every command, all of which take --truncation
+EVERY_COMMAND = [
+    ["decompose", str(DATA / "heisenberg.json")],
+    ["hopf-verify", "--model", "cyclic2"],
+    ["smash-table", "--model", "series"],
+    ["weight-check", "--lhs", "poly", "--rhs", "poly"],
+    ["word-weight", "--group", "zk:1", "--element", "(1,)"],
+    ["norm", "--coeffs", "1"],
+    ["selfcheck"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_negative_truncation_is_refused_by_every_command(capsys, argv):
+    # cyclic2's degrees are all 0, so a negative D once left every
+    # degree-filtered sweep empty and passed it with 0 cases
+    assert sorted(a[0] for a in EVERY_COMMAND) == sorted(cli.COMMANDS)
+    code, out, err = run(capsys, argv + ["--truncation", "-3"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: --truncation must be >= 0, got -3\n"
 
 
 def test_norm_cli(capsys):

@@ -163,14 +163,16 @@ def test_smash_multiply_examples(smash_xddx):
     # (1 (x) y)(x (x) 1) = x (x) 1 + x (x) y
     assert s.multiply(y, x) == {(1, 0): ONE, (1, 1): ONE}
     # unit
+    one = {s.unit: ONE}
     for key in s.basis:
         u = {key: ONE}
-        assert s.multiply(s.one(), u) == u == s.multiply(u, s.one())
+        assert s.multiply(one, u) == u == s.multiply(u, one)
 
 
 def test_smash_antipode_examples(smash_xddx):
     s = smash_xddx
-    assert s.antipode_el(s.one()) == s.one()
+    one = {s.unit: ONE}
+    assert s.antipode_el(one) == one
     # S(a (x) 1) = S_A(a) (x) 1
     for n in range(D + 1):
         got = s.antipode_el({(n, 0): ONE})
@@ -209,13 +211,17 @@ def _failures(report):
             if not r.passed}
 
 
-def test_corrupted_comultiplication_detected(series):
+def _series_with_broken_comult():
     broken = make_primitive_series_hopf("x", D)
     broken.comult = dict(broken.comult)
     bad = dict(broken.comult[2])
     bad[(1, 1)] = GQ(3)  # should be 2
     broken.comult[2] = bad
-    report = verify_hopf_axioms(broken)
+    return broken
+
+
+def test_corrupted_comultiplication_detected(series):
+    report = verify_hopf_axioms(_series_with_broken_comult())
     assert not report.passed
     fail = report.first_failure()
     assert fail.witness is not None
@@ -236,21 +242,48 @@ def _xddx_with_products_read():
     return s
 
 
-def test_corrupted_smash_product_fails_associativity():
+def _xddx_with_broken_product():
     s = _xddx_with_products_read()
     s.mult[((1, 0), (1, 0))] = {(2, 0): GQ(3)}  # x * x should be x^2
+    return s
+
+
+def _xddx_with_broken_action_entry():
+    s = _xddx_with_products_read()
+    s.action.table[(1, 1)] = {1: GQ(2)}  # y . x should be x
+    return s
+
+
+def _xddx_with_broken_acting_factor_product():
+    s = _xddx_with_products_read()
+    s.H.mult[(1, 1)] = {2: GQ(3)}  # y * y should be y^2
+    return s
+
+
+def _ddx_smash():
+    a = make_primitive_series_hopf("x", D)
+    h = make_primitive_series_hopf("y", D)
+    return SmashAlgebra(a, h, derivation_to_action(h, a, {"x": {0: GQ(1)}}))
+
+
+# models that fail at least one check, each with a known witness
+FAILING_MODELS = [_series_with_broken_comult, _xddx_with_broken_product,
+                  _xddx_with_broken_action_entry,
+                  _xddx_with_broken_acting_factor_product, _ddx_smash]
+
+
+def test_corrupted_smash_product_fails_associativity():
+    s = _xddx_with_broken_product()
     assert _failures(verify_hopf_axioms(s))["associativity"] == (94, "(y, x, x)")
 
 
 def test_corrupted_action_entry_fails_module_intertwining():
-    s = _xddx_with_products_read()
-    s.action.table[(1, 1)] = {1: GQ(2)}  # y . x should be x
+    s = _xddx_with_broken_action_entry()
     assert _failures(verify_hopf_axioms(s)) == {"module-intertwining": (7, "(y, x)")}
 
 
 def test_corrupted_acting_factor_product_fails_j_embedding():
-    s = _xddx_with_products_read()
-    s.H.mult[(1, 1)] = {2: GQ(3)}  # y * y should be y^2
+    s = _xddx_with_broken_acting_factor_product()
     assert _failures(verify_hopf_axioms(s)) == {
         "factor-embeddings": (32, "j on (y, y)")}
 
@@ -268,7 +301,7 @@ def test_smash_antipode_requires_cocommutative_acting_factor(series):
     s = SmashAlgebra(series, h, trivial_action(h, series))
     assert s.antipode is None
     with pytest.raises(PreconditionError):
-        s.antipode_el(s.one())
+        s.antipode_el({s.unit: ONE})
 
 
 def test_iterated_smash_is_cocommutative():
@@ -538,3 +571,147 @@ def test_check_smash_basis_boundary():
     with pytest.raises(PreconditionError, match="smash basis of 2016 elements"):
         hopf.check_smash_basis(2, 62)
     hopf.check_smash_basis(2, 0)                # left to the series builder
+
+
+# -- the sweep kernel against references ---------------------------------------
+
+# GQ(1) equals ONE but is another object, so el_axpy multiplies by it
+scalars = st.sampled_from([
+    ONE, GQ(1), -ONE, GQ(2), GQ(-3), GQ(Fraction(1, 3)), GQ(Fraction(-5, 2)),
+    GQ(0, 1), GQ(1, -1), GQ(Fraction(2, 3), Fraction(-1, 4))])
+sparse_elements = st.dictionaries(st.integers(0, 5), scalars, max_size=5)
+
+
+def _axpy_reference(out, c, y):
+    """out + c*y: accumulate every term, then prune the zeros."""
+    acc = dict(out)
+    for k, v in y.items():
+        acc[k] = acc.get(k, ZERO) + c * v
+    return {k: v for k, v in acc.items() if v}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_elements, st.one_of(st.just(ZERO), scalars), sparse_elements,
+       st.sets(st.integers(0, 5)))
+def test_el_axpy_matches_accumulate_then_prune(out, c, y, cancel):
+    assert GQ(1) is not ONE
+    if c:
+        for k in cancel & out.keys():
+            y[k] = -out[k] / c      # this key's sum cancels to zero
+    want = _axpy_reference(out, c, y)
+    got = dict(out)
+    assert el_axpy(got, c, y) is got
+    assert list(got.items()) == list(want.items())
+    assert all(got.values())
+
+
+def _filtered_axpy(out, c, y):
+    for k, v in y.items():
+        acc = out.get(k, ZERO) + c * v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _filtered_multiply(X, u, v):
+    out = {}
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            _filtered_axpy(out, c1 * c2, X.mult[(k1, k2)])
+    return out
+
+
+def _filtered_associativity(X):
+    """(passed, checked, witness) of a filtered loop over all basis triples."""
+    d, deg, count = X.truncation, X.degree, 0
+    for k1 in X.basis:
+        for k2 in X.basis:
+            if deg[k1] + deg[k2] > d:
+                continue
+            for k3 in X.basis:
+                if deg[k1] + deg[k2] + deg[k3] > d:
+                    continue
+                count += 1
+                lhs = _filtered_multiply(X, X.mult[(k1, k2)], {k3: ONE})
+                rhs = _filtered_multiply(X, {k1: ONE}, X.mult[(k2, k3)])
+                if lhs != rhs:
+                    return False, count, (f"({X.key_str(k1)}, {X.key_str(k2)}, "
+                                          f"{X.key_str(k3)})")
+    return True, count, None
+
+
+def _filtered_bialgebra(X):
+    """(passed, checked, witness) of a filtered loop over all basis pairs."""
+    d, deg, count = X.truncation, X.degree, 0
+    for k1 in X.basis:
+        for k2 in X.basis:
+            if deg[k1] + deg[k2] > d:
+                continue
+            count += 1
+            prod = X.mult[(k1, k2)]
+            lhs = {}
+            for k, c in prod.items():
+                _filtered_axpy(lhs, c, X.comult[k])
+            rhs = {}
+            for (a1, a2), c1 in X.comult[k1].items():
+                for (b1, b2), c2 in X.comult[k2].items():
+                    left = X.mult[(a1, b1)]
+                    if not left:
+                        continue
+                    right = X.mult[(a2, b2)]
+                    for l1, d1 in left.items():
+                        _filtered_axpy(rhs, c1 * c2 * d1, {
+                            (l1, l2): d2 for l2, d2 in right.items()})
+            if lhs != rhs:
+                return False, count, f"({X.key_str(k1)}, {X.key_str(k2)})"
+            eps = ZERO
+            for k, c in prod.items():
+                eps = eps + c * X.counit[k]
+            if eps != X.counit[k1] * X.counit[k2]:
+                return False, count, (f"counit at ({X.key_str(k1)}, "
+                                      f"{X.key_str(k2)})")
+    return True, count, None
+
+
+def test_sweeps_match_filtered_loops_over_the_whole_basis():
+    models = list(_models_at_d3().items())
+    models += [(build.__name__, build()) for build in FAILING_MODELS]
+    failed = set()
+    for name, X in models:
+        results = {r.name: r for r in verify_hopf_axioms(X).results}
+        for check, reference in (("associativity", _filtered_associativity),
+                                 ("bialgebra", _filtered_bialgebra)):
+            r = results[check]
+            assert (r.passed, r.checked, r.witness) == reference(X), (name, check)
+            if not r.passed:
+                failed.add((name, check))
+    assert failed == {("_series_with_broken_comult", "bialgebra"),
+                      ("_xddx_with_broken_product", "associativity"),
+                      ("_xddx_with_broken_product", "bialgebra"),
+                      ("_ddx_smash", "bialgebra")}
+
+
+@pytest.mark.parametrize("stem, d", [
+    ("heisenberg", 4), ("filiform4", 4), ("filiform4", 5), ("solv2", 6),
+    ("uppertri3", 3), ("abelian2", 4)])
+def test_case_counts_follow_their_closed_forms(stem, d):
+    """n chain generators at truncation D: B = C(n + D, D) basis elements."""
+    from liesmash.report import build_chain_model, check_chain_model
+    g = LieAlgebra.from_json_dict(json.loads((DATA / f"{stem}.json").read_text()))
+    model = build_chain_model(g, truncation=d)
+    report, _ = check_chain_model(model)
+    assert report.passed
+    n = len(model.chain.generator_names())
+    b = math.comb(n + d, d)
+    assert {r.name: r.checked for r in report.results} == {
+        "unit": b,
+        "associativity": math.comb(d + 3 * n, 3 * n),
+        "coassociativity": b,
+        "counit": b,
+        "bialgebra": math.comb(d + 2 * n, 2 * n),
+        "antipode-convolution": b,
+        "module-intertwining": b,
+        "factor-embeddings": math.comb(d + n - 1, d) ** 2 + (d + 1) ** 2,
+    }
