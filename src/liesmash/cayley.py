@@ -55,13 +55,6 @@ class CayleyGroup:
             g = self.multiply(g, rng.choice(gens))
         return g
 
-    def power(self, a, n: int):
-        out = self.identity()
-        base = a if n >= 0 else self.inverse(a)
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
-        return out
-
     def parse_element(self, text: str):
         raise NotImplementedError
 
@@ -478,10 +471,6 @@ class DistortionFit:
     points: int
     ssr_power: float
     ssr_log: float
-
-    @property
-    def exponential(self) -> bool:
-        return self.classification == "exponential"
 
 
 def growth_table(group: CayleyGroup, h, radius: int, max_power: int = 4096):

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import cayley, corpus, weights as weight_mod
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, ONE
 from .hopf import (
     SmashAlgebra,
     check_smash_basis,
@@ -135,7 +135,7 @@ def _model_smash2(d):
     check_smash_basis(2, d)
     a = make_primitive_series_hopf("x", d)
     h = make_primitive_series_hopf("y", d)
-    action = derivation_to_action(h, a, {"x": {1: GaussianRational(1)}})
+    action = derivation_to_action(h, a, [{1: ONE}])
     return SmashAlgebra(a, h, action)
 
 
@@ -260,7 +260,7 @@ def cmd_weight_check(args) -> int:
     radii = tuple(float(r) for r in args.radii.split(","))
     config = weight_mod.SamplerConfig(count=args.samples, radii=radii,
                                       seed=args.seed)
-    table = weight_mod.word_table_of(lhs) or weight_mod.word_table_of(rhs)
+    table = weight_mod.word_table_of(lhs, rhs)
     fmt = str if table is None else table.group.format_element
     if args.mode == "majorizes":
         verdict = weight_mod.majorizes(lhs, rhs, config)
@@ -371,9 +371,8 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
         record("lie", f"jacobi {name}", ok, detail)
         if not ok:
             continue
-        rad = g.full_subspace()
-        nil = g.nilpotent_radical(rad)
-        exp = g.exponential_radical(rad, nil)
+        nil = g.nilpotent_radical(g.full_subspace())
+        exp = g.exponential_radical(nil)
         record("lie", f"radical containment {name}", nil.contains_subspace(exp))
         record("lie", f"E=0 iff nilpotent {name}",
                (exp.dim == 0) == g.is_nilpotent())
@@ -381,8 +380,8 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
         record("lie", f"lcs ideals {name}",
                all(g.is_ideal(t) is None for t in series))
         if g.is_solvable():
-            chain1 = semidirect_chain(g, nil)
-            chain2 = semidirect_chain(g, nil)
+            chain1 = semidirect_chain(g, nil, (nil, exp))
+            chain2 = semidirect_chain(g, nil, (nil, exp))
             record("lie", f"chain determinism {name}",
                    chain1.labels() == chain2.labels()
                    and chain1.basis_vectors() == chain2.basis_vectors())

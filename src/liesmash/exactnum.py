@@ -156,9 +156,6 @@ class GaussianRational:
     def __neg__(self):
         return _make(-self._a, -self._b, self._d)
 
-    def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
-
     # -- predicates and conversions ---------------------------------------
 
     def __bool__(self):

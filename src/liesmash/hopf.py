@@ -11,7 +11,10 @@ verification report records how many inputs were covered.
 Actions are derivations (and their powers) of the underlying algebra whose
 generator images have degree <= 1; this makes truncation commute with the
 action, keeps the module-algebra axioms decidable exactly, and covers all
-actions arising from a Lie chain's adjoint representation.
+actions arising from a Lie chain's adjoint representation.  A model's
+generators are a list of (display name, basis key); derivation images and
+the commutator check take them by position, and the names only render keys
+and witnesses.
 
 A smash product's multiplication table (SmashProducts) computes each entry
 on its first lookup and keeps it, so the checks pay only for the products
@@ -91,15 +94,8 @@ class TruncatedHopf:
         self.counit = counit                    # key -> coeff
         self.antipode = antipode                # key -> Element, or None
         self.factorization = factorization     # key -> tuple of generator keys
-        self._cocommutative = None
 
     # -- elements ----------------------------------------------------------
-
-    def gen(self, name) -> Element:
-        for gname, key in self.generators:
-            if gname == name:
-                return {key: ONE}
-        raise KeyError(f"no generator named {name!r} in {self.name}")
 
     def multiply(self, u: Element, v: Element) -> Element:
         out: Element = {}
@@ -137,18 +133,12 @@ class TruncatedHopf:
                 for m in range(d + 1)}
 
     def is_cocommutative(self) -> bool:
-        if self._cocommutative is None:
-            ok = True
-            for k in self.basis:
-                table = self.comult[k]
-                for (a, b), c in table.items():
-                    if table.get((b, a), ZERO) != c:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._cocommutative = ok
-        return self._cocommutative
+        for k in self.basis:
+            table = self.comult[k]
+            for (a, b), c in table.items():
+                if table.get((b, a), ZERO) != c:
+                    return False
+        return True
 
     # -- display -----------------------------------------------------------
 
@@ -263,18 +253,22 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
                          images) -> ModuleAlgebraAction:
     """Action of a primitive-series H through a derivation of A.
 
-    images maps generator names of A to elements of A of degree <= 1 (a
-    constant plus a linear combination of generators); the generator of H
-    then acts as the derivation and its powers act as iterated derivations.
+    images holds one element of A of degree <= 1 (a constant plus a linear
+    combination of generators) per entry of A.generators, in that order; the
+    generator of H then acts as the derivation sending each generator of A
+    to its image, and its powers act as iterated derivations.
     The Leibniz rule against A's multiplication table and the module-algebra
     axioms are verified on the overflow-free set before returning.
     """
     if H.kind != "primitive-series":
         raise PreconditionError("derivation actions need a primitive-series H")
+    if len(images) != len(A.generators):
+        raise PreconditionError(
+            f"{len(images)} images for the {len(A.generators)} generators "
+            f"of {A.name}")
     d = A.truncation
     gen_image: dict = {}
-    for gname, gkey in A.generators:
-        img = images.get(gname, {})
+    for (gname, gkey), img in zip(A.generators, images):
         img = {k: v for k, c in img.items()
                if (v := GaussianRational.coerce(c))}
         for k in img:
@@ -285,9 +279,6 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
                     f"image of {gname} has degree {A.degree[k]} > 1; only "
                     "affine derivation images keep truncation exact")
         gen_image[gkey] = img
-    extra = set(images) - {gname for gname, _ in A.generators}
-    if extra:
-        raise PreconditionError(f"images given for unknown generators {sorted(extra)}")
 
     der: dict = {}
     for key in A.basis:
@@ -516,11 +507,13 @@ def check_smash_basis(generators: int, truncation: int) -> None:
 def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     """Left-nested smash of a decomposition chain's one-dimensional factors.
 
-    actions[i] is the derivation matrix of step i+1 acting on the prefix
-    (generator name -> image as {generator name: coefficient}); each step is
-    verified as a module-algebra action before the smash is formed.  A
-    reductive tail stays symbolic and contributes no generator.  A basis of
-    more than MAX_SMASH_BASIS elements is refused before any step is built.
+    actions[i] holds the derivation images of step i+1 on the prefix, one
+    {chain index: coefficient} per earlier generator (as
+    lie.adjoint_action_matrices gives them); chain index k is the prefix
+    model's generator k.  Each step is verified as a module-algebra action
+    before the smash is formed.  A reductive tail stays symbolic and
+    contributes no generator.  A basis of more than MAX_SMASH_BASIS elements
+    is refused before any step is built.
     """
     names = chain.generator_names()
     if len(names) < 1:
@@ -532,14 +525,9 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
     current = make_primitive_series_hopf(names[0], truncation)
     for step, gen_name in enumerate(names[1:]):
         H = make_primitive_series_hopf(gen_name, truncation)
-        matrix = actions[step]
-        images = {}
-        for target, combo in matrix.items():
-            img: Element = {}
-            for src_name, coeff in combo.items():
-                el_axpy(img, GaussianRational.coerce(coeff),
-                        current.gen(src_name))
-            images[target] = img
+        keys = [key for _, key in current.generators]
+        images = [{keys[k]: c for k, c in image.items()}
+                  for image in actions[step]]
         action = derivation_to_action(H, current, images)
         current = SmashAlgebra(current, H, action)
     return current

@@ -5,6 +5,12 @@ subspaces, the lower central and derived series, the two radicals used by
 the decomposition pipeline, quotients, bases adapted to the lower central
 series, and the construction of the iterated semidirect chain with its
 per-factor weights and one-variable factor labels.
+
+The chain's brackets in chain coordinates (chain_bracket_matrix) are
+computed once per model: the smash is built from them
+(adjoint_action_matrices) and its commutators are checked against them.
+Both index the chain's generators by position; factor names are for
+display only.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .linalg import (
     unit_vector,
     vec_add,
     vec_scale,
-    vector,
     zero_vector,
 )
 
@@ -135,10 +140,6 @@ class LieAlgebra:
     def full_subspace(self) -> Subspace:
         return Subspace(self, [unit_vector(self.dim, i) for i in range(self.dim)])
 
-    def subspace(self, vectors) -> Subspace:
-        return Subspace(self, [vector(v) if not isinstance(v, tuple) else v
-                               for v in vectors])
-
     def bracket_spans(self, a: Subspace, b: Subspace) -> Subspace:
         prods = [self.bracket(x, y) for x in a.rows for y in b.rows]
         return Subspace(self, prods)
@@ -214,14 +215,10 @@ class LieAlgebra:
                 f"{self.basis_names[witness[0]]} with row {witness[1]} escapes")
         return self.bracket_spans(self.full_subspace(), solvable_part)
 
-    def exponential_radical(self, solvable_part: Subspace,
-                            nilradical: Subspace | None = None) -> Subspace:
-        """Stable term of r^(1) = [g, r], r^(k+1) = [g, r^(k)].
-
-        r^(1) is the nilpotent radical; a caller that has it passes it in.
-        """
-        term = nilradical if nilradical is not None \
-            else self.nilpotent_radical(solvable_part)
+    def exponential_radical(self, nilradical: Subspace) -> Subspace:
+        """Stable term of r^(1) = [g, r], r^(k+1) = [g, r^(k)], given the
+        nilpotent radical r^(1)."""
+        term = nilradical
         while True:
             nxt = self.bracket_spans(self.full_subspace(), term)
             if nxt == term:
@@ -279,9 +276,9 @@ class LieAlgebra:
         w_k >= j span g_j.  Deterministic: each extension step takes the rows
         of the canonical echelon form of the deeper term, in order.
         """
-        if self.nilpotency_degree() is None:
-            raise PreconditionError("f_basis needs a nilpotent algebra")
         series = self.lower_central_series()  # ends with the zero space
+        if series[-1].dim != 0:
+            raise PreconditionError("f_basis needs a nilpotent algebra")
         groups: dict[int, list[Vector]] = {}
         span_rows: list[Vector] = []
         for depth in range(len(series) - 2, -1, -1):  # deepest proper term first
@@ -436,20 +433,21 @@ def _exp_label(w: int) -> str:
 
 
 def semidirect_chain(g: LieAlgebra, nprime: Subspace,
-                     reductive_tail_dim: int = 0, *,
-                     radicals: tuple[Subspace, Subspace] | None = None
-                     ) -> DecompositionChain:
+                     radicals: tuple[Subspace, Subspace],
+                     reductive_tail_dim: int = 0) -> DecompositionChain:
     """Iterated semidirect chain of a solvable algebra through the ideal nprime.
 
     The first p = dim(nprime) factors are delta-blocks (weight 1+|z|,
     power-series factor labels); the rest are exp-blocks carrying the depth
     exponents of g/nprime, deepest first, so that every prefix of the chain
     basis is an ideal in the next prefix (verified below).  The containment
-    exponential radical <= nprime <= nilpotent radical is checked internally,
-    against radicals = (nilpotent, exponential) when the caller has them.
+    exponential radical <= nprime <= nilpotent radical is checked against
+    radicals = (nilpotent, exponential).
 
     A factor is named after its vector's pivot; a repeated pivot name gets
     primes (e2, e2', ...) so names stay unique, and labels keep the pivot.
+    Names are for display: the smash and its checks take the factors by
+    position.
     """
     if not g.is_solvable():
         raise PreconditionError("semidirect_chain needs a solvable algebra")
@@ -458,10 +456,6 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
         i, r = witness
         raise PreconditionError(
             f"nprime is not an ideal: [{g.basis_names[i]}, row {r}] escapes the span")
-    if radicals is None:
-        rad = g.full_subspace()
-        nilrad = g.nilpotent_radical(rad)
-        radicals = nilrad, g.exponential_radical(rad, nilrad)
     nilrad, exprad = radicals
     if not nprime.contains_subspace(exprad):
         raise PreconditionError("containment violated: E <= N' fails")
@@ -578,24 +572,15 @@ def chain_bracket_matrix(g: LieAlgebra, chain: DecompositionChain):
     return out
 
 
-def adjoint_action_matrices(g: LieAlgebra, chain: DecompositionChain):
-    """Derivation matrices for the iterated smash, one per chain step.
+def adjoint_action_matrices(brackets, n: int):
+    """Derivation images for the iterated smash of n generators, one list
+    per chain step.
 
-    Step i (building the smash with generator i+1) acts on the previous
-    generators by the adjoint: gen_j -> [v_{i+1}, v_j], re-expressed in the
-    chain coordinates of the prefix.
+    Step i (adjoining generator i, 1 <= i < n) acts on each earlier
+    generator j by the adjoint, v_j -> [v_i, v_j] = -[v_j, v_i]; its list
+    holds one image {chain index: coefficient} per j < i, read from
+    brackets, the table of chain_bracket_matrix.
     """
-    vecs = chain.basis_vectors()
-    names = chain.generator_names()
-    mats = []
-    brackets = chain_bracket_matrix(g, chain)
-    for step in range(1, len(vecs)):
-        mat = {}
-        for j in range(step):
-            comps = brackets.get((j, step), {})
-            # image of gen j under ad(v_step) = [v_step, v_j] = -[v_j, v_step]
-            img = {names[k]: -c for k, c in comps.items()}
-            if img:
-                mat[names[j]] = img
-        mats.append(mat)
-    return mats
+    return [[{k: -c for k, c in brackets[(j, step)].items()}
+             for j in range(step)]
+            for step in range(1, n)]

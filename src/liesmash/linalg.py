@@ -12,10 +12,6 @@ from .exactnum import GaussianRational, ONE, ZERO
 
 Vector = tuple
 
-def vector(values) -> Vector:
-    return tuple(GaussianRational.coerce(v) for v in values)
-
-
 def zero_vector(n: int) -> Vector:
     return tuple([ZERO] * n)
 

@@ -2,7 +2,9 @@
 
 The chain pipeline is built in one place, build_chain_model, and checked in
 one place, check_chain_model; decompose runs both, and the command-line
-chain models (heis3, solv2) are built by the first.
+chain models (heis3, solv2) are built by the first.  Each intermediate is
+computed once and passed down: the radicals to the chain, the chain's
+bracket table to iterated_smash and to the commutator check.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ SCHEMA_HEADER = "liesmash-report 1"
 class ChainModel:
     """Radicals, N', semidirect chain and iterated smash of an algebra.
 
-    smash is None when the chain has no generator.
+    brackets is the chain's bracket table (lie.chain_bracket_matrix), from
+    which the smash is built and against which it is checked; smash is None
+    when the chain has no generator.
     """
     algebra: LieAlgebra
     nprime_selector: str
@@ -45,6 +49,7 @@ class ChainModel:
     expradical: Subspace
     nprime: Subspace
     chain: DecompositionChain
+    brackets: dict
     truncation: int
     smash: object | None
 
@@ -176,28 +181,27 @@ def resolve_nprime(g: LieAlgebra, selector: str,
 
 def build_chain_model(g: LieAlgebra, nprime_selector: str = "N",
                       tail_dim: int = 0, truncation: int = 4) -> ChainModel:
-    """Radicals, N' by its selector, the chain through N' and its smash."""
-    rad = g.full_subspace()
-    nilradical = g.nilpotent_radical(rad)
-    expradical = g.exponential_radical(rad, nilradical)
+    """Radicals, N' by its selector, the chain through N', its bracket
+    table and its smash."""
+    nilradical = g.nilpotent_radical(g.full_subspace())
+    expradical = g.exponential_radical(nilradical)
     nprime = resolve_nprime(g, nprime_selector, nilradical, expradical)
-    chain = semidirect_chain(g, nprime, tail_dim,
-                             radicals=(nilradical, expradical))
+    chain = semidirect_chain(g, nprime, (nilradical, expradical), tail_dim)
+    brackets = chain_bracket_matrix(g, chain)
+    n = len(chain.generator_names())
     smash = None
-    if chain.generator_names():
+    if n:
         smash = iterated_smash(chain, truncation,
-                               adjoint_action_matrices(g, chain))
+                               adjoint_action_matrices(brackets, n))
     return ChainModel(g, nprime_selector, nilradical, expradical, nprime,
-                      chain, truncation, smash)
+                      chain, brackets, truncation, smash)
 
 
 def check_chain_model(model: ChainModel) -> tuple:
     """Hopf axioms of the smash, and the chain brackets recovered from it."""
-    chain = model.chain
     return (verify_hopf_axioms(model.smash),
-            commutator_table_check(
-                model.smash, chain_bracket_matrix(model.algebra, chain),
-                chain.generator_names()))
+            commutator_table_check(model.smash, model.brackets,
+                                   model.chain.generator_names()))
 
 
 def decompose(path: str, nprime_selector: str = "N", tail_dim: int = 0,

@@ -44,15 +44,13 @@ def guarded_exp(x: float) -> float:
 class Weight:
     """Base class; subclasses define dim, an evaluation and a grammar rendering.
 
-    log_eval is the primitive (weights compare on the log scale, where the
-    huge exponential values stay representable); eval exponentiates and
-    saturates to inf on float overflow.  log_evals evaluates a whole list of
-    points at once: it checks every point's shape against dim and hands the
-    coordinate columns to log_columns, where each built-in descriptor keeps
-    its formula (word() points are group elements, not coordinates, so
-    WordWeight and Power override log_evals).  A subclass may define only
-    log_eval instead (checking its point with _coords); the generic
-    log_columns then maps it over the rows.
+    Weights compare on the log scale, where the huge exponential values
+    stay representable; eval exponentiates and saturates to inf on float
+    overflow.  log_evals evaluates a whole list of points at once: it checks
+    every point's shape against dim and hands the coordinate columns to
+    log_columns(cols, n), one float per row, where each descriptor keeps its
+    formula (word() points are group elements, so WordWeight reads each
+    row as one and, like Power, overrides log_evals).
     """
 
     dim = 1
@@ -64,10 +62,6 @@ class Weight:
         """log_eval of each point, in order, bit-identical to one call each."""
         return self.log_columns(self._columns(points), len(points))
 
-    def log_columns(self, cols, n: int) -> list:
-        """One float per row of the coordinate columns cols (n rows)."""
-        return [self.log_eval(row) for row in _rows(cols, n)]
-
     def eval(self, point) -> float:
         return guarded_exp(self.log_eval(point))
 
@@ -78,16 +72,9 @@ class Weight:
         return WeightDomainError(
             f"{self} expects {self.dim} coordinates, got {got}")
 
-    def _coords(self, point):
-        if self.dim == 1 and not isinstance(point, (tuple, list)):
-            point = (point,)
-        if len(point) != self.dim:
-            raise self._shape_error(len(point))
-        return tuple(point)
-
     def _columns(self, points) -> list:
-        """The coordinate columns of points, each point checked as _coords
-        checks it (a bare scalar is a point of a dim-1 domain)."""
+        """The coordinate columns of points, each point's length checked
+        against dim (a bare scalar is a point of a dim-1 domain)."""
         dim = self.dim
         if dim == 1:
             points = [p if isinstance(p, (tuple, list)) else (p,)
@@ -220,6 +207,9 @@ class WordWeight(Weight):
                         f"element {point!r} beyond BFS radius")
         log2 = math.log(2.0)
         return [n * log2 for n in lengths]
+
+    def log_columns(self, cols, n):
+        return self.log_evals(list(_rows(cols, n)))
 
     def __eq__(self, other):
         return isinstance(other, WordWeight) and other.table is self.table
@@ -472,19 +462,30 @@ def sample_points(dim: int, config: SamplerConfig):
     return tiers
 
 
-def word_table_of(w: Weight):
-    """The BFS table of the first word() descriptor inside w, or None."""
+def _word_weights(w: Weight) -> list:
+    """The word() descriptors inside w, in order."""
     if isinstance(w, WordWeight):
-        return w.table
+        return [w]
     if isinstance(w, Product):
-        for p in w.parts:
-            t = word_table_of(p)
-            if t is not None:
-                return t
-        return None
+        return [x for p in w.parts for x in _word_weights(p)]
     if isinstance(w, (Power, Restriction)):
-        return word_table_of(w.base)
-    return None
+        return _word_weights(w.base)
+    return []
+
+
+def word_table_of(*ws: Weight):
+    """The BFS table of the word() descriptors inside ws, or None.
+
+    A comparison samples the elements of one table, so word() descriptors
+    on two different tables are an input error naming both.
+    """
+    words = [x for w in ws for x in _word_weights(w)]
+    for x in words[1:]:
+        if x.table is not words[0].table:
+            raise WeightDomainError(
+                f"{words[0]} and {x} are on different word tables; "
+                "one comparison samples one group")
+    return words[0].table if words else None
 
 
 def sample_group_points(table, config: SamplerConfig):
@@ -556,7 +557,7 @@ def majorizes(w1: Weight, w2: Weight,
     """Sampled test of the majorization w1 <= C * w2^gamma."""
     if w1.dim != w2.dim:
         raise WeightDomainError("majorizes needs a common domain")
-    table = word_table_of(w1) or word_table_of(w2)
+    table = word_table_of(w1, w2)
     point_tiers = (sample_group_points(table, config) if table is not None
                    else sample_points(w1.dim, config))
     return _majorize_from_tiers(

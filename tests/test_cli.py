@@ -251,6 +251,37 @@ def test_weight_check_word_descriptor(capsys):
     assert "verdict: holds" in out
 
 
+@pytest.mark.parametrize("lhs,rhs,mode,expected", [
+    ("prod(word(zk:1))", "word(zk:1)", "majorizes",
+     "verdict: holds\ngamma: 1\nC: 1\n"),
+    ("prod(word(zk:1))", "word(zk:1)", "equivalent",
+     "verdict: equivalent\nforward: holds (gamma=1)\n"
+     "backward: holds (gamma=1)\n"),
+    ("restrict(prod(word(zk:1),poly),1)", "poly", "majorizes",
+     "verdict: holds\ngamma: 3.12275\nC: 1\n"),
+    ("restrict(prod(word(zk:1),poly),1)", "poly", "equivalent",
+     "verdict: equivalent\nforward: holds (gamma=3.12275)\n"
+     "backward: holds (gamma=0.303688)\n"),
+])
+def test_weight_check_word_descriptor_inside_a_product(capsys, lhs, rhs,
+                                                       mode, expected):
+    # a word() part of prod() or restrict() is evaluated on the rows of
+    # the product's coordinate columns, each row a 1-tuple element
+    code, out, err = run(capsys, ["weight-check", "--lhs", lhs, "--rhs", rhs,
+                                  "--mode", mode, "--radius", "6"])
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_refuses_word_descriptors_on_two_groups(capsys, mode):
+    code, out, err = run(capsys, [
+        "weight-check", "--lhs", "word(heis3z)", "--rhs", "pow(word(zk:3),2)",
+        "--mode", mode, "--radius", "4"])
+    assert code == 1 and out == ""
+    assert err == ("input error: word(heis3z) and word(zk:3) are on different "
+                   "word tables; one comparison samples one group\n")
+
+
 def test_weight_check_bs12_points_paste_back(capsys):
     code, out, _ = run(capsys, [
         "weight-check", "--lhs", "word(bs12)", "--rhs", "pow(word(bs12),2)",

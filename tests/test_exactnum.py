@@ -44,8 +44,9 @@ def test_multiplicative_inverse(a):
 
 @given(scalars)
 def test_conjugate_and_modulus(a):
-    assert (a * a.conjugate()).re == a.modulus_sq()
-    assert (a * a.conjugate()).im == 0
+    conjugate = GaussianRational(a.re, -a.im)
+    assert (a * conjugate).re == a.modulus_sq()
+    assert (a * conjugate).im == 0
 
 
 @given(scalars)
@@ -104,9 +105,6 @@ class RefGQ:
     def __neg__(self):
         return RefGQ(-self.re, -self.im)
 
-    def conjugate(self):
-        return RefGQ(self.re, -self.im)
-
     def __eq__(self, o):
         return self.re == o.re and self.im == o.im
 
@@ -159,7 +157,6 @@ def test_matches_fraction_pair_reference(p, q):
         with pytest.raises(ZeroDivisionError):
             x / y
     assert_matches(-x, -rx)
-    assert_matches(x.conjugate(), rx.conjugate())
     assert (x == y) == (rx == ry)
     if x == y:
         assert hash(x) == hash(y)

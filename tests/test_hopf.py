@@ -23,15 +23,16 @@ from liesmash.hopf import (
     trivial_action,
     verify_hopf_axioms,
 )
-from liesmash.lie import (
-    PreconditionError,
-    adjoint_action_matrices,
-    chain_bracket_matrix,
-    semidirect_chain,
-)
+from liesmash.lie import PreconditionError, adjoint_action_matrices
+from liesmash.report import build_chain_model, check_chain_model
 
 D = 4
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+def _gens(model):
+    """Each generator of model as an element, in chain order."""
+    return [{key: ONE} for _, key in model.generators]
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ def smash_xddx():
     """C[[x]] # C[[y]] with y acting as x d/dx (y . x^n = n x^n)."""
     a = make_primitive_series_hopf("x", D)
     h = make_primitive_series_hopf("y", D)
-    action = derivation_to_action(h, a, {"x": {1: GQ(1)}})
+    action = derivation_to_action(h, a, [{1: GQ(1)}])
     return SmashAlgebra(a, h, action)
 
 
@@ -53,7 +54,7 @@ def smash_ddx():
     """C[[x]] # C[[y]] with y acting as d/dx (y . x^n = n x^(n-1))."""
     a = make_primitive_series_hopf("x", D)
     h = make_primitive_series_hopf("y", D)
-    action = derivation_to_action(h, a, {"x": {0: GQ(1)}})
+    action = derivation_to_action(h, a, [{0: GQ(1)}])
     return a, h, action
 
 
@@ -99,7 +100,7 @@ def differentiate(coeffs):
 def test_derivation_action_ddx():
     a, h, action = (make_primitive_series_hopf("x", D),
                     make_primitive_series_hopf("y", D), None)
-    action = derivation_to_action(h, a, {"x": {0: GQ(1)}})
+    action = derivation_to_action(h, a, [{0: GQ(1)}])
     # y . x^n = n x^(n-1), frozen from the differentiation oracle
     for n in range(1, D + 1):
         coeffs = [ZERO] * (D + 1)
@@ -129,26 +130,33 @@ def test_trivial_action_is_counit_scaling(series):
 
 def test_zero_derivation_equals_trivial_action(series):
     h = make_primitive_series_hopf("y", D)
-    action = derivation_to_action(h, series, {"x": {}})
+    action = derivation_to_action(h, series, [{}])
     assert action.table == trivial_action(h, series).table
 
 
 def test_derivation_rejects_high_degree_image(series):
     h = make_primitive_series_hopf("y", D)
     with pytest.raises(PreconditionError):
-        derivation_to_action(h, series, {"x": {2: GQ(1)}})
+        derivation_to_action(h, series, [{2: GQ(1)}])
+
+
+def test_derivation_needs_one_image_per_generator(series):
+    h = make_primitive_series_hopf("y", D)
+    for images in ([], [{1: GQ(1)}, {}]):
+        with pytest.raises(PreconditionError,
+                           match=f"^{len(images)} images for the 1 generators"):
+            derivation_to_action(h, series, images)
 
 
 def test_derivation_leibniz_negative_control():
     """A generator map violating the algebra's own relations is rejected."""
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, D, adjoint_action_matrices(g, chain))
+    model = build_chain_model(corpus.heisenberg(), truncation=D).smash
+    assert [name for name, _ in model.generators] == ["e3", "e2", "e1"]
+    e3, e2, _ = _gens(model)
     h = make_primitive_series_hopf("t", D)
     # e1 e2 - e2 e1 = e3 in the model, but the map below sends e3 to 0 while
     # forcing D(e1 e2 - e2 e1) = e3: Leibniz must fail.
-    bad_images = {"e1": model.gen("e3"), "e2": model.gen("e2"),
-                  "e3": {}}
+    bad_images = [{}, e2, e3]
     with pytest.raises(PreconditionError) as err:
         derivation_to_action(h, model, bad_images)
     assert "Leibniz" in str(err.value) or "module" in str(err.value)
@@ -156,8 +164,8 @@ def test_derivation_leibniz_negative_control():
 
 def test_smash_multiply_examples(smash_xddx):
     s = smash_xddx
-    x = s.embed_a(s.A.gen("x"))
-    y = s.embed_h(s.H.gen("y"))
+    x, y = _gens(s)
+    assert x == s.embed_a({1: ONE}) and y == s.embed_h({1: ONE})
     # (a (x) 1)(1 (x) h) = a (x) h
     assert s.multiply(x, y) == {(1, 1): ONE}
     # (1 (x) y)(x (x) 1) = x (x) 1 + x (x) y
@@ -235,7 +243,7 @@ def _xddx_with_products_read():
     table corrupted afterwards disagrees with the multiplication."""
     a = make_primitive_series_hopf("x", D)
     h = make_primitive_series_hopf("y", D)
-    s = SmashAlgebra(a, h, derivation_to_action(h, a, {"x": {1: GQ(1)}}))
+    s = SmashAlgebra(a, h, derivation_to_action(h, a, [{1: GQ(1)}]))
     for k1 in s.basis:
         for k2 in s.basis:
             s.mult[(k1, k2)]
@@ -263,7 +271,7 @@ def _xddx_with_broken_acting_factor_product():
 def _ddx_smash():
     a = make_primitive_series_hopf("x", D)
     h = make_primitive_series_hopf("y", D)
-    return SmashAlgebra(a, h, derivation_to_action(h, a, {"x": {0: GQ(1)}}))
+    return SmashAlgebra(a, h, derivation_to_action(h, a, [{0: GQ(1)}]))
 
 
 # models that fail at least one check, each with a known witness
@@ -305,9 +313,7 @@ def test_smash_antipode_requires_cocommutative_acting_factor(series):
 
 
 def test_iterated_smash_is_cocommutative():
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, 3, adjoint_action_matrices(g, chain))
+    model = build_chain_model(corpus.heisenberg(), truncation=3).smash
     assert model.is_cocommutative()
 
 
@@ -335,32 +341,43 @@ def test_trivial_action_smash_equals_tensor_product(series):
 
 
 def test_iterated_smash_heisenberg_commutators():
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, 3, adjoint_action_matrices(g, chain))
-    names = [f.name for f in chain.factors]
+    built = build_chain_model(corpus.heisenberg(), truncation=3)
+    model = built.smash
+    names = [f.name for f in built.chain.factors]
+    assert [name for name, _ in model.generators] == names == ["e3", "e2", "e1"]
     # [e1, e2] = e3 recovered as a commutator of smash generators
-    e1, e2, e3 = model.gen("e1"), model.gen("e2"), model.gen("e3")
+    e3, e2, e1 = _gens(model)
     comm = el_axpy(model.multiply(e1, e2), -ONE, model.multiply(e2, e1))
     assert comm == e3
-    check = commutator_table_check(model, chain_bracket_matrix(g, chain), names)
+    check = commutator_table_check(model, built.brackets, names)
     assert check.passed
 
 
+def test_decompose_builds_the_bracket_table_once(monkeypatch):
+    from liesmash import lie, report
+    calls = []
+    table = lie.chain_bracket_matrix
+
+    def counted(g, chain):
+        calls.append(chain)
+        return table(g, chain)
+    # the smash build and the check may reach it through either module
+    monkeypatch.setattr(lie, "chain_bracket_matrix", counted)
+    monkeypatch.setattr(report, "chain_bracket_matrix", counted)
+    result = report.decompose(str(DATA / "heisenberg.json"), truncation=2)
+    assert result.passed and result.commutator_check.checked == 3
+    assert calls == [result.chain]
+
+
 def test_commutator_check_needs_one_name_per_generator():
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, 2, adjoint_action_matrices(g, chain))
-    check = commutator_table_check(model, chain_bracket_matrix(g, chain),
-                                   ["e3", "e2"])
+    built = build_chain_model(corpus.heisenberg(), truncation=2)
+    check = commutator_table_check(built.smash, built.brackets, ["e3", "e2"])
     assert not check.passed and check.checked == 0
     assert check.witness == "3 generators for 2 names"
 
 
 def test_iterated_smash_abelian_is_commutative():
-    g = corpus.abelian(2)
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, D, adjoint_action_matrices(g, chain))
+    model = build_chain_model(corpus.abelian(2), truncation=D).smash
     for k1 in model.basis:
         for k2 in model.basis:
             assert model.mult[(k1, k2)] == model.mult[(k2, k1)]
@@ -368,16 +385,14 @@ def test_iterated_smash_abelian_is_commutative():
 
 
 def test_iterated_smash_solv2_commutator():
-    g = corpus.solv2()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, D, adjoint_action_matrices(g, chain))
-    e1, e2 = model.gen("e1"), model.gen("e2")
+    model = build_chain_model(corpus.solv2(), truncation=D).smash
+    assert [name for name, _ in model.generators] == ["e2", "e1"]
+    e2, e1 = _gens(model)
     assert el_axpy(model.multiply(e1, e2), -ONE, model.multiply(e2, e1)) == e2
 
 
 def test_iterated_smash_rejects_wrong_action_count():
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
+    chain = build_chain_model(corpus.heisenberg(), truncation=D).chain
     with pytest.raises(PreconditionError):
         iterated_smash(chain, D, [])
 
@@ -405,13 +420,12 @@ def test_random_solvable_chain_smash_axioms(a, b, c, kill_a):
     })
     assert g.jacobi_check()[0]
     assert g.is_solvable()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, 3, adjoint_action_matrices(g, chain))
+    built = build_chain_model(g, truncation=3)
+    model = built.smash
     report = verify_hopf_axioms(model)
     assert report.passed, report.lines()
-    names = [f.name for f in chain.factors]
-    comm = commutator_table_check(model, chain_bracket_matrix(g, chain),
-                                  names)
+    names = [f.name for f in built.chain.factors]
+    comm = commutator_table_check(model, built.brackets, names)
     assert comm.passed, comm.witness
 
 
@@ -426,9 +440,7 @@ def test_heisenberg_smash_table_matches_pbw_oracle():
     product overflows the degree bound.
     """
     d = 4
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    model = iterated_smash(chain, d, adjoint_action_matrices(g, chain))
+    model = build_chain_model(corpus.heisenberg(), truncation=d).smash
 
     def key_exponents(key):
         (a, b), c = key
@@ -460,8 +472,7 @@ def test_associativity_on_overflow_free_triples_exact(smash_xddx):
           = x^2(x)1 + x^2(x)1 + x^2(x)y
     """
     s = smash_xddx
-    y = s.embed_h(s.H.gen("y"))
-    x = s.embed_a(s.A.gen("x"))
+    x, y = _gens(s)
     vw = s.multiply(x, x)
     lhs = s.multiply(s.multiply(y, x), x)
     rhs = s.multiply(y, vw)
@@ -482,7 +493,7 @@ def _tower(model):
 
 def _models_at_d3():
     from liesmash.cli import MODEL_BUILDERS
-    from liesmash.report import ChainModel, build_chain_model
+    from liesmash.report import ChainModel
     models = {}
     for name, build in MODEL_BUILDERS.items():
         model = build(3)
@@ -534,7 +545,6 @@ def _eager_smash_table(s):
 
 
 def test_smash_products_are_computed_on_demand():
-    from liesmash.report import build_chain_model, check_chain_model
     model = build_chain_model(corpus.filiform4(), truncation=4)
     hopf_report, commutators = check_chain_model(model)
     assert hopf_report.passed and commutators.passed
@@ -553,9 +563,9 @@ def test_smash_products_are_computed_on_demand():
 def test_iterated_smash_refuses_an_oversized_basis(monkeypatch):
     # uppertri3 (6 generators) at D=7 stays within the budget
     assert math.comb(6 + 7, 7) == 1716 <= hopf.MAX_SMASH_BASIS
-    g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    actions = adjoint_action_matrices(g, chain)
+    built = build_chain_model(corpus.heisenberg(), truncation=1)
+    chain = built.chain
+    actions = adjoint_action_matrices(built.brackets, 3)
     monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", math.comb(3 + 2, 2))
     assert len(iterated_smash(chain, 2, actions).basis) == 10
     with pytest.raises(PreconditionError, match="smash basis of 20 elements"):
@@ -698,7 +708,6 @@ def test_sweeps_match_filtered_loops_over_the_whole_basis():
     ("uppertri3", 3), ("abelian2", 4)])
 def test_case_counts_follow_their_closed_forms(stem, d):
     """n chain generators at truncation D: B = C(n + D, D) basis elements."""
-    from liesmash.report import build_chain_model, check_chain_model
     g = LieAlgebra.from_json_dict(json.loads((DATA / f"{stem}.json").read_text()))
     model = build_chain_model(g, truncation=d)
     report, _ = check_chain_model(model)

@@ -18,12 +18,24 @@ from liesmash.lie import (
     parse_factorization,
     semidirect_chain,
 )
-from liesmash.linalg import solve_in_basis, unit_vector, vector
+from liesmash.linalg import solve_in_basis, unit_vector
 from liesmash.report import decompose_algebra
 
 
 def span_rows(s):
     return s.rows
+
+
+def _radicals(g):
+    """(nilpotent, exponential) radicals, as the pipeline computes them."""
+    nil = g.nilpotent_radical(g.full_subspace())
+    return nil, g.exponential_radical(nil)
+
+
+def _n_chain(g, reductive_tail_dim=0):
+    """The chain through N' = N."""
+    nil, exp = _radicals(g)
+    return semidirect_chain(g, nil, (nil, exp), reductive_tail_dim)
 
 
 def test_jacobi_examples():
@@ -107,33 +119,31 @@ def test_nilpotent_radical():
 
 def test_exponential_radical():
     s = corpus.solv2()
-    assert s.exponential_radical(s.full_subspace()).rows == (unit_vector(2, 1),)
+    assert _radicals(s)[1].rows == (unit_vector(2, 1),)
     g = corpus.heisenberg()
-    assert g.exponential_radical(g.full_subspace()).dim == 0
+    assert _radicals(g)[1].dim == 0
     a = corpus.abelian(3)
-    assert a.exponential_radical(a.full_subspace()).dim == 0
+    assert _radicals(a)[1].dim == 0
 
 
 def test_radical_ordering_everywhere():
     for name in corpus.CORPUS:
         g = corpus.CORPUS[name]()
-        rad = g.full_subspace()
-        nil = g.nilpotent_radical(rad)
-        exp = g.exponential_radical(rad)
+        nil, exp = _radicals(g)
         assert nil.contains_subspace(exp)
         assert (exp.dim == 0) == g.is_nilpotent()
 
 
 def test_radical_rejects_non_ideal():
     g = corpus.heisenberg()
-    bad = g.subspace([unit_vector(3, 0)])  # span(e1): [e2, e1] = -e3 escapes
+    bad = Subspace(g, [unit_vector(3, 0)])  # span(e1): [e2, e1] = -e3 escapes
     with pytest.raises(PreconditionError):
         g.nilpotent_radical(bad)
 
 
 def test_quotient_heisenberg_center():
     g = corpus.heisenberg()
-    center = g.subspace([unit_vector(3, 2)])
+    center = Subspace(g, [unit_vector(3, 2)])
     q, qmap = g.quotient(center)
     assert q.dim == 2 and not q.brackets        # abelian C^2
     assert qmap.project(unit_vector(3, 0)) == (ONE, ZERO)
@@ -153,7 +163,7 @@ def test_quotient_degenerate():
 def test_quotient_rejects_non_ideal_with_witness():
     g = corpus.heisenberg()
     with pytest.raises(PreconditionError) as err:
-        g.quotient(g.subspace([unit_vector(3, 1)]))  # span(e2) not an ideal
+        g.quotient(Subspace(g, [unit_vector(3, 1)]))  # span(e2) not an ideal
     assert "not an ideal" in str(err.value)
 
 
@@ -170,7 +180,7 @@ def test_f_basis_abelian_and_quotient():
     _, ws = a.f_basis()
     assert ws == [1, 1]
     g = corpus.heisenberg()
-    q, _ = g.quotient(g.subspace([unit_vector(3, 2)]))
+    q, _ = g.quotient(Subspace(g, [unit_vector(3, 2)]))
     _, wq = q.f_basis()
     assert wq == [1, 1]
 
@@ -192,9 +202,23 @@ def test_f_basis_needs_nilpotent():
         corpus.solv2().f_basis()
 
 
+def test_f_basis_computes_the_lower_central_series_once(monkeypatch):
+    calls = []
+    series = LieAlgebra.lower_central_series
+    monkeypatch.setattr(LieAlgebra, "lower_central_series",
+                        lambda self: calls.append(self) or series(self))
+    g = corpus.filiform4()
+    g.f_basis()
+    assert calls == [g]
+    s = corpus.solv2()
+    with pytest.raises(PreconditionError):
+        s.f_basis()
+    assert calls == [g, s]
+
+
 def test_chain_heisenberg_nprime_n():
     g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
+    chain = _n_chain(g)
     assert chain.labels() == ["C[[e3]]", "O(C)", "O(C)"]
     assert [f.name for f in chain.factors] == ["e3", "e2", "e1"]
     assert chain.p == 1 and chain.m == 1
@@ -203,7 +227,8 @@ def test_chain_heisenberg_nprime_n():
 
 def test_chain_heisenberg_nprime_e():
     g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.exponential_radical(g.full_subspace()))
+    nil, exp = _radicals(g)
+    chain = semidirect_chain(g, exp, (nil, exp))
     assert chain.labels() == ["A_1", "O(C)", "O(C)"]
     assert chain.p == 0 and chain.w_exponents == [1, 1, 2]
 
@@ -244,10 +269,9 @@ def test_uppertri3_base_changes_decompose_with_distinct_names(seed):
 
 def test_chain_solv2():
     g = corpus.solv2()
-    nil = g.nilpotent_radical(g.full_subspace())
-    exp = g.exponential_radical(g.full_subspace())
+    nil, exp = _radicals(g)
     assert nil == exp
-    chain = semidirect_chain(g, exp)
+    chain = semidirect_chain(g, exp, (nil, exp))
     assert chain.labels() == ["C[[e2]]", "O(C)"]
     assert chain.factorization_string() == "(C[[e2]] # O(C))"
 
@@ -255,7 +279,7 @@ def test_chain_solv2():
 def test_chain_filiform_n_preset_all_exp_blocks_flat():
     # nilpotent input with the N preset: every exp block is O(C) (m = 1)
     g = corpus.filiform4()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
+    chain = _n_chain(g)
     assert chain.labels() == ["C[[e4]]", "C[[e3]]", "O(C)", "O(C)"]
     assert chain.p == 2 and chain.m == 1
     assert all(f.label == "O(C)" for f in chain.factors
@@ -265,11 +289,9 @@ def test_chain_filiform_n_preset_all_exp_blocks_flat():
 def test_chain_delta_count_matches_preset_dimension():
     for name in ("heisenberg", "solv2", "filiform4", "uppertri3"):
         g = corpus.CORPUS[name]()
-        rad = g.full_subspace()
-        nil = g.nilpotent_radical(rad)
-        exp = g.exponential_radical(rad)
+        nil, exp = _radicals(g)
         for ideal in (nil, exp):
-            chain = semidirect_chain(g, ideal)
+            chain = semidirect_chain(g, ideal, (nil, exp))
             assert chain.p == ideal.dim
             deltas = [f for f in chain.factors if f.kind == "delta-block"]
             assert len(deltas) == chain.p
@@ -278,7 +300,7 @@ def test_chain_delta_count_matches_preset_dimension():
 def test_chain_prefix_ideals():
     for name in ("heisenberg", "solv2", "filiform4", "uppertri3"):
         g = corpus.CORPUS[name]()
-        chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
+        chain = _n_chain(g)
         vecs = chain.basis_vectors()
         from liesmash.linalg import in_span, rref
         for i in range(1, len(vecs)):
@@ -292,31 +314,31 @@ def test_chain_containment_errors():
     g = corpus.solv2()
     # nprime = 0 violates E <= N' since E = span(e2) != 0
     with pytest.raises(PreconditionError) as err:
-        semidirect_chain(g, Subspace(g, []))
+        semidirect_chain(g, Subspace(g, []), _radicals(g))
     assert "E <= N'" in str(err.value)
 
 
 def test_chain_rejects_non_ideal():
     g = corpus.heisenberg()
     with pytest.raises(PreconditionError):
-        semidirect_chain(g, g.subspace([unit_vector(3, 1)]))
+        semidirect_chain(g, Subspace(g, [unit_vector(3, 1)]), _radicals(g))
 
 
 def test_chain_checks_nprime_is_an_ideal_once(monkeypatch):
     g = corpus.upper_triangular3()
-    rad = g.full_subspace()
-    nil = g.nilpotent_radical(rad)
-    radicals = (nil, g.exponential_radical(rad, nil))
+    radicals = _radicals(g)
+    nil = radicals[0]
+    h = corpus.heisenberg()
+    h_radicals = _radicals(h)
     checked = []
     is_ideal = LieAlgebra.is_ideal
     monkeypatch.setattr(LieAlgebra, "is_ideal",
                         lambda self, s: checked.append(s) or is_ideal(self, s))
-    semidirect_chain(g, nil, radicals=radicals)
+    semidirect_chain(g, nil, radicals)
     assert checked == [nil]
-    h = corpus.heisenberg()
     with pytest.raises(PreconditionError,
                        match=r"^nprime is not an ideal: \[e1, row 0\] escapes"):
-        semidirect_chain(h, h.subspace([unit_vector(3, 1)]))
+        semidirect_chain(h, Subspace(h, [unit_vector(3, 1)]), h_radicals)
 
 
 def test_chain_requires_solvable():
@@ -329,13 +351,12 @@ def test_chain_requires_solvable():
     assert sl2.jacobi_check()[0]
     assert not sl2.is_solvable()
     with pytest.raises(PreconditionError):
-        semidirect_chain(sl2, Subspace(sl2, []))
+        semidirect_chain(sl2, Subspace(sl2, []), _radicals(sl2))
 
 
 def test_chain_reductive_tail():
     g = corpus.solv2()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()),
-                             reductive_tail_dim=3)
+    chain = _n_chain(g, reductive_tail_dim=3)
     assert chain.labels()[-1] == "AhatL"
     assert chain.factorization_string().endswith("# AhatL)")
 
@@ -343,8 +364,8 @@ def test_chain_reductive_tail():
 def test_chain_determinism():
     g1 = corpus.CORPUS["uppertri3"]()
     g2 = corpus.CORPUS["uppertri3"]()
-    c1 = semidirect_chain(g1, g1.nilpotent_radical(g1.full_subspace()))
-    c2 = semidirect_chain(g2, g2.nilpotent_radical(g2.full_subspace()))
+    c1 = _n_chain(g1)
+    c2 = _n_chain(g2)
     assert c1.labels() == c2.labels()
     assert c1.basis_vectors() == c2.basis_vectors()
     assert [str(f.weight) for f in c1.factors] == \
@@ -355,20 +376,21 @@ def test_zero_dimensional_algebra():
     z = LieAlgebra([], {})
     assert z.jacobi_check()[0]
     assert z.nilpotency_degree() == 0
-    chain = semidirect_chain(z, Subspace(z, []))
+    chain = semidirect_chain(z, Subspace(z, []), _radicals(z))
     assert chain.factors == [] and chain.p == 0
 
 
 def test_adjoint_matrices_heisenberg():
     g = corpus.heisenberg()
-    chain = semidirect_chain(g, g.nilpotent_radical(g.full_subspace()))
-    mats = adjoint_action_matrices(g, chain)
-    # chain order (e3, e2, e1): e2 acts trivially on e3; e1 sends e2 -> -e3
-    # via ad(e1)e2 = [e1, e2] = e3
-    assert mats[0] == {}
-    assert mats[1] == {"e2": {"e3": GQ(1)}} or mats[1] == {"e2": {"e3": ONE}}
+    chain = _n_chain(g)
     brackets = chain_bracket_matrix(g, chain)
     assert brackets[(1, 2)] == {0: GQ(-1)}  # [e2, e1] = -e3 in chain coords
+    mats = adjoint_action_matrices(brackets, 3)
+    # chain order (e3, e2, e1), one image per earlier chain index: e2 acts
+    # trivially on e3; e1 fixes e3 and sends e2 to e3 via
+    # ad(e1)e2 = [e1, e2] = e3
+    assert mats[0] == [{}]
+    assert mats[1] == [{}, {0: ONE}]
 
 
 def test_json_roundtrip():

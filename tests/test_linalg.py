@@ -5,8 +5,11 @@ from hypothesis import given, strategies as st
 from liesmash.exactnum import GaussianRational, ONE, ZERO
 from liesmash.linalg import (
     in_span, pivot_columns, reduce_mod, rref, solve_in_basis, unit_vector,
-    vector,
 )
+
+
+def vector(values):
+    return tuple(GaussianRational(v) for v in values)
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=5)
 small_scalars = st.builds(GaussianRational, small_rats, small_rats)

@@ -1,9 +1,9 @@
 """The package's surface is what its CLI, checks and benchmark call.
 
-A module-level function or class that nothing in src/liesmash or
-perfbench refers to is used at most by tests; it should be deleted, or
-the test should call what the program runs.  The package root re-exports
-nothing: the API is imported from its submodules.
+A module-level function or class, or a method other than a dunder, that
+nothing in src/liesmash or perfbench refers to is used at most by tests; it
+should be deleted, or the test should call what the program runs.  The
+package root re-exports nothing: the API is imported from its submodules.
 """
 
 import ast
@@ -45,6 +45,53 @@ def test_every_definition_has_a_caller():
                 uses.setdefault(name, set()).add((module, owner))
     unused = [f"{module}:{name}" for module, name in definitions
               if not uses.get(name, set()) - {(module, name)}]
+    assert unused == []
+
+
+def _attribute_reads(tree):
+    """(name, enclosing functions) of every identifier read by name, as an
+    attribute, or as the name string of getattr, hasattr or setattr."""
+    reads = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.Name):
+            reads.append((node.id, inside))
+        elif isinstance(node, ast.Attribute):
+            reads.append((node.attr, inside))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("getattr", "hasattr", "setattr") \
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            reads.append((node.args[1].value, inside))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_every_method_has_a_caller():
+    methods = []            # (module, class name, method node)
+    reads = []
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in files:
+        tree = _parse(path)
+        reads += _attribute_reads(tree)
+        if path.parent != PACKAGE:
+            continue
+        module = path.relative_to(ROOT).as_posix()
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not (fn.name.startswith("__") and fn.name.endswith("__")):
+                    methods.append((module, cls.name, fn))
+    # a read inside the method itself (recursion) does not count
+    unused = [f"{module}:{cls}.{fn.name}" for module, cls, fn in methods
+              if not any(name == fn.name and fn not in inside
+                         for name, inside in reads)]
     assert unused == []
 
 

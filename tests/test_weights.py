@@ -451,8 +451,8 @@ def test_chain_weight_flat_equivalent_to_expsum():
     class _ExpL1(W.Weight):
         dim = 3
 
-        def log_eval(self, point):
-            return sum(abs(complex(z)) for z in self._coords(point))
+        def log_columns(self, cols, n):
+            return [sum(abs(complex(z)) for z in row) for row in zip(*cols)]
 
     v = W.equivalent(w, _ExpL1())
     assert v.verdict == "equivalent"
