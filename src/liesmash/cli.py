@@ -221,28 +221,27 @@ def cmd_smash_table(args) -> int:
     model = MODEL_BUILDERS[args.model](args.truncation)
     if isinstance(model, ChainModel):
         model = model.smash
-    basis = list(model.basis)
-    names = [model.key_str(k) for k in basis]
+    names = [model.key_str(k) for k in model.basis]
+    b = len(names)
 
-    def dense(row, index):
-        # a row's nonzero cells scattered into the column order of index
-        cells = ["0"] * len(index)
-        for k, c in row.items():
-            cells[index[k]] = str(c)
-        return ",".join(cells)
+    def dense(size, cells):
+        # (column, coefficient) cells scattered into size columns
+        row = ["0"] * size
+        for i, c in cells:
+            row[i] = str(c)
+        return ",".join(row)
 
     if args.table == "mult":
-        index = {k: i for i, k in enumerate(basis)}
         print("left,right," + ",".join(f'"{n}"' for n in names))
-        for k1, n1 in zip(basis, names):
-            for k2, n2 in zip(basis, names):
-                print(f'"{n1}","{n2}",' + dense(model.mult[(k1, k2)], index))
+        for k1, n1 in enumerate(names):
+            for k2, n2 in enumerate(names):
+                print(f'"{n1}","{n2}",' + dense(b, model.mult[(k1, k2)].items()))
     else:
-        pairs = [(a, b) for a in basis for b in basis]
-        index = {p: i for i, p in enumerate(pairs)}
-        print("element," + ",".join(f'"{a}|{b}"' for a in names for b in names))
-        for k, n in zip(basis, names):
-            print(f'"{n}",' + dense(model.comult[k], index))
+        # the column of the tensor pair (k1, k2) is k1 * B + k2
+        print("element," + ",".join(f'"{a}|{c}"' for a in names for c in names))
+        for k, n in enumerate(names):
+            print(f'"{n}",' + dense(b * b, ((k1 * b + k2, c) for (k1, k2), c
+                                             in model.comult[k].items())))
     return EXIT_OK
 
 

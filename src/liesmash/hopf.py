@@ -8,31 +8,38 @@ fold back into low degree.  For an identity combining inputs of degrees
 d_1, ..., d_k the overflow-free condition is d_1 + ... + d_k <= D, and the
 verification report records how many inputs were covered.
 
+Every model keys its basis by position: basis == tuple(range(B)), and
+degree[k] is the degree of basis element k.  Tables are keyed by positions
+and pairs of positions at any depth of an iterated smash: a smash numbers
+its pairs (A position, H position) in A-major order, and keeps that map
+(pairs) and its inverse (position[a][h]) to read its factors' tables.
+
 Actions are derivations (and their powers) of the underlying algebra whose
 generator images have degree <= 1; this makes truncation commute with the
 action, keeps the module-algebra axioms decidable exactly, and covers all
 actions arising from a Lie chain's adjoint representation.  A model's
-generators are a list of (display name, basis key); derivation images and
-the commutator check take them by position, and the names only render keys
-and witnesses.
+generators are a list of (display name, basis position); derivation images
+and the commutator check take them by position, and the names only render
+keys and witnesses.
 
 A smash product's multiplication table (SmashProducts) computes each entry
 on its first lookup and keeps it, so the checks pay only for the products
 they read; a dense dump still reads all B^2 entries.  The primitive-series
-and group-like tables are built eagerly.  Elements are sparse dicts that
-never hold a zero coefficient, so two elements are equal exactly when their
-dicts are.  Every sparse sum out += c*y follows one accumulate rule (el_axpy,
-written out in smash_product and _tensor_square_product): c == 0 adds
-nothing; a factor that is the ONE object is not multiplied; a key absent
-from out takes c*v as it is, since y never holds a zero (el_axpy relies on
-that); a present key is summed, and dropped if the sum is zero.
+and group-like tables are built eagerly.  Elements are sparse dicts keyed
+by basis position that never hold a zero coefficient, so two elements are
+equal exactly when their dicts are.  Every sparse sum out += c*y follows one
+accumulate rule (el_axpy, written out in smash_product and
+_tensor_square_product): c == 0 adds nothing; a factor that is the ONE
+object is not multiplied; a key absent from out takes c*v as it is, since y
+never holds a zero (el_axpy relies on that); a present key is summed, and
+dropped if the sum is zero.
 
 Every exact check is one sweep over its cases (_sweep): cases are counted up
 to and including the first failure, and that failure's witness is reported.
 A passing check therefore reports every case it covered.  Degree-filtered
 sweeps enumerate exactly their overflow-free cases, in basis order, from
-degree buckets: upto[m] holds the basis keys of degree <= m, so k2 runs over
-upto[D - deg k1] and k3 over upto[D - deg k1 - deg k2], and a remainder
+degree buckets: upto[m] holds the basis positions of degree <= m, so k2 runs
+over upto[D - deg k1] and k3 over upto[D - deg k1 - deg k2], and a remainder
 below 0 has no bucket and yields no cases.
 """
 
@@ -44,7 +51,7 @@ from dataclasses import dataclass, field
 from .exactnum import GaussianRational, ONE, ZERO
 from .errors import PreconditionError
 
-Element = dict  # basis key -> GaussianRational, never holding a zero
+Element = dict  # basis position -> GaussianRational, never holding a zero
 
 # Largest basis a model over n series generators at truncation D may have;
 # B = C(n + D, D) is refused above it before anything is built.  uppertri3 at
@@ -80,20 +87,21 @@ def el_axpy(out: Element, c, y: Element) -> Element:
 class TruncatedHopf:
     """A Hopf algebra model on an explicit finite basis with exact tables."""
 
-    def __init__(self, *, kind, name, generators, truncation, basis, degree,
+    def __init__(self, *, kind, name, generators, truncation, degree,
                  unit, mult, comult, counit, antipode, factorization):
         self.kind = kind
         self.name = name
-        self.generators = list(generators)      # (display name, basis key)
+        self.generators = list(generators)      # (display name, position)
+        self.generator_name = {k: n for n, k in self.generators}
         self.truncation = truncation
-        self.basis = tuple(basis)
-        self.degree = dict(degree)
+        self.degree = tuple(degree)             # position -> degree
+        self.basis = tuple(range(len(self.degree)))
         self.unit = unit
-        self.mult = mult                        # (key, key) -> Element
-        self.comult = comult                    # key -> {(key, key): coeff}
-        self.counit = counit                    # key -> coeff
-        self.antipode = antipode                # key -> Element, or None
-        self.factorization = factorization     # key -> tuple of generator keys
+        self.mult = mult                        # (pos, pos) -> Element
+        self.comult = comult                    # pos -> {(pos, pos): coeff}
+        self.counit = counit                    # pos -> coeff
+        self.antipode = antipode                # pos -> Element, or None
+        self.factorization = factorization     # pos -> generator positions
 
     # -- elements ----------------------------------------------------------
 
@@ -147,9 +155,8 @@ class TruncatedHopf:
         if not factors:
             return "1"
         counts: list[tuple[str, int]] = []
-        names = {gkey: gname for gname, gkey in self.generators}
         for f in factors:
-            label = names.get(f, str(f))
+            label = self.generator_name[f]
             if counts and counts[-1][0] == label:
                 counts[-1] = (label, counts[-1][1] + 1)
             else:
@@ -160,7 +167,8 @@ class TruncatedHopf:
         if not u:
             return "0"
         parts = []
-        for k in sorted(u, key=lambda k: (self.degree[k], self.basis.index(k))):
+        degree = self.degree
+        for k in sorted(u, key=lambda k: (degree[k], k)):
             c = u[k]
             ks = self.key_str(k)
             if ks == "1":
@@ -197,7 +205,7 @@ def make_primitive_series_hopf(name: str, truncation: int) -> TruncatedHopf:
     factorization = {n: (1,) * n for n in basis}
     return TruncatedHopf(
         kind="primitive-series", name=f"C[[{name}]]", generators=[(name, 1)],
-        truncation=d, basis=basis, degree={n: n for n in basis}, unit=0,
+        truncation=d, degree=basis, unit=0,
         mult=mult, comult=comult, counit=counit, antipode=antipode,
         factorization=factorization)
 
@@ -214,8 +222,7 @@ def cyclic_group_hopf(name: str, order: int, truncation: int = 4) -> TruncatedHo
     return TruncatedHopf(
         kind="group-like", name=name,
         generators=[(f"d[{g}]", g) for g in elems if g],
-        truncation=truncation, basis=tuple(elems),
-        degree={g: 0 for g in elems}, unit=0,
+        truncation=truncation, degree=(0,) * order, unit=0,
         mult=mult, comult=comult, counit=counit, antipode=antipode,
         factorization=factorization)
 
@@ -272,8 +279,9 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
         img = {k: v for k, c in img.items()
                if (v := GaussianRational.coerce(c))}
         for k in img:
-            if k not in A.degree:
-                raise PreconditionError(f"image of {gname} uses unknown key {k!r}")
+            if k not in range(len(A.basis)):
+                raise PreconditionError(
+                    f"image of {gname} uses unknown basis position {k!r}")
             if A.degree[k] > 1:
                 raise PreconditionError(
                     f"image of {gname} has degree {A.degree[k]} > 1; only "
@@ -365,12 +373,15 @@ def _verify_module_algebra(action: ModuleAlgebraAction):
 # the smash product
 # ---------------------------------------------------------------------------
 
-def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
-    """(a # h)(b # g) = sum a (h_(1) . b) # h_(2) g, truncated at degree D."""
+def smash_product(action: ModuleAlgebraAction, position, left, right) -> Element:
+    """(a # h)(b # g) = sum a (h_(1) . b) # h_(2) g, truncated at degree D.
+
+    left and right are (A position, H position) pairs; a term a' # h' is
+    kept at position[a'][h'], which holds exactly the h' of degree
+    <= D - deg a'.
+    """
     A, H, table = action.A, action.H, action.table
-    d = A.truncation
     (a, h), (b, g) = left, right
-    a_degree, h_degree = A.degree, H.degree
     out: Element = {}
     get = out.get
     for (h1, h2), c in H.comult[h].items():
@@ -384,12 +395,12 @@ def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
             ccb = cb if c is ONE else c if cb is ONE else c * cb
             for ak, ca in A.mult[(a, bk)].items():
                 cc = ca if ccb is ONE else ccb if ca is ONE else ccb * ca
-                room = d - a_degree[ak]
+                row = position[ak]
                 for hk, chg in hg.items():
-                    if h_degree[hk] > room:
+                    key = row.get(hk)
+                    if key is None:
                         continue
                     v = chg if cc is ONE else cc if chg is ONE else cc * chg
-                    key = (ak, hk)
                     acc = get(key)
                     if acc is None:
                         out[key] = v
@@ -403,26 +414,34 @@ def smash_product(action: ModuleAlgebraAction, left, right) -> Element:
 
 
 class SmashProducts(dict):
-    """The multiplication table of A # H: (left key, right key) -> Element.
+    """The multiplication table of A # H: (position, position) -> Element.
 
     Each entry is computed by smash_product on its first lookup and kept.
     Only ``table[pair]`` computes; ``in``, ``get``, ``len`` and iteration
     see just the entries computed so far.
     """
 
-    def __init__(self, action: ModuleAlgebraAction):
+    def __init__(self, action: ModuleAlgebraAction, pairs, position):
         super().__init__()
         self.action = action
+        self.pairs = pairs
+        self.position = position
 
-    def __missing__(self, pair):
-        out = self[pair] = smash_product(self.action, *pair)
+    def __missing__(self, key):
+        k1, k2 = key
+        pairs = self.pairs
+        out = self[key] = smash_product(self.action, self.position,
+                                        pairs[k1], pairs[k2])
         return out
 
 
 class SmashAlgebra(TruncatedHopf):
-    """A # H on the pair basis, with the smash product multiplication.
+    """A # H, with the smash product multiplication.
 
-    The multiplication table is a SmashProducts, filled on demand.
+    Basis position k stands for the pair pairs[k] = (A position, H
+    position), numbered in A-major order over the pairs of total degree
+    <= D; position[a][h] is its inverse.  The multiplication table is a
+    SmashProducts, filled on demand.
     """
 
     def __init__(self, A: TruncatedHopf, H: TruncatedHopf,
@@ -433,62 +452,69 @@ class SmashAlgebra(TruncatedHopf):
             raise PreconditionError("factors must share the truncation degree")
         d = A.truncation
         name = name or f"({A.name} # {H.name})"
-        basis = [(a, h) for a in A.basis for h in H.basis
-                 if A.degree[a] + H.degree[h] <= d]
-        degree = {(a, h): A.degree[a] + H.degree[h] for (a, h) in basis}
-        unit = (A.unit, H.unit)
+        pairs = tuple((a, h) for a in A.basis for h in H.basis
+                      if A.degree[a] + H.degree[h] <= d)
+        position = [{} for _ in A.basis]
+        for k, (a, h) in enumerate(pairs):
+            position[a][h] = k
+        i_pos = [row[H.unit] for row in position]   # a -> position of a # 1
+        j_pos = position[A.unit]                    # h -> position of 1 # h
 
         comult = {}
-        for (a, h) in basis:
+        for k, (a, h) in enumerate(pairs):
             table: dict = {}
             for (a1, a2), ca in A.comult[a].items():
+                row1, row2 = position[a1], position[a2]
                 for (h1, h2), ch in H.comult[h].items():
-                    table[((a1, h1), (a2, h2))] = ca * ch
-            comult[(a, h)] = table
+                    table[(row1[h1], row2[h2])] = ca * ch
+            comult[k] = table
 
-        counit = {(a, h): A.counit[a] * H.counit[h] for (a, h) in basis}
+        counit = {k: A.counit[a] * H.counit[h] for k, (a, h) in enumerate(pairs)}
 
         antipode = None
         if H.is_cocommutative() and A.antipode is not None:
             antipode = {}
-            for (a, h) in basis:
+            for k, (a, h) in enumerate(pairs):
                 out: Element = {}
                 sa = A.antipode[a]
                 sh = H.antipode_el({h: ONE})
                 for hk, ch in sh.items():
                     for (h1, h2), c2 in H.comult[hk].items():
-                        room = d - H.degree[h2]
                         chc2 = ch * c2
                         for sk, cs in sa.items():
                             el_axpy(out, chc2 * cs,
-                                    {(ak, h2): ca
+                                    {p: ca
                                      for ak, ca in action.table[(h1, sk)].items()
-                                     if A.degree[ak] <= room})
-                antipode[(a, h)] = out
+                                     if (p := position[ak].get(h2)) is not None})
+                antipode[k] = out
 
-        factorization = {}
-        for (a, h) in basis:
-            fac = tuple((fa, H.unit) for fa in A.factorization[a])
-            fac += tuple((A.unit, fh) for fh in H.factorization[h])
-            factorization[(a, h)] = fac
+        factorization = {
+            k: (tuple(i_pos[f] for f in A.factorization[a])
+                + tuple(j_pos[f] for f in H.factorization[h]))
+            for k, (a, h) in enumerate(pairs)}
 
-        generators = [(n, (k, H.unit)) for n, k in A.generators]
-        generators += [(n, (A.unit, k)) for n, k in H.generators]
+        generators = [(n, i_pos[k]) for n, k in A.generators]
+        generators += [(n, j_pos[k]) for n, k in H.generators]
 
         super().__init__(
             kind="smash", name=name, generators=generators, truncation=d,
-            basis=basis, degree=degree, unit=unit, mult=SmashProducts(action),
+            degree=[A.degree[a] + H.degree[h] for a, h in pairs],
+            unit=j_pos[H.unit], mult=SmashProducts(action, pairs, position),
             comult=comult, counit=counit, antipode=antipode,
             factorization=factorization)
         self.A = A
         self.H = H
         self.action = action
+        self.pairs = pairs          # position -> (A position, H position)
+        self.position = position    # position[a][h] -> position
 
     def embed_a(self, u: Element) -> Element:
-        return {(k, self.H.unit): c for k, c in u.items()}
+        position, hu = self.position, self.H.unit
+        return {position[k][hu]: c for k, c in u.items()}
 
     def embed_h(self, u: Element) -> Element:
-        return {(self.A.unit, k): c for k, c in u.items()}
+        row = self.position[self.A.unit]
+        return {row[k]: c for k, c in u.items()}
 
 
 def check_smash_basis(generators: int, truncation: int) -> None:
@@ -697,7 +723,9 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             _sweep("antipode-convolution", antipode_convolution()))
     if not isinstance(X, SmashAlgebra):
         return report
-    A, H, action = X.A, X.H, X.action
+    A, H, action, position = X.A, X.H, X.action, X.position
+    i_pos = [row[H.unit] for row in position]   # a -> position of a # 1
+    j_pos = position[A.unit]                    # h -> position of 1 # h
 
     def module_intertwining():
         # i(h . a) = sum j(h_(1)) i(a) j(S h_(2)) on the overflow-free set
@@ -707,7 +735,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
                 lhs = X.embed_a(action.table[(hk, ak)])
                 rhs: Element = {}
                 for (h1, h2), c in H.comult[hk].items():
-                    term = X.multiply(mult[((A.unit, h1), (ak, H.unit))],
+                    term = X.multiply(mult[(j_pos[h1], i_pos[ak])],
                                       X.embed_h(H.antipode_el({h2: ONE})))
                     el_axpy(rhs, c, term)
                 yield None if lhs == rhs else f"({H.key_str(hk)}, {A.key_str(ak)})"
@@ -716,12 +744,12 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
         # i and j are algebra maps
         for k1 in A.basis:
             for k2 in A.basis:
-                lhs = mult[((k1, H.unit), (k2, H.unit))]
+                lhs = mult[(i_pos[k1], i_pos[k2])]
                 yield None if lhs == X.embed_a(A.mult[(k1, k2)]) else (
                     f"i on ({A.key_str(k1)}, {A.key_str(k2)})")
         for k1 in H.basis:
             for k2 in H.basis:
-                lhs = mult[((A.unit, k1), (A.unit, k2))]
+                lhs = mult[(j_pos[k1], j_pos[k2])]
                 yield None if lhs == X.embed_h(H.mult[(k1, k2)]) else (
                     f"j on ({H.key_str(k1)}, {H.key_str(k2)})")
 
@@ -757,17 +785,18 @@ def commutator_table_check(s: TruncatedHopf, bracket_matrix, names) -> CheckResu
 
 def tensor_degeneration_check(s: SmashAlgebra) -> CheckResult:
     """For the trivial action the smash table is the tensor-product table."""
-    A, H = s.A, s.H
+    A, H, position = s.A, s.H, s.position
 
     def cases():
-        for (a, h) in s.basis:
-            for (b, g) in s.basis:
+        for k1, (a, h) in enumerate(s.pairs):
+            for k2, (b, g) in enumerate(s.pairs):
                 expected: Element = {}
                 for ak, ca in A.mult[(a, b)].items():
+                    row = position[ak]
                     for hk, ch in H.mult[(h, g)].items():
-                        if A.degree[ak] + H.degree[hk] <= s.truncation:
-                            expected[(ak, hk)] = ca * ch
-                yield None if s.mult[((a, h), (b, g))] == expected else (
-                    f"({s.key_str((a, h))}, {s.key_str((b, g))})")
+                        if hk in row:
+                            expected[row[hk]] = ca * ch
+                yield None if s.mult[(k1, k2)] == expected else (
+                    f"({s.key_str(k1)}, {s.key_str(k2)})")
 
     return _sweep("tensor-degeneration", cases())

@@ -207,8 +207,12 @@ class LieAlgebra:
         return self.derived_series()[-1].dim == 0
 
     def nilpotent_radical(self, solvable_part: Subspace) -> Subspace:
-        """[g, rad g] for a caller-supplied radical (= [g, g] when g is solvable)."""
-        witness = self.is_ideal(solvable_part)
+        """[g, rad g] for a caller-supplied radical (= [g, g] when g is solvable).
+
+        A proper subspace is checked to be an ideal first; the whole algebra
+        always is one."""
+        witness = (self.is_ideal(solvable_part)
+                   if solvable_part.dim < self.dim else None)
         if witness is not None:
             raise PreconditionError(
                 f"solvable part is not an ideal: bracket of basis vector "

@@ -164,12 +164,13 @@ def test_derivation_leibniz_negative_control():
 
 def test_smash_multiply_examples(smash_xddx):
     s = smash_xddx
+    pos = s.position        # pos[a][h] is the position of a (x) h
     x, y = _gens(s)
     assert x == s.embed_a({1: ONE}) and y == s.embed_h({1: ONE})
     # (a (x) 1)(1 (x) h) = a (x) h
-    assert s.multiply(x, y) == {(1, 1): ONE}
+    assert s.multiply(x, y) == {pos[1][1]: ONE}
     # (1 (x) y)(x (x) 1) = x (x) 1 + x (x) y
-    assert s.multiply(y, x) == {(1, 0): ONE, (1, 1): ONE}
+    assert s.multiply(y, x) == {pos[1][0]: ONE, pos[1][1]: ONE}
     # unit
     one = {s.unit: ONE}
     for key in s.basis:
@@ -179,12 +180,13 @@ def test_smash_multiply_examples(smash_xddx):
 
 def test_smash_antipode_examples(smash_xddx):
     s = smash_xddx
+    pos = s.position
     one = {s.unit: ONE}
     assert s.antipode_el(one) == one
     # S(a (x) 1) = S_A(a) (x) 1
     for n in range(D + 1):
-        got = s.antipode_el({(n, 0): ONE})
-        assert got == {(n, 0): GQ((-1) ** n)}
+        got = s.antipode_el({pos[n][0]: ONE})
+        assert got == {pos[n][0]: GQ((-1) ** n)}
     # full convolution identity mu (S (x) 1) Delta = eta eps on the basis
     for key in s.basis:
         acc = {}
@@ -252,7 +254,8 @@ def _xddx_with_products_read():
 
 def _xddx_with_broken_product():
     s = _xddx_with_products_read()
-    s.mult[((1, 0), (1, 0))] = {(2, 0): GQ(3)}  # x * x should be x^2
+    x, x2 = s.position[1][0], s.position[2][0]
+    s.mult[(x, x)] = {x2: GQ(3)}  # x * x should be x^2
     return s
 
 
@@ -441,13 +444,15 @@ def test_heisenberg_smash_table_matches_pbw_oracle():
     """
     d = 4
     model = build_chain_model(corpus.heisenberg(), truncation=d).smash
+    inner = model.A
 
     def key_exponents(key):
-        (a, b), c = key
+        ab, c = model.pairs[key]
+        a, b = inner.pairs[ab]
         return a, b, c
 
     def make_key(a, b, c):
-        return ((a, b), c)
+        return model.position[inner.position[a][b]][c]
 
     for k1 in model.basis:
         for k2 in model.basis:
@@ -476,7 +481,7 @@ def test_associativity_on_overflow_free_triples_exact(smash_xddx):
     vw = s.multiply(x, x)
     lhs = s.multiply(s.multiply(y, x), x)
     rhs = s.multiply(y, vw)
-    expected = {(2, 0): GQ(2), (2, 1): ONE}
+    expected = {s.position[2][0]: GQ(2), s.position[2][1]: ONE}
     assert lhs == rhs == expected
 
 
@@ -519,13 +524,62 @@ def test_every_table_element_is_pruned():
                 assert all(el.values()), (name, X.name, el)
 
 
+def test_every_model_is_keyed_by_basis_position():
+    """Every key of every table, at every depth of the tower, is a basis
+    position (an int in range(B)), and a smash's pair map and its inverse
+    round-trip."""
+    def positions(keys, b):
+        return all(type(k) is int and 0 <= k < b for k in keys)
+
+    def pairs(keys, b1, b2):
+        return all(type(p) is tuple and len(p) == 2 and positions(p[:1], b1)
+                   and positions(p[1:], b2) for p in keys)
+
+    for name, top in _models_at_d3().items():
+        for X in _tower(top):
+            where = (name, X.name)
+            b = len(X.basis)
+            assert X.basis == tuple(range(b)), where
+            assert len(X.degree) == b and positions([X.unit], b), where
+            for k1 in X.basis:
+                for k2 in X.basis:
+                    assert positions(X.mult[(k1, k2)], b), where
+            assert pairs(X.mult, b, b) and len(X.mult) == b * b, where
+            for table in (X.comult, X.counit, X.factorization):
+                assert list(table) == list(X.basis), where
+            gens = [k for _, k in X.generators]
+            assert positions(gens, b), where
+            for k in X.basis:
+                assert pairs(X.comult[k], b, b), where
+                assert set(X.factorization[k]) <= set(gens), where
+            if X.antipode is not None:
+                assert list(X.antipode) == list(X.basis), where
+                assert all(positions(X.antipode[k], b) for k in X.basis), where
+            if not isinstance(X, SmashAlgebra):
+                continue
+            A, H = X.A, X.H
+            table = X.action.table
+            assert pairs(table, len(H.basis), len(A.basis)), where
+            assert len(table) == len(H.basis) * len(A.basis), where
+            assert all(positions(el, len(A.basis))
+                       for el in table.values()), where
+            assert pairs(X.pairs, len(A.basis), len(H.basis)), where
+            assert len(X.position) == len(A.basis), where
+            inverse = {(a, h): k for a, row in enumerate(X.position)
+                       for h, k in row.items()}
+            assert inverse == {p: k for k, p in enumerate(X.pairs)}, where
+            assert [X.degree[k] for k in X.basis] == [
+                A.degree[a] + H.degree[h] for a, h in X.pairs], where
+
+
 def _eager_smash_table(s):
     """Reference: every smash product of basis elements, built eagerly with
-    its own accumulate-and-prune loop."""
+    its own accumulate-and-prune loop on (A position, H position) pairs,
+    then keyed by the smash's positions."""
     A, H, table, d = s.A, s.H, s.action.table, s.truncation
     mult = {}
-    for (a, h) in s.basis:
-        for (b, g) in s.basis:
+    for (a, h) in s.pairs:
+        for (b, g) in s.pairs:
             out = {}
             for (h1, h2), c in H.comult[h].items():
                 acted = table[(h1, b)]
@@ -541,7 +595,9 @@ def _eager_smash_table(s):
                             else:
                                 out.pop((ak, hk), None)
             mult[((a, h), (b, g))] = out
-    return mult
+    pos = s.position
+    return {(pos[a][h], pos[b][g]): {pos[ak][hk]: c for (ak, hk), c in out.items()}
+            for ((a, h), (b, g)), out in mult.items()}
 
 
 def test_smash_products_are_computed_on_demand():

@@ -141,6 +141,26 @@ def test_radical_rejects_non_ideal():
         g.nilpotent_radical(bad)
 
 
+def test_nilpotent_radical_checks_only_a_proper_subspace(monkeypatch):
+    calls = []
+    is_ideal = LieAlgebra.is_ideal
+
+    def counted(g, s):
+        calls.append(s.dim)
+        return is_ideal(g, s)
+    monkeypatch.setattr(LieAlgebra, "is_ideal", counted)
+    g = corpus.upper_triangular3()
+    full = g.full_subspace()
+    # the whole algebra is always an ideal, so it is not checked
+    assert g.nilpotent_radical(full) == g.bracket_spans(full, full)
+    assert calls == []
+    # a proper ideal still is: here the centre of the Heisenberg algebra
+    h = corpus.heisenberg()
+    centre = Subspace(h, [unit_vector(3, 2)])
+    assert h.nilpotent_radical(centre).dim == 0
+    assert calls == [1]
+
+
 def test_quotient_heisenberg_center():
     g = corpus.heisenberg()
     center = Subspace(g, [unit_vector(3, 2)])
