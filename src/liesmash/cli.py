@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -252,18 +253,35 @@ def _group_resolver(radius):
     return resolve
 
 
+def _parse_radii(text: str) -> tuple:
+    """The --radii list, each radius finite and > 0: nan and inf poison the
+    fit, and 0 samples only the origin."""
+    radii = tuple(float(r) for r in text.split(","))
+    for r in radii:
+        if not (math.isfinite(r) and r > 0):
+            raise InputError(f"--radii must be finite and > 0, got {r}")
+    return radii
+
+
 def cmd_weight_check(args) -> int:
+    config = weight_mod.SamplerConfig(count=args.samples,
+                                      radii=_parse_radii(args.radii),
+                                      seed=args.seed)
     resolver = _group_resolver(args.radius)
     lhs = weight_mod.parse_weight(args.lhs, resolver)
     rhs = weight_mod.parse_weight(args.rhs, resolver)
-    radii = tuple(float(r) for r in args.radii.split(","))
-    config = weight_mod.SamplerConfig(count=args.samples, radii=radii,
-                                      seed=args.seed)
     table = weight_mod.word_table_of(lhs, rhs)
     fmt = str if table is None else table.group.format_element
+    compare = (weight_mod.majorizes if args.mode == "majorizes"
+               else weight_mod.equivalent)
+    try:
+        verdict = compare(lhs, rhs, config)
+    except OverflowError:
+        # radii near the float range overflow a modulus or the fit's sums
+        raise InputError(f"--radii {args.radii} overflow a float in the "
+                         "sampled comparison") from None
+    print(f"verdict: {verdict.verdict}")
     if args.mode == "majorizes":
-        verdict = weight_mod.majorizes(lhs, rhs, config)
-        print(f"verdict: {verdict.verdict}")
         if verdict.gamma is not None:
             print(f"gamma: {verdict.gamma:.6g}")
             print(f"C: {verdict.constant:.6g}")
@@ -272,8 +290,6 @@ def cmd_weight_check(args) -> int:
         samples = verdict.samples
         ok = verdict.verdict == weight_mod.HOLDS
     else:
-        verdict = weight_mod.equivalent(lhs, rhs, config)
-        print(f"verdict: {verdict.verdict}")
         print(f"forward: {verdict.forward.verdict} "
               f"(gamma={verdict.forward.gamma or 0:.6g})")
         print(f"backward: {verdict.backward.verdict} "

@@ -8,10 +8,29 @@ tested on the largest one, with fixed slack constants, so genuinely
 asymptotic violations (distortion phenomena) surface as extrapolation
 failures with a concrete witness.
 
-A sample tier is evaluated in one batch per descriptor (log_evals over the
-coordinate columns).  The batch uses the same float operations in the same
-order as evaluating one point at a time, so its values, and every verdict
-built on them, are bit-identical to per-point evaluation.
+Coordinate comparisons (majorizes, equivalent, decompose_check) sample from
+one bounded cache of sample tables, keyed only by (dim, SamplerConfig) and
+holding the _TABLES_KEPT most recently used.  A table holds each tier's
+points, as sample_points draws them, and its coordinate columns; a column
+computes its moduli abs(complex(z)) once, on first use, and every descriptor
+but ExpSum evaluates from them.  The key is the config's repr, so radii 1
+and 1.0 (whose structured probes differ) get separate tables and a list of
+radii is hashable.  Values and verdicts are not cached: each comparison
+evaluates both descriptors on every sample and runs its own fit, so a
+verdict is always the result of the check that reports it, and the cache's
+size depends on the configs alone, never on the descriptors compared.
+
+A tier is evaluated in one batch per descriptor (log_table over its
+columns), with the same float operations in the same order as evaluating
+one point at a time, so its values, and every verdict built on them, are
+bit-identical to per-point evaluation.
+
+The fit tests each (gamma, C) candidate on the held-out tier first, where a
+candidate too small for the asymptotics fails, and sweeps the training
+records only for a candidate that survives it.  Only when no candidate
+holds are the excesses over every sample recomputed in order, which gives
+the worst candidate, its excess and its first witness; the verdicts are
+those of testing every candidate on all samples at once.
 """
 
 from __future__ import annotations
@@ -19,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
@@ -41,14 +61,32 @@ def guarded_exp(x: float) -> float:
 # Descriptors
 # ---------------------------------------------------------------------------
 
+class _Column:
+    """One coordinate column of a batch of points: its values and their
+    moduli abs(complex(z)), computed on first use and kept as doubles (an
+    array holds them in a quarter of a tuple of floats' memory)."""
+
+    __slots__ = ("values", "_moduli")
+
+    def __init__(self, values):
+        self.values = values
+        self._moduli = None
+
+    @property
+    def moduli(self) -> array:
+        if self._moduli is None:
+            self._moduli = array("d", map(abs, map(complex, self.values)))
+        return self._moduli
+
+
 class Weight:
     """Base class; subclasses define dim, an evaluation and a grammar rendering.
 
     Weights compare on the log scale, where the huge exponential values
     stay representable; eval exponentiates and saturates to inf on float
     overflow.  log_evals evaluates a whole list of points at once: it checks
-    every point's shape against dim and hands the coordinate columns to
-    log_columns(cols, n), one float per row, where each descriptor keeps its
+    every point's shape against dim and hands their coordinate _Columns to
+    log_table(cols, n), one float per row, where each descriptor keeps its
     formula (word() points are group elements, so WordWeight reads each
     row as one and, like Power, overrides log_evals).
     """
@@ -60,7 +98,8 @@ class Weight:
 
     def log_evals(self, points) -> list:
         """log_eval of each point, in order, bit-identical to one call each."""
-        return self.log_columns(self._columns(points), len(points))
+        return self.log_table(list(map(_Column, self._columns(points))),
+                              len(points))
 
     def eval(self, point) -> float:
         return guarded_exp(self.log_eval(point))
@@ -86,13 +125,8 @@ class Weight:
 
 
 def _rows(cols, n: int):
-    """The rows of coordinate columns; n empty rows when there are none."""
+    """The rows of columns; n empty rows when there are none."""
     return zip(*cols) if cols else [()] * n
-
-
-def _moduli(col):
-    """abs(complex(z)) of each entry of col, lazily."""
-    return map(abs, map(complex, col))
 
 
 @dataclass(frozen=True)
@@ -101,9 +135,9 @@ class Poly(Weight):
 
     dim: int = 1
 
-    def log_columns(self, cols, n):
-        moduli = [_moduli(col) for col in cols]
-        return list(map(math.log1p, map(sum, _rows(moduli, n))))
+    def log_table(self, cols, n):
+        return list(map(math.log1p, map(sum, _rows(
+            [c.moduli for c in cols], n))))
 
     def __str__(self):
         return "poly" if self.dim == 1 else f"poly({self.dim})"
@@ -119,10 +153,10 @@ class ExpPower(Weight):
         if not (isinstance(self.w, int) and self.w >= 1):
             raise WeightDomainError("exp_power needs an integer w >= 1")
 
-    def log_columns(self, cols, n):
+    def log_table(self, cols, n):
         (col,) = cols
         e = 1.0 / self.w
-        return [m ** e for m in _moduli(col)]
+        return [m ** e for m in col.moduli]
 
     def __str__(self):
         return f"exppow({self.w})"
@@ -143,11 +177,11 @@ class MaxPower(Weight):
     def dim(self):
         return len(self.ws)
 
-    def log_columns(self, cols, n):
+    def log_table(self, cols, n):
         powered = []
         for col, w in zip(cols, self.ws):
             e = 1.0 / w
-            powered.append([m ** e for m in _moduli(col)])
+            powered.append([m ** e for m in col.moduli])
         return list(map(max, zip(*powered)))
 
     def __str__(self):
@@ -160,9 +194,9 @@ class ExpSum(Weight):
 
     dim: int = 2
 
-    def log_columns(self, cols, n):
+    def log_table(self, cols, n):
         return list(map(abs, map(sum, _rows(
-            [list(map(complex, col)) for col in cols], n))))
+            [list(map(complex, c.values)) for c in cols], n))))
 
     def __str__(self):
         return f"expsum({self.dim})"
@@ -174,7 +208,7 @@ class Const(Weight):
 
     dim: int = 1
 
-    def log_columns(self, cols, n):
+    def log_table(self, cols, n):
         return [0.0] * n
 
     def __str__(self):
@@ -208,8 +242,8 @@ class WordWeight(Weight):
         log2 = math.log(2.0)
         return [n * log2 for n in lengths]
 
-    def log_columns(self, cols, n):
-        return self.log_evals(list(_rows(cols, n)))
+    def log_table(self, cols, n):
+        return self.log_evals(list(_rows([c.values for c in cols], n)))
 
     def __eq__(self, other):
         return isinstance(other, WordWeight) and other.table is self.table
@@ -234,10 +268,10 @@ class Product(Weight):
     def dim(self):
         return sum(p.dim for p in self.parts)
 
-    def log_columns(self, cols, n):
+    def log_table(self, cols, n):
         values, pos = [], 0
         for p in self.parts:
-            values.append(p.log_columns(cols[pos:pos + p.dim], n))
+            values.append(p.log_table(cols[pos:pos + p.dim], n))
             pos += p.dim
         return list(map(sum, _rows(values, n)))
 
@@ -272,8 +306,8 @@ class Power(Weight):
     def log_evals(self, points):
         return self._scaled(self.base.log_evals(points))
 
-    def log_columns(self, cols, n):
-        return self._scaled(self.base.log_columns(cols, n))
+    def log_table(self, cols, n):
+        return self._scaled(self.base.log_table(cols, n))
 
     def __str__(self):
         return f"pow({self.base},{self.gamma})"
@@ -296,9 +330,9 @@ class Restriction(Weight):
     def dim(self):
         return sum(p.dim for p in self.base.parts[: self.prefix])
 
-    def log_columns(self, cols, n):
+    def log_table(self, cols, n):
         pad = self.base.dim - self.dim
-        return self.base.log_columns(list(cols) + [(0,) * n] * pad, n)
+        return self.base.log_table(list(cols) + [_Column((0,) * n)] * pad, n)
 
     def __str__(self):
         return f"restrict({self.base},{self.prefix})"
@@ -462,6 +496,34 @@ def sample_points(dim: int, config: SamplerConfig):
     return tiers
 
 
+# decompose checks each chain at one config, so a run over algebras of a
+# few dimensions reads one table per dimension
+_TABLES_KEPT = 4
+_tables: dict = {}  # (dim, repr(config)) -> table, least recently used first
+
+
+def _sample_table(dim: int, config: SamplerConfig):
+    """The cached sample table of (dim, config): per tier, its points and
+    their coordinate _Columns, both tuples."""
+    key = (dim, repr(config))
+    table = _tables.pop(key, None)
+    if table is None:
+        tiers = tuple(map(tuple, sample_points(dim, config)))
+        table = tiers, tuple(tuple(map(_Column, zip(*pts))) for pts in tiers)
+        if len(_tables) >= _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+    _tables[key] = table
+    return table
+
+
+def _table_values(w1: Weight, w2: Weight, config: SamplerConfig):
+    """(points, log w1, log w2) of each tier of the cached coordinate sample
+    table of w1's domain."""
+    tiers, columns = _sample_table(w1.dim, config)
+    return [(pts, w1.log_table(cols, len(pts)), w2.log_table(cols, len(pts)))
+            for pts, cols in zip(tiers, columns)]
+
+
 def _word_weights(w: Weight) -> list:
     """The word() descriptors inside w, in order."""
     if isinstance(w, WordWeight):
@@ -515,6 +577,14 @@ def _lsq(xs, ys):
     return b, my - b * mx
 
 
+def _exceeds(records, gamma: float, logc: float, limit: float) -> bool:
+    """Whether some record's log excess over C * rhs^gamma is above limit."""
+    for _, lhs, rhs in records:
+        if lhs - (logc + gamma * rhs) > limit:
+            return True
+    return False
+
+
 def _majorize_from_tiers(tiers):
     """tiers: list of [(point, log lhs, log rhs)] per radius tier, ascending.
 
@@ -522,29 +592,41 @@ def _majorize_from_tiers(tiers):
     pairs), builds a small frontier of (gamma, C) candidates with envelope
     constants, and classifies against all samples including the held-out
     largest tier; a genuine asymptotic violation shows up as an extrapolation
-    failure beyond every frontier candidate.
+    failure beyond every frontier candidate.  A candidate is tested on the
+    held-out tier before the training records, which are swept only for a
+    candidate that survives it.
     """
-    train = [rec for tier in tiers[:-1] for rec in tier] or tiers[-1]
+    held = tiers[-1]
     every = [rec for tier in tiers for rec in tier]
+    rest = every[:len(every) - len(held)]
+    train = rest or held
     logx = [r[2] for r in train]
     logy = [r[1] for r in train]
     slope, _ = _lsq(logx, logy)
+    if not math.isfinite(slope):
+        # log values near the float range make the fit's sums overflow to
+        # inf, and every candidate would then hold with gamma nan
+        raise OverflowError("the sampled log values overflow the fit")
     base = max(slope, 1e-6)
-    worst = None
+    limit = math.log(_SLACK)
+    frontier = []
     # gamma ascends, so the first candidate that holds is the smallest
     for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
         gamma = base * mult
         logc = max([ly - gamma * lx for lx, ly in zip(logx, logy)])
-        excesses = [lhs - (logc + gamma * rhs) for _, lhs, rhs in every]
-        # max keeps its first argument until a later one is strictly
-        # greater, so excess is 0.0 when no sample exceeds
-        excess = max(0.0, *excesses)
-        if excess <= math.log(_SLACK):
+        if not (_exceeds(held, gamma, logc, limit)
+                or _exceeds(rest, gamma, logc, limit)):
             return MajorizationVerdict(HOLDS, gamma=gamma,
                                        constant=guarded_exp(logc), samples=every)
+        frontier.append((gamma, logc))
+    worst = None
+    for gamma, logc in frontier:
+        excesses = [lhs - (logc + gamma * rhs) for _, lhs, rhs in every]
+        # max keeps its first argument until a later one is strictly
+        # greater; every candidate failed, so excess > limit > 0 and the
+        # witness is the first sample reaching it
+        excess = max(0.0, *excesses)
         if worst is None or excess < worst[0]:
-            # excess > log(_SLACK) > 0 here; the witness is the first
-            # sample reaching it
             worst = (excess, gamma, logc, every[excesses.index(excess)][0])
     excess, gamma, logc, witness = worst
     verdict = VIOLATED if excess > math.log(_EXCESS) else INCONCLUSIVE
@@ -558,11 +640,16 @@ def majorizes(w1: Weight, w2: Weight,
     if w1.dim != w2.dim:
         raise WeightDomainError("majorizes needs a common domain")
     table = word_table_of(w1, w2)
-    point_tiers = (sample_group_points(table, config) if table is not None
-                   else sample_points(w1.dim, config))
-    return _majorize_from_tiers(
-        [list(zip(pts, w1.log_evals(pts), w2.log_evals(pts)))
-         for pts in point_tiers])
+    if table is None:
+        values = _table_values(w1, w2, config)
+    elif config.count < 1:
+        raise WeightDomainError(
+            "a word() comparison samples group elements only, so it needs "
+            f"a sample count >= 1, got {config.count}")
+    else:
+        values = [(pts, w1.log_evals(pts), w2.log_evals(pts))
+                  for pts in sample_group_points(table, config)]
+    return _majorize_from_tiers([list(zip(*v)) for v in values])
 
 
 @dataclass
@@ -588,6 +675,8 @@ def _two_sided(fwd: MajorizationVerdict,
 
 def equivalent(w1: Weight, w2: Weight,
                config: SamplerConfig = SamplerConfig()) -> EquivalenceVerdict:
+    # two comparisons, each evaluating every sample; the second reads the
+    # sample table the first left in the cache
     return _two_sided(majorizes(w1, w2, config), majorizes(w2, w1, config))
 
 
@@ -599,12 +688,11 @@ def decompose_check(w: Weight, parts,
     if w.dim != total:
         raise WeightDomainError(
             f"parts dimensions sum to {total}, weight domain has {w.dim}")
-    prod = Product(tuple(parts))
-    tiers = [list(zip(pts, w.log_evals(pts), prod.log_evals(pts)))
-             for pts in sample_points(w.dim, config)]
+    values = _table_values(w, Product(tuple(parts)), config)
     # each sample is evaluated once and read in both directions
-    return _two_sided(_majorize_from_tiers(tiers), _majorize_from_tiers(
-        [[(p, rhs, lhs) for p, lhs, rhs in tier] for tier in tiers]))
+    return _two_sided(
+        _majorize_from_tiers([list(zip(p, lhs, rhs)) for p, lhs, rhs in values]),
+        _majorize_from_tiers([list(zip(p, rhs, lhs)) for p, lhs, rhs in values]))
 
 
 def chain_weight(chain) -> Weight:

@@ -410,6 +410,62 @@ def test_weight_check_overflowing_constant_gives_a_verdict(capsys):
     assert code == 3 and ",inf," in out
 
 
+@pytest.mark.parametrize("radii,bad", [
+    ("nan,1", "nan"), ("inf", "inf"), ("1,-inf", "-inf"), ("0", "0.0"),
+    ("1,10,-100", "-100.0"),
+])
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_refuses_radii_that_are_not_finite_and_positive(
+        capsys, radii, bad, mode):
+    # nan and inf once printed "holds" with gamma nan, and 0 "holds" from
+    # an all-zero sample
+    code, out, err = run(capsys, ["weight-check", "--lhs", "poly", "--rhs",
+                                  "exppow(1)", "--mode", mode,
+                                  "--radii=" + radii])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"input error: --radii must be finite and > 0, got {bad}\n"
+
+
+@pytest.mark.parametrize("lhs,rhs,radii", [
+    ("poly", "exppow(1)", "1e300,1e301"),     # the fit's squares overflow
+    ("poly", "exppow(1)", "1e308"),           # its sums overflow to inf
+    ("expsum(2)", "maxpow(1,1)", "1,1e308"),  # a complex modulus overflows
+])
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_radii_overflowing_a_float_are_input_errors(
+        capsys, lhs, rhs, radii, mode):
+    code, out, err = run(capsys, ["weight-check", "--lhs", lhs, "--rhs", rhs,
+                                  "--mode", mode, "--radii", radii])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == (f"input error: --radii {radii} overflow a float in the "
+                   "sampled comparison\n")
+
+
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_word_descriptor_refuses_zero_samples(capsys, mode):
+    # a word() comparison draws no structured probes, so --samples 0 left
+    # every tier empty and the fit divided by zero
+    code, out, err = run(capsys, [
+        "weight-check", "--lhs", "word(zk:1)", "--rhs", "pow(word(zk:1),2)",
+        "--mode", mode, "--radius", "4", "--samples", "0"])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("input error: a word() comparison samples group elements "
+                   "only, so it needs a sample count >= 1, got 0\n")
+
+
+def test_weight_check_zero_samples_keeps_the_structured_probes(capsys):
+    code, out, err = run(capsys, ["weight-check", "--lhs", "poly", "--rhs",
+                                  "exppow(1)", "--samples", "0", "--format",
+                                  "csv"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:4] == ["verdict: holds", "gamma: 0.0100536", "C: 36.9572",
+                         "point,lhs,rhs,ratio"]
+    # origin, the axis and the diagonal of each of the four default radii
+    assert len(lines) == 4 + 4 * 3
+    assert lines[-1] == '"(1000.0,)",1001,inf,0'
+
+
 @pytest.mark.parametrize("argv", [
     ["word-weight", "--group", "zk:1", "--radius", "-3", "--element", "(1,)"],
     ["word-weight", "--group", "zk:1", "--max-power", "0", "--element", "(1,)"],

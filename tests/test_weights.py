@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liesmash import cayley as C
 from liesmash import weights as W
@@ -297,6 +297,171 @@ def test_decompose_check_matches_per_point_reference(config):
         assert (got.forward, got.backward) == want, str(w)
 
 
+# ---------------------------------------------------------------------------
+# the held-out-first fit against the all-samples reference
+# ---------------------------------------------------------------------------
+
+def _labelled(tiers):
+    """Records (point, log lhs, log rhs) whose points name their place."""
+    return [[((t, i), lhs, rhs) for i, (lhs, rhs) in enumerate(tier)]
+            for t, tier in enumerate(tiers)]
+
+
+def _assert_fit_matches_reference(tiers):
+    got = W._majorize_from_tiers(tiers)
+    want = _ref_majorize_from_tiers(tiers)
+    assert (got.verdict, got.gamma, got.constant, got.witness, got.excess) == \
+        (want.verdict, want.gamma, want.constant, want.witness, want.excess)
+    assert got.samples == want.samples
+    return got
+
+
+# (tiers of (log lhs, log rhs), verdict, witness) for each path of the fit
+FIT_CASES = {
+    "holds": ([[(1.0, 1.0), (2.0, 2.0)], [(3.0, 3.0)]], W.HOLDS, None),
+    "violated": ([[(1.0, 1.0), (2.0, 2.0)], [(100.0, 3.0)]], W.VIOLATED,
+                 (1, 0)),
+    "inconclusive": ([[(1.0, 1.0), (2.0, 2.0)], [(10.0, 3.0)]],
+                     W.INCONCLUSIVE, (1, 0)),
+    # the maximal excess is reached twice; the witness is the first
+    "tie": ([[(1.0, 1.0), (2.0, 2.0)], [(9.0, 3.0), (50.0, 3.0), (50.0, 3.0)]],
+            W.VIOLATED, (1, 1)),
+    # one tier: the fit trains on every record
+    "single tier": ([[(1.0, 1.0), (5.0, 2.0), (2.0, 3.0)]], W.HOLDS, None),
+    # at log values near 2^57 the rounding of C * rhs^gamma leaves a
+    # training record above the slack: the candidate gamma = 2 * slope
+    # passes the held-out tier and fails only on the training records, and
+    # the worst excess, over a training record, makes the witness
+    "fails only on training": ([
+        [(9.907919180215096e+16, 7.881299347898368e+16),
+         (1125899906842578.0, 1.914029841632461e+16)],
+        [(1.0470869133636403e+17, 8.106479329266893e+16)]], W.VIOLATED,
+        (0, 1)),
+    # the same for the last candidate, gamma = 4 * slope
+    "last fails only on training": ([
+        [(1.9455550390240543e+18, 2.9903901525740093e+18),
+         (5.0440315826549555e+17, 2.341871806232658e+18),
+         (2.522015791327478e+17, 7.566047373982433e+17)],
+        [(2.377900603251622e+18, 2.305843009213694e+18)]], W.VIOLATED,
+        (0, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_CASES))
+def test_fit_cases_match_reference(name):
+    tiers, verdict, witness = FIT_CASES[name]
+    got = _assert_fit_matches_reference(_labelled(tiers))
+    assert (got.verdict, got.witness) == (verdict, witness)
+
+
+def test_training_only_failures_pass_the_held_out_tier():
+    """In the two training-only cases, the named candidate passes the
+    held-out tier and fails on a training record."""
+    limit = math.log(W._SLACK)
+    for name, gamma_mult in (("fails only on training", 2.0),
+                             ("last fails only on training", 4.0)):
+        tiers = _labelled(FIT_CASES[name][0])
+        train = tiers[0]
+        logx = [r[2] for r in train]
+        logy = [r[1] for r in train]
+        gamma = max(W._lsq(logx, logy)[0], 1e-6) * gamma_mult
+        logc = max(ly - gamma * lx for lx, ly in zip(logx, logy))
+        assert not W._exceeds(tiers[-1], gamma, logc, limit)
+        assert W._exceeds(train, gamma, logc, limit)
+
+
+_log_value = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 10.0, 50.0]) | \
+    st.floats(0.0, 1e3)
+_tier = st.lists(st.tuples(_log_value, _log_value), max_size=6)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(_tier, min_size=1, max_size=4).filter(
+    lambda tiers: any(tiers)))
+def test_held_out_first_fit_matches_reference(tiers):
+    _assert_fit_matches_reference(_labelled(tiers))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 100), st.integers(1, 100),
+                                   st.integers(-64, 64)),
+                         min_size=1, max_size=4), min_size=2, max_size=3),
+       st.integers(50, 60))
+def test_held_out_first_fit_matches_reference_near_rounding(tiers, scale):
+    # large log values, where rounding can put a training record above the
+    # slack of its own candidate
+    big = [[(a * 2.0 ** scale + e, b * 2.0 ** scale) for a, b, e in tier]
+           for tier in tiers]
+    _assert_fit_matches_reference(_labelled(big))
+
+
+# ---------------------------------------------------------------------------
+# the sample-table cache
+# ---------------------------------------------------------------------------
+
+def _all_checks(config):
+    w1, w2 = W.Product((W.Poly(), W.ExpPower(2))), W.Poly(2)
+    return (W.majorizes(w1, w2, config), W.equivalent(w2, w1, config),
+            W.decompose_check(W.ExpSum(2), [W.ExpPower(1), W.ExpPower(1)],
+                              config))
+
+
+@pytest.mark.parametrize("config", SAMPLER_CONFIGS[:2] + [W.SamplerConfig()])
+def test_cold_and_warm_tables_give_equal_verdicts(config):
+    W._tables.clear()
+    cold = _all_checks(config)
+    assert len(W._tables) == 1
+    assert _all_checks(config) == cold     # verdicts and sample lists
+    w1, w2 = W.Product((W.Poly(), W.ExpPower(2))), W.Poly(2)
+    assert cold[0] == _ref_majorizes(w1, w2, config)
+
+
+def test_table_cache_stays_within_its_bound():
+    W._tables.clear()
+    configs = [W.SamplerConfig(count=8, seed=s) for s in range(3)]
+    for config in configs:
+        for dim in (1, 2, 3):
+            w = W.Poly(dim)
+            W.equivalent(w, W.MaxPower((1,) * dim), config)
+            W.decompose_check(w, [W.Poly()] * dim, config)
+            assert len(W._tables) <= W._TABLES_KEPT
+    assert len(W._tables) == W._TABLES_KEPT
+    # the most recently used tables are the ones kept
+    assert list(W._tables)[-1] == (3, repr(configs[-1]))
+
+
+def test_mutating_a_sample_list_leaves_the_next_call_alone():
+    config = SAMPLER_CONFIGS[0]
+    first = _all_checks(config)
+    want = _all_checks(config)
+    first[0].samples.clear()
+    first[1].forward.samples[0] = None
+    first[2].backward.samples.append(None)
+    assert _all_checks(config) == want
+
+
+def test_radii_equal_as_numbers_sample_their_own_points():
+    """SamplerConfig equality takes 1 for 1.0, but the structured probes
+    keep the radius as given; a list of radii samples like the tuple."""
+    w1, w2 = W.ExpPower(1), W.Poly()
+    for radii in ((1, 10, 100), (1.0, 10.0, 100.0), [1.0, 10.0, 100.0]):
+        config = W.SamplerConfig(count=4, radii=radii)
+        v = W.majorizes(w1, w2, config)
+        points = [p for tier in W.sample_points(1, config) for p in tier]
+        got = [r[0] for r in v.samples]
+        # 1 == 1.0, so compare the coordinate types too
+        assert [list(map(type, p)) for p in got] == \
+            [list(map(type, p)) for p in points] and got == points
+        assert type(got[1][0]) is type(radii[0])    # the axis probe
+        assert v == _ref_majorizes(w1, w2, config)
+
+
+def test_fit_raises_on_log_values_that_overflow_it():
+    with pytest.raises(OverflowError):
+        W.majorizes(W.Poly(), W.ExpPower(1),
+                    W.SamplerConfig(count=4, radii=(1e308,)))
+
+
 def test_overflowing_constant_saturates_to_inf():
     """At radius 1e6 exp(log C) overflows a float; the verdict still
     comes back, with C = inf."""
@@ -451,8 +616,9 @@ def test_chain_weight_flat_equivalent_to_expsum():
     class _ExpL1(W.Weight):
         dim = 3
 
-        def log_columns(self, cols, n):
-            return [sum(abs(complex(z)) for z in row) for row in zip(*cols)]
+        def log_table(self, cols, n):
+            return [sum(abs(complex(z)) for z in row)
+                    for row in zip(*[c.values for c in cols])]
 
     v = W.equivalent(w, _ExpL1())
     assert v.verdict == "equivalent"
