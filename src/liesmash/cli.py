@@ -52,13 +52,6 @@ EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
 
 
-def _common_flags(sp):
-    sp.add_argument("--truncation", type=int, default=4, metavar="D",
-                    help="truncation degree for Hopf models (default 4)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as
@@ -76,17 +69,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tail-dim", type=int, default=0,
                     help="dimension of the symbolic reductive tail")
     sp.add_argument("--skip-weight-check", action="store_true")
-    _common_flags(sp)
+    sp.add_argument("--truncation", type=int, default=4, metavar="D",
+                    help="truncation degree of the smash (default 4)")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     sp = sub.add_parser("hopf-verify", help="verify Hopf axioms of a model")
     sp.add_argument("--model", default="series",
                     choices=sorted(MODEL_BUILDERS))
-    _common_flags(sp)
+    sp.add_argument("--truncation", type=int, default=4, metavar="D",
+                    help="truncation degree of the model (default 4)")
+    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("smash-table", help="emit multiplication/comultiplication tables")
     sp.add_argument("--model", default="series", choices=sorted(MODEL_BUILDERS))
     sp.add_argument("--table", default="mult", choices=("mult", "comult"))
-    _common_flags(sp)
+    sp.add_argument("--truncation", type=int, default=4, metavar="D",
+                    help="truncation degree of the model (default 4)")
 
     sp = sub.add_parser("weight-check", help="sampled weight majorization")
     sp.add_argument("--lhs", required=True)
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radii", default="1,10,100,1000")
     sp.add_argument("--radius", type=int, default=12,
                     help="BFS radius for word() descriptors")
-    _common_flags(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("text", "csv"), default="text")
 
     sp = sub.add_parser("word-weight", help="BFS word weights and growth")
     sp.add_argument("--group", required=True,
@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=int, default=12)
     sp.add_argument("--element", required=True, help='e.g. "(0,0,1)"')
     sp.add_argument("--max-power", type=int, default=4096)
-    _common_flags(sp)
 
     sp = sub.add_parser("norm", help="series norms and their submultiplicativity")
     sp.add_argument("--coeffs", default=None,
@@ -114,11 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", default="0")
     sp.add_argument("--check-degree", type=int, default=None,
                     help="also run the submultiplicativity check to this degree")
-    _common_flags(sp)
+    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("selfcheck", help="run the full invariant suite")
     sp.add_argument("--radius", type=int, default=16)
-    _common_flags(sp)
+    sp.add_argument("--truncation", type=int, default=4, metavar="D",
+                    help="truncation degree of the Hopf models (default 4)")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 

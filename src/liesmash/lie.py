@@ -1,10 +1,10 @@
 """Exact structure theory of finite-dimensional complex Lie algebras.
 
 Covers structure-constant algebras over the Gaussian rationals, canonical
-subspaces, the lower central and derived series, the two radicals used by
-the decomposition pipeline, quotients, bases adapted to the lower central
-series, and the construction of the iterated semidirect chain with its
-per-factor weights and one-variable factor labels.
+subspaces, the two radicals used by the decomposition pipeline, the lower
+central series of a subquotient top/bottom of g and its adapted bases, both
+in g's own coordinates, and the construction of the iterated semidirect
+chain with its per-factor weights and one-variable factor labels.
 
 The chain's brackets in chain coordinates (chain_bracket_matrix) are
 computed once per model: the smash is built from them
@@ -24,14 +24,11 @@ from .linalg import (
     Vector,
     in_span,
     is_zero_vector,
-    pivot_columns,
     reduce_mod,
     rref,
     solve_in_basis,
     unit_vector,
     vec_add,
-    vec_scale,
-    zero_vector,
 )
 
 
@@ -83,6 +80,15 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, rows={self.basis_strings()})"
+
+
+def _until_stable(first: Subspace, step) -> list[Subspace]:
+    """The series first, step(first), ... up to the first term that step
+    leaves as it is."""
+    terms = [first]
+    while (nxt := step(terms[-1])) != terms[-1]:
+        terms.append(nxt)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +180,27 @@ class LieAlgebra:
 
     # -- series and radicals --------------------------------------------------
 
-    def lower_central_series(self) -> list[Subspace]:
-        """Descending chain g = g_1 >= g_2 >= ..., up to the stable term."""
-        terms = [self.full_subspace()]
-        while True:
-            nxt = self.bracket_spans(self.full_subspace(), terms[-1])
-            if nxt == terms[-1]:
-                break
-            terms.append(nxt)
-        return terms
+    def lower_central_series(self, top: Subspace | None = None,
+                             bottom: Subspace | None = None) -> list[Subspace]:
+        """Lower central series of the subquotient top/bottom, default g/0,
+        up to the stable term: t_1 = top, t_{k+1} = [top, t_k], modulo bottom.
+
+        bottom must be an ideal of g inside top.  Each term is a subspace
+        of g: the echelon span of its vectors reduced modulo bottom, so it
+        is zero in bottom's pivot coordinates and meets bottom only in 0.
+        """
+        if top is None:
+            top = self.full_subspace()
+        bottom_rows = bottom.rows if bottom is not None else ()
+
+        def reduced(vectors):
+            return Subspace(self, [reduce_mod(bottom_rows, x) for x in vectors])
+
+        first = reduced(top.rows)
+        # bottom is an ideal, so bracketing the reduced rows of top spans
+        # the same term modulo bottom as bracketing top's own rows
+        return _until_stable(first, lambda term: reduced(
+            self.bracket(x, y) for x in first.rows for y in term.rows))
 
     def nilpotency_degree(self):
         """Smallest c with g_{c+1} = 0, or None when not nilpotent."""
@@ -194,17 +212,11 @@ class LieAlgebra:
     def is_nilpotent(self) -> bool:
         return self.nilpotency_degree() is not None
 
-    def derived_series(self) -> list[Subspace]:
-        terms = [self.full_subspace()]
-        while True:
-            nxt = self.bracket_spans(terms[-1], terms[-1])
-            if nxt == terms[-1]:
-                break
-            terms.append(nxt)
-        return terms
-
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].dim == 0
+        """Whether the derived series g, [g, g], ... reaches 0."""
+        derived = _until_stable(self.full_subspace(),
+                                lambda term: self.bracket_spans(term, term))
+        return derived[-1].dim == 0
 
     def nilpotent_radical(self, solvable_part: Subspace) -> Subspace:
         """[g, rad g] for a caller-supplied radical (= [g, g] when g is solvable).
@@ -222,65 +234,24 @@ class LieAlgebra:
     def exponential_radical(self, nilradical: Subspace) -> Subspace:
         """Stable term of r^(1) = [g, r], r^(k+1) = [g, r^(k)], given the
         nilpotent radical r^(1)."""
-        term = nilradical
-        while True:
-            nxt = self.bracket_spans(self.full_subspace(), term)
-            if nxt == term:
-                return term
-            term = nxt
-
-    # -- quotients ------------------------------------------------------------
-
-    def quotient(self, ideal: Subspace):
-        """Quotient algebra and projection, raising on non-ideals with a witness."""
-        witness = self.is_ideal(ideal)
-        if witness is not None:
-            i, r = witness
-            raise PreconditionError(
-                f"not an ideal: [{self.basis_names[i]}, row {r}] is outside the span")
-        return self._quotient(ideal)
-
-    def _quotient(self, ideal: Subspace):
-        """quotient() for an ideal the caller has already checked."""
-        pivots = pivot_columns(ideal.rows)
-        free = [j for j in range(self.dim) if j not in pivots]
-        names = [self.basis_names[j] for j in free]
-
-        def project(x: Vector) -> Vector:
-            red = reduce_mod(ideal.rows, x)
-            return tuple(red[j] for j in free)
-
-        def lift(q: Vector) -> Vector:
-            out = [ZERO] * self.dim
-            for pos, j in enumerate(free):
-                out[j] = q[pos]
-            return tuple(out)
-
-        table = {}
-        for a in range(len(free)):
-            for b in range(a + 1, len(free)):
-                img = project(self.bracket(unit_vector(self.dim, free[a]),
-                                           unit_vector(self.dim, free[b])))
-                comps = {k: c for k, c in enumerate(img) if c}
-                if comps:
-                    table[(a, b)] = comps
-        q = LieAlgebra(names, table)
-        ok, viol = q.jacobi_check()
-        if not ok:
-            raise VerificationError(f"quotient failed Jacobi at triples {viol[:1]}")
-        return q, QuotientMap(self, q, ideal, project, lift)
+        full = self.full_subspace()
+        return _until_stable(
+            nilradical, lambda term: self.bracket_spans(full, term))[-1]
 
     # -- adapted bases ----------------------------------------------------------
 
-    def f_basis(self):
-        """Basis adapted to the lower central series, with its depth weights.
+    def f_basis(self, top: Subspace | None = None,
+                bottom: Subspace | None = None):
+        """Basis of the subquotient top/bottom (default g/0) adapted to its
+        lower central series, with its depth weights, in g's coordinates.
 
         Returns (vectors, weights): weights w_k are nondecreasing, w_k is the
         deepest series term containing x_k, and for every j the vectors with
-        w_k >= j span g_j.  Deterministic: each extension step takes the rows
-        of the canonical echelon form of the deeper term, in order.
+        w_k >= j span the j-th term of lower_central_series(top, bottom).
+        Deterministic: each extension step takes the rows of the canonical
+        echelon form of the deeper term, in order.
         """
-        series = self.lower_central_series()  # ends with the zero space
+        series = self.lower_central_series(top, bottom)  # ends with 0
         if series[-1].dim != 0:
             raise PreconditionError("f_basis needs a nilpotent algebra")
         groups: dict[int, list[Vector]] = {}
@@ -345,15 +316,6 @@ class LieAlgebra:
                 comps[index[name]] = GaussianRational.parse(coeff)
             table[(i, j)] = comps
         return cls(names, table)
-
-
-@dataclass
-class QuotientMap:
-    parent: LieAlgebra
-    quotient: LieAlgebra
-    ideal: Subspace
-    project: object  # Vector -> Vector
-    lift: object     # Vector -> Vector (section with zero pivot coordinates)
 
 
 # ---------------------------------------------------------------------------
@@ -469,33 +431,20 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
     factors: list[ChainFactor] = []
 
     # delta blocks: nprime's own F-basis, deepest first
-    if nprime.dim:
-        nprime_alg, nmap = _subalgebra(g, nprime)
-        nvecs, _ = nprime_alg.f_basis()
-        for v in reversed(nvecs):
-            ambient = nmap(v)
-            name = _pivot_name(g, ambient)
-            factors.append(ChainFactor(
-                name=name, kind=DELTA_BLOCK,
-                weight=weight_mod.Poly(), label=f"C[[{name}]]",
-                vector=ambient))
+    for v in reversed(g.f_basis(nprime)[0]):
+        name = _pivot_name(g, v)
+        factors.append(ChainFactor(
+            name=name, kind=DELTA_BLOCK,
+            weight=weight_mod.Poly(), label=f"C[[{name}]]", vector=v))
 
-    # exp blocks: F-basis of g/nprime, lifted, deepest first; nprime was
-    # checked to be an ideal above
-    q, qmap = g._quotient(nprime)
-    if q.dim:
-        qvecs, ws = q.f_basis()
-        m = max(ws)
-        for v, w in zip(reversed(qvecs), reversed(ws)):
-            ambient = qmap.lift(v)
-            name = _pivot_name(g, ambient)
-            factors.append(ChainFactor(
-                name=name, kind=EXP_BLOCK,
-                weight=weight_mod.ExpPower(w), label=_exp_label(w),
-                vector=ambient, w=w))
-    else:
-        ws = []
-        m = 0
+    # exp blocks: F-basis of g/nprime, deepest first, its vectors zero in
+    # nprime's pivot coordinates; nprime was checked to be an ideal above
+    qvecs, ws = g.f_basis(bottom=nprime)
+    for v, w in zip(reversed(qvecs), reversed(ws)):
+        name = _pivot_name(g, v)
+        factors.append(ChainFactor(
+            name=name, kind=EXP_BLOCK,
+            weight=weight_mod.ExpPower(w), label=_exp_label(w), vector=v, w=w))
 
     taken: set[str] = set()
     for f in factors:
@@ -508,41 +457,11 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
             name="L", kind=REDUCTIVE_TAIL,
             weight=weight_mod.Const(), label="AhatL"))
 
-    chain = DecompositionChain(factors=factors, p=nprime.dim, m=m,
-                               w_exponents=list(ws),
+    chain = DecompositionChain(factors=factors, p=nprime.dim,
+                               m=max(ws, default=0), w_exponents=ws,
                                tail_dim=reductive_tail_dim)
     _verify_prefix_ideals(g, chain)
     return chain
-
-
-def _subalgebra(g: LieAlgebra, s: Subspace):
-    """View an ideal as a Lie algebra in its own right.
-
-    Returns (algebra on s's echelon basis, embedding of its coordinate
-    vectors back into g's coordinates).
-    """
-    rows = list(s.rows)
-    k = len(rows)
-    table = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            prod = g.bracket(rows[a], rows[b])
-            coords = solve_in_basis(rows, prod)
-            if coords is None:
-                raise PreconditionError("subspace is not closed under the bracket")
-            comps = {idx: c for idx, c in enumerate(coords) if c}
-            if comps:
-                table[(a, b)] = comps
-    names = [f"v{i + 1}" for i in range(k)]
-    alg = LieAlgebra(names, table)
-
-    def embed(x: Vector) -> Vector:
-        out = zero_vector(g.dim)
-        for c, row in zip(x, rows):
-            out = vec_add(out, vec_scale(c, row))
-        return out
-
-    return alg, embed
 
 
 def _verify_prefix_ideals(g: LieAlgebra, chain: DecompositionChain):

@@ -8,13 +8,9 @@ compare equal tuple-for-tuple.
 
 from __future__ import annotations
 
-from .exactnum import GaussianRational, ONE, ZERO
+from .exactnum import ONE, ZERO
 
 Vector = tuple
-
-def zero_vector(n: int) -> Vector:
-    return tuple([ZERO] * n)
-
 
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
@@ -22,11 +18,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec_add(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Vector) -> Vector:
-    c = GaussianRational.coerce(c)
-    return tuple(c * a for a in x)
 
 
 def is_zero_vector(x: Vector) -> bool:

@@ -594,14 +594,19 @@ def _majorize_from_tiers(tiers):
     largest tier; a genuine asymptotic violation shows up as an extrapolation
     failure beyond every frontier candidate.  A candidate is tested on the
     held-out tier before the training records, which are swept only for a
-    candidate that survives it.
+    candidate that survives it.  Raises WeightDomainError when no tier below
+    the held-out one has a sample.
     """
     held = tiers[-1]
     every = [rec for tier in tiers for rec in tier]
     rest = every[:len(every) - len(held)]
-    train = rest or held
-    logx = [r[2] for r in train]
-    logy = [r[1] for r in train]
+    if not rest:
+        # a fit trained on the tier it is tested on holds for nearly any pair
+        raise WeightDomainError(
+            "the fit trains on the tiers below the held-out largest one, and "
+            f"none of them has a sample ({len(tiers)} tier(s))")
+    logx = [r[2] for r in rest]
+    logy = [r[1] for r in rest]
     slope, _ = _lsq(logx, logy)
     if not math.isfinite(slope):
         # log values near the float range make the fit's sums overflow to

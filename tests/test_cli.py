@@ -428,7 +428,7 @@ def test_weight_check_refuses_radii_that_are_not_finite_and_positive(
 
 @pytest.mark.parametrize("lhs,rhs,radii", [
     ("poly", "exppow(1)", "1e300,1e301"),     # the fit's squares overflow
-    ("poly", "exppow(1)", "1e308"),           # its sums overflow to inf
+    ("poly", "exppow(1)", "1e308,1e308"),     # its sums overflow to inf
     ("expsum(2)", "maxpow(1,1)", "1,1e308"),  # a complex modulus overflows
 ])
 @pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
@@ -439,6 +439,20 @@ def test_weight_check_radii_overflowing_a_float_are_input_errors(
     assert (code, out) == (EXIT_INPUT, "")
     assert err == (f"input error: --radii {radii} overflow a float in the "
                    "sampled comparison\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lhs", "exppow(1)", "--rhs", "poly", "--radii", "1000"],
+    # --radius 1 makes one BFS cut, so one tier of group elements
+    ["--lhs", "word(zk:1)", "--rhs", "pow(word(zk:1),2)", "--radius", "1"],
+])
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_refuses_a_single_sample_tier(capsys, argv, mode):
+    # the fit once trained on the one tier it then tested, and "held"
+    code, out, err = run(capsys, ["weight-check", *argv, "--mode", mode])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: the fit trains on the tiers below "
+                          "the held-out largest one")
 
 
 @pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
@@ -485,7 +499,7 @@ def test_negative_run_sizes_are_input_errors(capsys, argv):
     assert "input error: --" in err
 
 
-# one run of every command, all of which take --truncation
+# one run of every command
 EVERY_COMMAND = [
     ["decompose", str(DATA / "heisenberg.json")],
     ["hopf-verify", "--model", "cyclic2"],
@@ -495,16 +509,41 @@ EVERY_COMMAND = [
     ["norm", "--coeffs", "1"],
     ["selfcheck"],
 ]
+TRUNCATED = {"decompose", "hopf-verify", "smash-table", "selfcheck"}
 
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_negative_truncation_is_refused_by_every_command(capsys, argv):
     # cyclic2's degrees are all 0, so a negative D once left every
-    # degree-filtered sweep empty and passed it with 0 cases
+    # degree-filtered sweep empty and passed it with 0 cases; the commands
+    # without a Hopf model do not take --truncation at all
     assert sorted(a[0] for a in EVERY_COMMAND) == sorted(cli.COMMANDS)
-    code, out, err = run(capsys, argv + ["--truncation", "-3"])
-    assert (code, out) == (EXIT_INPUT, "")
-    assert err == "input error: --truncation must be >= 0, got -3\n"
+    code, out, err = _in_process(capsys, argv + ["--truncation", "-3"])
+    if argv[0] in TRUNCATED:
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: --truncation must be >= 0, got -3\n"
+    else:
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --truncation -3\n")
+
+
+# each command takes only the flags it reads; these once parsed and were
+# ignored (word-weight printed text, smash-table printed CSV)
+@pytest.mark.parametrize("argv,flag", [
+    (EVERY_COMMAND[1], ["--format", "csv"]),
+    (EVERY_COMMAND[1], ["--seed", "5"]),
+    (EVERY_COMMAND[2], ["--format", "json"]),
+    (EVERY_COMMAND[2], ["--seed", "5"]),
+    (EVERY_COMMAND[3], ["--format", "json"]),
+    (EVERY_COMMAND[4], ["--format", "json"]),
+    (EVERY_COMMAND[4], ["--seed", "5"]),
+    (EVERY_COMMAND[5], ["--format", "json"]),
+    (EVERY_COMMAND[6], ["--format", "csv"]),
+])
+def test_commands_reject_flags_they_do_not_read(capsys, argv, flag):
+    code, out, err = _in_process(capsys, argv + flag)
+    assert (code, out) == (2, "")
+    assert "error: " in err and flag[0] in err
 
 
 def test_norm_cli(capsys):

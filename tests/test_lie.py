@@ -1,4 +1,4 @@
-"""Structure theory: series, radicals, quotients, adapted bases, chains."""
+"""Structure theory: series, radicals, subquotients, adapted bases, chains."""
 
 import json
 import random
@@ -18,7 +18,7 @@ from liesmash.lie import (
     parse_factorization,
     semidirect_chain,
 )
-from liesmash.linalg import solve_in_basis, unit_vector
+from liesmash.linalg import rref, solve_in_basis, unit_vector
 from liesmash.report import decompose_algebra
 
 
@@ -162,29 +162,22 @@ def test_nilpotent_radical_checks_only_a_proper_subspace(monkeypatch):
 
 
 def test_quotient_heisenberg_center():
+    """heisenberg modulo its centre, in g's coordinates: abelian C^2."""
     g = corpus.heisenberg()
     center = Subspace(g, [unit_vector(3, 2)])
-    q, qmap = g.quotient(center)
-    assert q.dim == 2 and not q.brackets        # abelian C^2
-    assert qmap.project(unit_vector(3, 0)) == (ONE, ZERO)
-    assert qmap.project(unit_vector(3, 2)) == (ZERO, ZERO)
-    lifted = qmap.lift((ONE, ZERO))
-    assert lifted == unit_vector(3, 0)
+    e1, e2 = unit_vector(3, 0), unit_vector(3, 1)
+    assert [t.rows for t in g.lower_central_series(bottom=center)] == \
+        [(e1, e2), ()]
+    assert g.f_basis(bottom=center) == ([e1, e2], [1, 1])
+    # and the centre on its own
+    assert g.f_basis(center) == ([unit_vector(3, 2)], [1])
 
 
 def test_quotient_degenerate():
     g = corpus.heisenberg()
-    q0, _ = g.quotient(Subspace(g, []))
-    assert q0.dim == 3 and q0.brackets == g.brackets
-    qfull, _ = g.quotient(g.full_subspace())
-    assert qfull.dim == 0
-
-
-def test_quotient_rejects_non_ideal_with_witness():
-    g = corpus.heisenberg()
-    with pytest.raises(PreconditionError) as err:
-        g.quotient(Subspace(g, [unit_vector(3, 1)]))  # span(e2) not an ideal
-    assert "not an ideal" in str(err.value)
+    assert g.f_basis(bottom=Subspace(g, [])) == g.f_basis()
+    assert g.f_basis(bottom=g.full_subspace()) == ([], [])
+    assert g.f_basis(Subspace(g, [])) == ([], [])
 
 
 def test_f_basis_heisenberg():
@@ -199,22 +192,54 @@ def test_f_basis_abelian_and_quotient():
     a = corpus.abelian(2)
     _, ws = a.f_basis()
     assert ws == [1, 1]
-    g = corpus.heisenberg()
-    q, _ = g.quotient(Subspace(g, [unit_vector(3, 2)]))
-    _, wq = q.f_basis()
-    assert wq == [1, 1]
+    g = corpus.filiform4()
+    vecs, ws = g.f_basis(bottom=Subspace(g, [unit_vector(4, 3)]))
+    assert ws == [1, 1, 2]
+    assert vecs == [unit_vector(4, 0), unit_vector(4, 1), unit_vector(4, 2)]
+
+
+def _series_by_definition(g, top, bottom):
+    """Echelon rows of top + bottom, [top, t_1] + bottom, ... up to the
+    stable term: the lower central series of top/bottom by its definition."""
+    terms = [rref(top.rows + bottom.rows)]
+    while True:
+        nxt = rref(g.bracket_spans(top, Subspace(g, terms[-1])).rows
+                   + bottom.rows)
+        if nxt == terms[-1]:
+            return terms
+        terms.append(nxt)
+
+
+def _corpus_and_base_changes():
+    """(name, algebra) for the corpus and for 20 seeded base changes of it."""
+    cases = [(name, build()) for name, build in sorted(corpus.CORPUS.items())]
+    changeable = [(name, g) for name, g in cases if g.dim >= 2]
+    for seed in range(20):
+        name, g = changeable[seed % len(changeable)]
+        cases.append((f"{name} @ {seed}",
+                      _base_change(g, unimodular_rows(seed, g.dim))))
+    return cases
 
 
 def test_f_basis_adapted_invariant():
-    from liesmash.linalg import rref
-    for name in ("heisenberg", "filiform4", "abelian4"):
-        g = corpus.CORPUS[name]()
-        vecs, ws = g.f_basis()
-        series = g.lower_central_series()
-        assert ws == sorted(ws) and ws[0] == 1
-        for j in range(1, max(ws) + 1):
-            span_j = rref([v for v, w in zip(vecs, ws) if w >= j])
-            assert span_j == series[j - 1].rows
+    """g's own F-basis when g is nilpotent, and the chain's two
+    subquotients N'/0 and g/N' for N' in {N, E}: the vectors of weight
+    >= j span the j-th series term modulo bottom, for every j."""
+    for name, g in _corpus_and_base_changes():
+        nil, exp = _radicals(g)
+        full, zero = g.full_subspace(), Subspace(g, [])
+        cases = [(full, zero)] if g.is_nilpotent() else []
+        cases += [(nprime, zero) for nprime in (nil, exp)]
+        cases += [(full, nprime) for nprime in (nil, exp)]
+        for top, bottom in cases:
+            vecs, ws = g.f_basis(top, bottom)
+            terms = _series_by_definition(g, top, bottom)
+            assert ws == sorted(ws)
+            assert len(terms) == max(ws, default=0) + 1, name
+            for j, term in enumerate(terms, 1):
+                span_j = rref([v for v, w in zip(vecs, ws) if w >= j]
+                              + list(bottom.rows))
+                assert span_j == term, (name, j)
 
 
 def test_f_basis_needs_nilpotent():
@@ -226,7 +251,8 @@ def test_f_basis_computes_the_lower_central_series_once(monkeypatch):
     calls = []
     series = LieAlgebra.lower_central_series
     monkeypatch.setattr(LieAlgebra, "lower_central_series",
-                        lambda self: calls.append(self) or series(self))
+                        lambda self, top=None, bottom=None:
+                        calls.append(self) or series(self, top, bottom))
     g = corpus.filiform4()
     g.f_basis()
     assert calls == [g]

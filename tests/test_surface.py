@@ -17,13 +17,20 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _is_read(node):
+    """Whether a Name or Attribute node loads its value: a name that is only
+    assigned, like a dataclass field, does not use a function or method of
+    the same name."""
+    return isinstance(node.ctx, ast.Load)
+
+
 def _referenced(node):
     """Every identifier read by name or as an attribute inside node."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and _is_read(sub):
             names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and _is_read(sub):
             names.add(sub.attr)
     return names
 
@@ -54,9 +61,9 @@ def _attribute_reads(tree):
     reads = []
 
     def visit(node, inside):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and _is_read(node):
             reads.append((node.id, inside))
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and _is_read(node):
             reads.append((node.attr, inside))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id in ("getattr", "hasattr", "setattr") \

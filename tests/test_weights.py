@@ -147,7 +147,7 @@ def _ref_exp(x):
 
 
 def _ref_majorize_from_tiers(tiers):
-    train = [rec for tier in tiers[:-1] for rec in tier] or tiers[-1]
+    train = [rec for tier in tiers[:-1] for rec in tier]
     every = [rec for tier in tiers for rec in tier]
     logx = [r[2] for r in train]
     logy = [r[1] for r in train]
@@ -326,8 +326,6 @@ FIT_CASES = {
     # the maximal excess is reached twice; the witness is the first
     "tie": ([[(1.0, 1.0), (2.0, 2.0)], [(9.0, 3.0), (50.0, 3.0), (50.0, 3.0)]],
             W.VIOLATED, (1, 1)),
-    # one tier: the fit trains on every record
-    "single tier": ([[(1.0, 1.0), (5.0, 2.0), (2.0, 3.0)]], W.HOLDS, None),
     # at log values near 2^57 the rounding of C * rhs^gamma leaves a
     # training record above the slack: the candidate gamma = 2 * slope
     # passes the held-out tier and fails only on the training records, and
@@ -354,6 +352,17 @@ def test_fit_cases_match_reference(name):
     assert (got.verdict, got.witness) == (verdict, witness)
 
 
+@pytest.mark.parametrize("tiers", [
+    # one tier: the fit once trained on the tier it tested, and held
+    [[(1.0, 1.0), (5.0, 2.0), (2.0, 3.0)]],
+    # tiers below the held-out one, none with a sample
+    [[], [], [(1.0, 1.0)]],
+])
+def test_fit_refuses_tiers_with_no_training_sample(tiers):
+    with pytest.raises(W.WeightDomainError, match="below the held-out"):
+        W._majorize_from_tiers(_labelled(tiers))
+
+
 def test_training_only_failures_pass_the_held_out_tier():
     """In the two training-only cases, the named candidate passes the
     held-out tier and fails on a training record."""
@@ -376,9 +385,10 @@ _tier = st.lists(st.tuples(_log_value, _log_value), max_size=6)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(st.lists(_tier, min_size=1, max_size=4).filter(
-    lambda tiers: any(tiers)))
+@given(st.lists(_tier, min_size=2, max_size=4).filter(
+    lambda tiers: any(tiers[:-1])))
 def test_held_out_first_fit_matches_reference(tiers):
+    # at least one training sample: the fit refuses tiers without one
     _assert_fit_matches_reference(_labelled(tiers))
 
 
@@ -459,7 +469,7 @@ def test_radii_equal_as_numbers_sample_their_own_points():
 def test_fit_raises_on_log_values_that_overflow_it():
     with pytest.raises(OverflowError):
         W.majorizes(W.Poly(), W.ExpPower(1),
-                    W.SamplerConfig(count=4, radii=(1e308,)))
+                    W.SamplerConfig(count=4, radii=(1e308, 1e308)))
 
 
 def test_overflowing_constant_saturates_to_inf():
