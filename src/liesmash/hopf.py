@@ -45,6 +45,7 @@ below 0 has no bucket and yields no cases.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -758,26 +759,37 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
     return report
 
 
-def commutator_table_check(s: TruncatedHopf, bracket_matrix, names) -> CheckResult:
-    """Assert [gen_i, gen_j] in the smash equals the Lie bracket expansion.
+def commutator_table_check(s: TruncatedHopf, g, vectors, names) -> CheckResult:
+    """Assert each commutator [gen_i, gen_j], i < j, of the smash is the Lie
+    bracket of the chain vectors v_i, v_j, computed in g.
 
-    Generator i is s.generators[i], not looked up by name as the smash was
-    built; names only render the witness.
+    The commutator's degree-1 part sum c_k gen_k maps to g as sum c_k v_k;
+    every other degree must be empty.  The expected bracket comes from g's
+    structure constants, not from the chain's bracket table the smash was
+    built from.  Generator i is s.generators[i], not looked up by name as
+    the smash was built; names only render the witness.
     """
-    if len(s.generators) != len(names):
-        return CheckResult(
-            "commutator-recovery", False, 0,
-            f"{len(s.generators)} generators for {len(names)} names")
+    for count, what in ((len(names), "names"), (len(vectors), "chain vectors")):
+        if count != len(s.generators):
+            return CheckResult("commutator-recovery", False, 0,
+                               f"{len(s.generators)} generators for {count} {what}")
     gens = [{key: ONE} for _, key in s.generators]
+    index = {key: k for k, (_, key) in enumerate(s.generators)}
 
     def cases():
-        for (i, j), comps in bracket_matrix.items():
+        for i, j in itertools.combinations(range(len(gens)), 2):
             u, v = gens[i], gens[j]
             comm = el_axpy(s.multiply(u, v), -ONE, s.multiply(v, u))
-            expected: Element = {}
-            for k, c in comps.items():
-                el_axpy(expected, GaussianRational.coerce(c), gens[k])
-            yield None if comm == expected else (
+            image = [ZERO] * g.dim
+            for key, c in comm.items():
+                if s.degree[key] != 1 or key not in index:
+                    image = None
+                    break
+                for t, x in enumerate(vectors[index[key]]):
+                    if x:
+                        image[t] = image[t] + c * x
+            yield None if image is not None and \
+                tuple(image) == g.bracket(vectors[i], vectors[j]) else (
                 f"[{names[i]}, {names[j]}] = {s.el_str(comm)}")
 
     return _sweep("commutator-recovery", cases())

@@ -6,11 +6,14 @@ central series of a subquotient top/bottom of g and its adapted bases, both
 in g's own coordinates, and the construction of the iterated semidirect
 chain with its per-factor weights and one-variable factor labels.
 
-The chain's brackets in chain coordinates (chain_bracket_matrix) are
-computed once per model: the smash is built from them
-(adjoint_action_matrices) and its commutators are checked against them.
-Both index the chain's generators by position; factor names are for
-display only.
+Brackets run on adjoint rows built once per algebra from the structure
+constants (de Graaf, Lie Algebras: Theory and Algorithms, 2000, ch. 1).
+The chain's brackets in chain coordinates (chain_bracket_matrix) come from
+one inverse of the chain-vector matrix per model, and the prefix-ideal
+property is read off that table.  The smash is built from it
+(adjoint_action_matrices); its commutators are checked against brackets
+computed in g, not against the table.  Both index the chain's generators
+by position; factor names are for display only.
 """
 
 from __future__ import annotations
@@ -20,16 +23,8 @@ from dataclasses import dataclass
 from . import weights as weight_mod
 from .errors import InputError, PreconditionError, VerificationError
 from .exactnum import GaussianRational, ONE, ZERO
-from .linalg import (
-    Vector,
-    in_span,
-    is_zero_vector,
-    reduce_mod,
-    rref,
-    solve_in_basis,
-    unit_vector,
-    vec_add,
-)
+from .linalg import (Vector, in_span, pivot_columns, reduce_mod, rref,
+                     unit_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +95,9 @@ class LieAlgebra:
 
     brackets maps (i, j) with i < j to a sparse coordinate map
     {k: coefficient} describing [e_i, e_j]; antisymmetry is implied and
-    omitted pairs bracket to zero.
+    omitted pairs bracket to zero.  ad holds the same table as adjoint
+    rows: ad[i][j] is the tuple of nonzero terms (k, c) of [e_i, e_j], for
+    i < j and for i > j.
     """
 
     def __init__(self, basis_names, brackets):
@@ -119,32 +116,33 @@ class LieAlgebra:
             if cleaned:
                 table[(i, j)] = cleaned
         self.brackets = table
+        self.ad = [{} for _ in range(self.dim)]
+        for (i, j), comps in table.items():
+            self.ad[i][j] = tuple(comps.items())
+            self.ad[j][i] = tuple((k, -c) for k, c in comps.items())
+        self._full = Subspace(self, [unit_vector(self.dim, i)
+                                     for i in range(self.dim)])
 
     # -- basic bracket machinery -------------------------------------------
 
-    def bracket_basis(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
     def bracket(self, x: Vector, y: Vector) -> Vector:
+        """[x, y], one product x_i y_j per nonzero pair of coordinates."""
         if len(x) != self.dim or len(y) != self.dim:
             raise InputError("bracket arguments must have length dim")
         acc = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj or i == j:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    acc[k] = acc[k] + xi * yj * c
+            for j, terms in self.ad[i].items():
+                if yj := y[j]:
+                    f = xi * yj
+                    for k, c in terms:
+                        acc[k] = acc[k] + f * c
         return tuple(acc)
 
     def full_subspace(self) -> Subspace:
-        return Subspace(self, [unit_vector(self.dim, i) for i in range(self.dim)])
+        """g itself, row-reduced once per algebra."""
+        return self._full
 
     def bracket_spans(self, a: Subspace, b: Subspace) -> Subspace:
         prods = [self.bracket(x, y) for x in a.rows for y in b.rows]
@@ -162,20 +160,22 @@ class LieAlgebra:
     # -- validation ---------------------------------------------------------
 
     def jacobi_check(self):
-        """(ok, violations); each violation is (i, j, k, defect vector)."""
+        """(ok, violations); each violation is (i, j, k, defect vector).
+
+        The defect of i < j < k is the cyclic sum of [e_a, [e_b, e_c]]: ad(e_a)
+        applied to the table's [e_b, e_c]."""
+        ad, n = self.ad, self.dim
         violations = []
-        for i in range(self.dim):
-            ei = unit_vector(self.dim, i)
-            for j in range(i + 1, self.dim):
-                ej = unit_vector(self.dim, j)
-                for k in range(j + 1, self.dim):
-                    ek = unit_vector(self.dim, k)
-                    defect = vec_add(
-                        vec_add(self.bracket(ei, self.bracket(ej, ek)),
-                                self.bracket(ej, self.bracket(ek, ei))),
-                        self.bracket(ek, self.bracket(ei, ej)))
-                    if not is_zero_vector(defect):
-                        violations.append((i, j, k, defect))
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    defect = [ZERO] * n
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in ad[b].get(c, ()):
+                            for t, y in ad[a].get(m, ()):
+                                defect[t] = defect[t] + x * y
+                    if any(defect):
+                        violations.append((i, j, k, tuple(defect)))
         return (not violations, violations)
 
     # -- series and radicals --------------------------------------------------
@@ -249,19 +249,21 @@ class LieAlgebra:
         deepest series term containing x_k, and for every j the vectors with
         w_k >= j span the j-th term of lower_central_series(top, bottom).
         Deterministic: each extension step takes the rows of the canonical
-        echelon form of the deeper term, in order.
+        echelon form of the deeper term, in order.  The rows taken so far are
+        kept in one echelon form, which a candidate is reduced against and
+        which is row-reduced again only when the candidate is taken.
         """
         series = self.lower_central_series(top, bottom)  # ends with 0
         if series[-1].dim != 0:
             raise PreconditionError("f_basis needs a nilpotent algebra")
         groups: dict[int, list[Vector]] = {}
-        span_rows: list[Vector] = []
+        taken: tuple[Vector, ...] = ()
         for depth in range(len(series) - 2, -1, -1):  # deepest proper term first
             group = []
             for row in series[depth].rows:
-                if not in_span(rref(span_rows), row):
+                if not in_span(taken, row):
                     group.append(row)
-                    span_rows.append(row)
+                    taken = rref(taken + (row,))
             groups[depth + 1] = group
         vectors_: list[Vector] = []
         ws: list[int] = []
@@ -313,7 +315,13 @@ class LieAlgebra:
             for name, coeff in value:
                 if name not in index:
                     raise InputError(f"unknown basis name {name!r} in bracket value")
-                comps[index[name]] = GaussianRational.parse(coeff)
+                try:
+                    comps[index[name]] = GaussianRational.parse(coeff)
+                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                    raise InputError(
+                        f"bracket [{entry['x']}, {entry['y']}]: bad coefficient "
+                        f"{coeff!r} of {name}; want a string such as \"-1/2\" "
+                        "or \"1/2+3*i\" with nonzero denominators") from exc
             table[(i, j)] = comps
         return cls(names, table)
 
@@ -387,13 +395,6 @@ def parse_factorization(text: str) -> list[str]:
     return parse_factorization(left) + [label.strip()]
 
 
-def _pivot_name(g: LieAlgebra, row: Vector) -> str:
-    for j, c in enumerate(row):
-        if c:
-            return g.basis_names[j]
-    raise ValueError("zero row has no pivot")
-
-
 def _exp_label(w: int) -> str:
     return "O(C)" if w == 1 else f"A_{w - 1}"
 
@@ -406,7 +407,8 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
     The first p = dim(nprime) factors are delta-blocks (weight 1+|z|,
     power-series factor labels); the rest are exp-blocks carrying the depth
     exponents of g/nprime, deepest first, so that every prefix of the chain
-    basis is an ideal in the next prefix (verified below).  The containment
+    basis is an ideal in the next prefix (verified by chain_bracket_matrix,
+    which reads it off the chain's bracket table).  The containment
     exponential radical <= nprime <= nilpotent radical is checked against
     radicals = (nilpotent, exponential).
 
@@ -432,7 +434,7 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
 
     # delta blocks: nprime's own F-basis, deepest first
     for v in reversed(g.f_basis(nprime)[0]):
-        name = _pivot_name(g, v)
+        name = g.basis_names[pivot_columns([v])[0]]
         factors.append(ChainFactor(
             name=name, kind=DELTA_BLOCK,
             weight=weight_mod.Poly(), label=f"C[[{name}]]", vector=v))
@@ -441,7 +443,7 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
     # nprime's pivot coordinates; nprime was checked to be an ideal above
     qvecs, ws = g.f_basis(bottom=nprime)
     for v, w in zip(reversed(qvecs), reversed(ws)):
-        name = _pivot_name(g, v)
+        name = g.basis_names[pivot_columns([v])[0]]
         factors.append(ChainFactor(
             name=name, kind=EXP_BLOCK,
             weight=weight_mod.ExpPower(w), label=_exp_label(w), vector=v, w=w))
@@ -457,41 +459,40 @@ def semidirect_chain(g: LieAlgebra, nprime: Subspace,
             name="L", kind=REDUCTIVE_TAIL,
             weight=weight_mod.Const(), label="AhatL"))
 
-    chain = DecompositionChain(factors=factors, p=nprime.dim,
-                               m=max(ws, default=0), w_exponents=ws,
-                               tail_dim=reductive_tail_dim)
-    _verify_prefix_ideals(g, chain)
-    return chain
-
-
-def _verify_prefix_ideals(g: LieAlgebra, chain: DecompositionChain):
-    vecs = chain.basis_vectors()
-    for i in range(1, len(vecs)):
-        prefix = rref(vecs[:i])
-        for j in range(i):
-            prod = g.bracket(vecs[i], vecs[j])
-            if not in_span(prefix, prod):
-                raise VerificationError(
-                    f"chain prefix of length {i} is not an ideal under "
-                    f"{chain.factors[i].name}")
+    return DecompositionChain(factors=factors, p=nprime.dim,
+                              m=max(ws, default=0), w_exponents=ws,
+                              tail_dim=reductive_tail_dim)
 
 
 def chain_bracket_matrix(g: LieAlgebra, chain: DecompositionChain):
     """Brackets of the chain basis, expressed in chain coordinates.
 
-    Returns {(i, j): {k: coeff}} for i < j with [v_i, v_j] = sum_k c_k v_k;
-    prefix-ideal structure guarantees k < max(i, j).
+    Returns {(i, j): {k: coeff}} for i < j with [v_i, v_j] = sum_k c_k v_k.
+    The chain vectors V are inverted once, by one rref of [V | I], and each
+    bracket's coordinates are read as [v_i, v_j] V^-1.  Every prefix of the
+    chain is an ideal in the next exactly when k < max(i, j) throughout;
+    a VerificationError names the first prefix that is not.
     """
     vecs = chain.basis_vectors()
+    n = len(vecs)
+    red = rref([v + unit_vector(n, i) for i, v in enumerate(vecs)])
+    if g.dim != n or pivot_columns(red) != list(range(n)):
+        raise VerificationError("chain basis does not span its brackets")
+    inverse = [tuple((k, c) for k, c in enumerate(row[n:]) if c) for row in red]
     out = {}
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            prod = g.bracket(vecs[i], vecs[j])
-            coords = solve_in_basis(vecs, prod)
-            if coords is None:
-                raise VerificationError("chain basis does not span its brackets")
-            comps = {k: c for k, c in enumerate(coords) if c}
-            out[(i, j)] = comps
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = [ZERO] * n
+            for m, p in enumerate(g.bracket(vecs[i], vecs[j])):
+                if p:
+                    for k, c in inverse[m]:
+                        coords[k] = coords[k] + p * c
+            out[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+    for j in range(1, n):
+        if any(k >= j for i in range(j) for k in out[(i, j)]):
+            raise VerificationError(
+                f"chain prefix of length {j} is not an ideal under "
+                f"{chain.factors[j].name}")
     return out
 
 

@@ -16,22 +16,20 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def is_zero_vector(x: Vector) -> bool:
     return all(not a for a in x)
 
 
 def rref(rows) -> tuple[Vector, ...]:
-    """Canonical reduced row echelon form; zero rows dropped."""
+    """Canonical reduced row echelon form; zero rows dropped.
+
+    Zero entries are neither scaled nor subtracted from, which skips most of
+    the work on sparse rows."""
     mat = [list(r) for r in rows]
     if not mat:
         return ()
     ncols = len(mat[0])
     pivot_row = 0
-    pivots = []
     for col in range(ncols):
         pr = None
         for r in range(pivot_row, len(mat)):
@@ -42,12 +40,10 @@ def rref(rows) -> tuple[Vector, ...]:
             continue
         mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
         inv = ONE / mat[pivot_row][col]
-        mat[pivot_row] = [inv * v for v in mat[pivot_row]]
+        prow = mat[pivot_row] = [inv * v if v else v for v in mat[pivot_row]]
         for r in range(len(mat)):
-            if r != pivot_row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivots.append(col)
+            if r != pivot_row and (f := mat[r][col]):
+                mat[r] = [a - f * b if b else a for a, b in zip(mat[r], prow)]
         pivot_row += 1
         if pivot_row == len(mat):
             break
@@ -65,12 +61,12 @@ def pivot_columns(echelon_rows) -> list[int]:
 
 
 def reduce_mod(echelon_rows, x: Vector) -> Vector:
-    """Residual of x after eliminating the pivot coordinates of the rows."""
+    """Residual of x after eliminating the pivot coordinates of the rows;
+    zero entries of a row are skipped, as in rref."""
     res = list(x)
     for row, p in zip(echelon_rows, pivot_columns(echelon_rows)):
-        if res[p]:
-            f = res[p]
-            res = [a - f * b for a, b in zip(res, row)]
+        if f := res[p]:
+            res = [a - f * b if b else a for a, b in zip(res, row)]
     return tuple(res)
 
 

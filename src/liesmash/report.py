@@ -4,7 +4,8 @@ The chain pipeline is built in one place, build_chain_model, and checked in
 one place, check_chain_model; decompose runs both, and the command-line
 chain models (heis3, solv2) are built by the first.  Each intermediate is
 computed once and passed down: the radicals to the chain, the chain's
-bracket table to iterated_smash and to the commutator check.
+bracket table to iterated_smash.  The commutator check takes the algebra
+and the chain vectors instead, so it does not share the table it checks.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class ChainModel:
     """Radicals, N', semidirect chain and iterated smash of an algebra.
 
     brackets is the chain's bracket table (lie.chain_bracket_matrix), from
-    which the smash is built and against which it is checked; smash is None
-    when the chain has no generator.
+    which the smash is built; the smash is checked against brackets computed
+    in the algebra.  smash is None when the chain has no generator.
     """
     algebra: LieAlgebra
     nprime_selector: str
@@ -200,7 +201,8 @@ def build_chain_model(g: LieAlgebra, nprime_selector: str = "N",
 def check_chain_model(model: ChainModel) -> tuple:
     """Hopf axioms of the smash, and the chain brackets recovered from it."""
     return (verify_hopf_axioms(model.smash),
-            commutator_table_check(model.smash, model.brackets,
+            commutator_table_check(model.smash, model.algebra,
+                                   model.chain.basis_vectors(),
                                    model.chain.generator_names()))
 
 

@@ -116,7 +116,8 @@ def test_criterion_3_hopf_smash_suite():
     rep3 = verify_hopf_axioms(heis_model)
     assert rep3.passed, rep3.lines()
     chain_names = [f.name for f in built.chain.factors]
-    comm = commutator_table_check(heis_model, built.brackets, chain_names)
+    comm = commutator_table_check(heis_model, built.algebra,
+                                  built.chain.basis_vectors(), chain_names)
     assert comm.passed, comm.witness
 
     # trivial action degenerates to the tensor product

@@ -113,6 +113,21 @@ def test_decompose_missing_file_exit_1(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("coeff", ["1/0", 2])
+def test_decompose_refuses_a_bad_coefficient(capsys, tmp_path, coeff):
+    """A zero denominator, and a JSON number where the coefficient string
+    belongs, are input errors that name the bracket and the value."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "dim": 3, "basis": ["e1", "e2", "e3"],
+        "brackets": [{"x": "e1", "y": "e2", "value": [["e3", coeff]]}]}))
+    code, out, err = run(capsys, ["decompose", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: bracket [e1, e2]: bad coefficient "
+                          f"{coeff!r} of e3;")
+    assert "Traceback" not in err
+
+
 def test_decompose_bad_json_exit_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -352,7 +352,8 @@ def test_iterated_smash_heisenberg_commutators():
     e3, e2, e1 = _gens(model)
     comm = el_axpy(model.multiply(e1, e2), -ONE, model.multiply(e2, e1))
     assert comm == e3
-    check = commutator_table_check(model, built.brackets, names)
+    check = commutator_table_check(model, built.algebra,
+                                   built.chain.basis_vectors(), names)
     assert check.passed
 
 
@@ -372,9 +373,43 @@ def test_decompose_builds_the_bracket_table_once(monkeypatch):
     assert calls == [result.chain]
 
 
+@pytest.mark.parametrize("stem, lowest", [("heisenberg", 0), ("filiform4", 1)])
+def test_commutator_check_catches_a_wrong_bracket_table(monkeypatch, capsys,
+                                                        stem, lowest):
+    """The smash is built from a bracket table with every coefficient at
+    chain index k >= lowest doubled.  The doubled images are still
+    derivations, so the Hopf axioms pass; the commutator check compares with
+    brackets computed in g and fails, and decompose exits 3.  heisenberg's
+    one coefficient sits at k = 0, so there every coefficient is doubled."""
+    from liesmash import cli, lie, report
+    table = lie.chain_bracket_matrix
+
+    def doubled(g, chain):
+        return {pair: {k: c * 2 if k >= lowest else c for k, c in comps.items()}
+                for pair, comps in table(g, chain).items()}
+    monkeypatch.setattr(lie, "chain_bracket_matrix", doubled)
+    monkeypatch.setattr(report, "chain_bracket_matrix", doubled)
+    assert cli.main(["decompose", str(DATA / f"{stem}.json"),
+                     "--truncation", "2"]) == 3
+    out = capsys.readouterr().out
+    assert "verify hopf-axioms: pass" in out
+    assert "verify commutator-recovery: FAIL" in out
+    assert "  witness: [e2, e1] = (-2)*e3\n" in out
+
+
+def test_commutator_check_needs_one_vector_per_generator():
+    built = build_chain_model(corpus.heisenberg(), truncation=2)
+    check = commutator_table_check(built.smash, built.algebra,
+                                   built.chain.basis_vectors()[:1],
+                                   built.chain.generator_names())
+    assert not check.passed and check.checked == 0
+    assert check.witness == "3 generators for 1 chain vectors"
+
+
 def test_commutator_check_needs_one_name_per_generator():
     built = build_chain_model(corpus.heisenberg(), truncation=2)
-    check = commutator_table_check(built.smash, built.brackets, ["e3", "e2"])
+    check = commutator_table_check(built.smash, built.algebra,
+                                   built.chain.basis_vectors(), ["e3", "e2"])
     assert not check.passed and check.checked == 0
     assert check.witness == "3 generators for 2 names"
 
@@ -428,7 +463,7 @@ def test_random_solvable_chain_smash_axioms(a, b, c, kill_a):
     report = verify_hopf_axioms(model)
     assert report.passed, report.lines()
     names = [f.name for f in built.chain.factors]
-    comm = commutator_table_check(model, built.brackets, names)
+    comm = commutator_table_check(model, g, built.chain.basis_vectors(), names)
     assert comm.passed, comm.witness
 
 

@@ -1,12 +1,15 @@
 """Structure theory: series, radicals, subquotients, adapted bases, chains."""
 
+import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesmash import corpus
+from liesmash.errors import VerificationError
 from liesmash.exactnum import GaussianRational as GQ, ONE, ZERO
 from liesmash.lie import (
     InputError,
@@ -18,7 +21,7 @@ from liesmash.lie import (
     parse_factorization,
     semidirect_chain,
 )
-from liesmash.linalg import rref, solve_in_basis, unit_vector
+from liesmash.linalg import in_span, rref, solve_in_basis, unit_vector
 from liesmash.report import decompose_algebra
 
 
@@ -471,3 +474,224 @@ def test_parse_factorization_roundtrip():
         assert parse_factorization(text) == labels
     with pytest.raises(InputError):
         parse_factorization("((A_1 # O(C))")
+
+
+# -- the adjoint rows and the one inverse against in-test copies of the ------
+# -- code they replaced --------------------------------------------------------
+
+def _dense_bracket(g, x, y):
+    """The bracket before the adjoint rows: every coordinate pair (i, j),
+    with [e_i, e_j] copied or negated from the table."""
+    acc = [ZERO] * g.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if not xi or not yj or i == j:
+                continue
+            comps = (g.brackets.get((i, j), {}) if i < j else
+                     {k: -c for k, c in g.brackets.get((j, i), {}).items()})
+            for k, c in comps.items():
+                acc[k] = acc[k] + xi * yj * c
+    return tuple(acc)
+
+
+def _dense_jacobi(g):
+    """Violations (i, j, k, defect) of the cyclic sum of unit-vector brackets."""
+    e = [unit_vector(g.dim, i) for i in range(g.dim)]
+    violations = []
+    for i, j, k in itertools.combinations(range(g.dim), 3):
+        terms = [_dense_bracket(g, e[a], _dense_bracket(g, e[b], e[c]))
+                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        defect = tuple(sum(col, ZERO) for col in zip(*terms))
+        if any(defect):
+            violations.append((i, j, k, defect))
+    return violations
+
+
+def _scalar(rng):
+    """A Gaussian rational with non-unit real part and, often, an imaginary one."""
+    return GQ(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+              Fraction(rng.choice((0, 0, 1, -2)), rng.randint(1, 2)))
+
+
+def _random_table(rng):
+    """Structure constants of dimension 1..6 with Jacobi not enforced, so
+    most tables break it."""
+    n = rng.randint(1, 6)
+    table = {}
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.6:
+            table[(i, j)] = {k: _scalar(rng)
+                             for k in rng.sample(range(n), min(n, 2))}
+    return LieAlgebra([f"e{i + 1}" for i in range(n)], table)
+
+
+def _sparse_vector(rng, n):
+    return tuple(ZERO if rng.random() < 0.4 else _scalar(rng) for _ in range(n))
+
+
+def _assert_bracket_and_jacobi_match_the_dense_code(g, rng):
+    vectors = [_sparse_vector(rng, g.dim) for _ in range(4)]
+    vectors += [unit_vector(g.dim, i) for i in range(g.dim)]
+    for x in vectors:
+        for y in vectors:
+            assert g.bracket(x, y) == _dense_bracket(g, x, y)
+    ok, violations = g.jacobi_check()
+    assert violations == _dense_jacobi(g)
+    assert ok == (not violations)
+    return ok
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_adjoint_rows_match_the_dense_code_on_random_tables(seed):
+    rng = random.Random(seed)
+    _assert_bracket_and_jacobi_match_the_dense_code(_random_table(rng), rng)
+
+
+def test_adjoint_rows_match_the_dense_code_on_lie_algebras():
+    rng = random.Random(0)
+    for name, g in _corpus_and_base_changes():
+        assert _assert_bracket_and_jacobi_match_the_dense_code(g, rng), name
+
+
+def _mixed_rows(seed, n):
+    """Seeded invertible rows with Gaussian and non-unit entries."""
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(_scalar(rng) for _ in range(n)) for _ in range(n)]
+        if len(rref(rows)) == n:
+            return rows
+
+
+def _solved_bracket_matrix(g, chain):
+    """chain_bracket_matrix before the one inverse: one solve per pair."""
+    vecs = chain.basis_vectors()
+    return {(i, j): {k: c for k, c in enumerate(
+                solve_in_basis(vecs, g.bracket(vecs[i], vecs[j]))) if c}
+            for i, j in itertools.combinations(range(len(vecs)), 2)}
+
+
+def _prefix_check_by_spans(g, chain):
+    """The prefix-ideal check before the one inverse: one rref per prefix;
+    its error text, or None."""
+    vecs = chain.basis_vectors()
+    for i in range(1, len(vecs)):
+        prefix = rref(vecs[:i])
+        for j in range(i):
+            if not in_span(prefix, g.bracket(vecs[i], vecs[j])):
+                return (f"chain prefix of length {i} is not an ideal under "
+                        f"{chain.factors[i].name}")
+    return None
+
+
+def _chains_of_corpus_and_mixed_bases():
+    cases = _corpus_and_base_changes()
+    changeable = [(name, g) for name, g in cases[:len(corpus.CORPUS)] if g.dim >= 2]
+    for seed in range(12):
+        name, g = changeable[seed % len(changeable)]
+        cases.append((f"{name} mixed @ {seed}",
+                      _base_change(g, _mixed_rows(seed, g.dim))))
+    for name, g in cases:
+        nil, exp = _radicals(g)
+        for nprime in (nil, exp):
+            yield name, g, semidirect_chain(g, nprime, (nil, exp))
+
+
+def test_chain_bracket_matrix_matches_one_solve_per_pair():
+    for name, g, chain in _chains_of_corpus_and_mixed_bases():
+        table = chain_bracket_matrix(g, chain)
+        assert list(table.items()) == \
+            list(_solved_bracket_matrix(g, chain).items()), name
+
+
+def test_prefix_check_refuses_a_corrupted_chain_vector():
+    g = corpus.heisenberg()
+    chain = _n_chain(g)  # e3, e2, e1
+    # v_0 = e1 + e3: [v_0, v_1] = e3 = v_0 - v_2 leaves the prefix span{v_0}
+    chain.factors[0].vector = (ONE, ZERO, ONE)
+    with pytest.raises(VerificationError, match=r"^chain prefix of length 1 "
+                                                r"is not an ideal under e2$"):
+        chain_bracket_matrix(g, chain)
+    chain.factors[0].vector = chain.factors[2].vector
+    with pytest.raises(VerificationError,
+                       match="^chain basis does not span its brackets$"):
+        chain_bracket_matrix(g, chain)
+
+
+def test_prefix_check_matches_one_rref_per_prefix_on_corrupted_chains():
+    """Add a unit vector to one chain vector, for every choice that keeps
+    the chain a basis: the table's support rule refuses exactly the chains
+    that the span test refuses, with the same text."""
+    refused = 0
+    for name in ("heisenberg", "solv2", "filiform4", "uppertri3"):
+        g = corpus.CORPUS[name]()
+        for a in range(g.dim):
+            for b in range(g.dim):
+                chain = _n_chain(g)
+                factor = chain.factors[a]
+                factor.vector = tuple(
+                    c + ONE if t == b else c for t, c in enumerate(factor.vector))
+                if len(rref(chain.basis_vectors())) < g.dim:
+                    continue
+                expected = _prefix_check_by_spans(g, chain)
+                try:
+                    chain_bracket_matrix(g, chain)
+                    got = None
+                except VerificationError as exc:
+                    got = str(exc)
+                assert got == expected, (name, a, b)
+                refused += got is not None
+    assert refused >= 10
+
+
+def _counting_rref(monkeypatch, counted=lambda rows: True):
+    """Count lie's rref calls whose rows satisfy counted."""
+    from liesmash import lie
+    calls = []
+
+    def rref_counted(rows):
+        rows = [tuple(r) for r in rows]
+        calls.append(counted(rows))
+        return rref(rows)
+    monkeypatch.setattr(lie, "rref", rref_counted)
+    return calls
+
+
+def test_chain_coordinates_take_one_rref_per_chain(monkeypatch):
+    chains = list(_chains_of_corpus_and_mixed_bases())
+    calls = _counting_rref(monkeypatch)
+    for name, g, chain in chains:
+        calls.clear()
+        chain_bracket_matrix(g, chain)
+        assert len(calls) == 1, name
+
+
+def test_f_basis_row_reduces_only_the_rows_it_takes(monkeypatch):
+    cases = []
+    for name in ("heisenberg", "filiform4", "abelian3", "uppertri3"):
+        g = corpus.CORPUS[name]()
+        nil = _radicals(g)[0]
+        cases += [(g, nil, None), (g, None, nil)]
+        if g.is_nilpotent():
+            cases.append((g, None, None))
+    refused = 0
+    for g, top, bottom in cases:
+        series = g.lower_central_series(top, bottom)
+        with monkeypatch.context() as patch:
+            patch.setattr(LieAlgebra, "lower_central_series",
+                          lambda self, top=None, bottom=None: series)
+            calls = _counting_rref(patch)
+            vecs, _ = g.f_basis(top, bottom)
+        assert len(calls) == len(vecs)
+        refused += sum(t.dim for t in series) - len(vecs)
+    assert refused >= 5  # candidate rows that were reduced and not taken
+
+
+def test_full_subspace_is_row_reduced_once_per_algebra(monkeypatch):
+    g0 = corpus.upper_triangular3()
+    identity = [unit_vector(g0.dim, i) for i in range(g0.dim)]
+    calls = _counting_rref(monkeypatch, lambda rows: rows == identity)
+    g = corpus.upper_triangular3()
+    assert g.full_subspace() is g.full_subspace()
+    decompose_algebra(g, truncation=1)
+    assert sum(calls) == 1

@@ -1,6 +1,9 @@
 """Canonical echelon forms over the Gaussian rationals."""
 
-from hypothesis import given, strategies as st
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
 
 from liesmash.exactnum import GaussianRational, ONE, ZERO
 from liesmash.linalg import (
@@ -63,3 +66,57 @@ def test_solve_in_basis():
 
 def test_unit_vectors():
     assert unit_vector(3, 1) == (ZERO, ONE, ZERO)
+
+
+def _dense_rref(rows):
+    """rref as it was before zero entries were skipped: every entry of a row
+    is scaled and every entry of a reduced row subtracted."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return ()
+    pivot_row = 0
+    for col in range(len(mat[0])):
+        pr = next((r for r in range(pivot_row, len(mat)) if mat[r][col]), None)
+        if pr is None:
+            continue
+        mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
+        inv = ONE / mat[pivot_row][col]
+        mat[pivot_row] = [inv * v for v in mat[pivot_row]]
+        for r in range(len(mat)):
+            if r != pivot_row and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:pivot_row])
+
+
+def _dense_reduce_mod(echelon_rows, x):
+    res = list(x)
+    for row, p in zip(echelon_rows, pivot_columns(echelon_rows)):
+        if res[p]:
+            f = res[p]
+            res = [a - f * b for a, b in zip(res, row)]
+    return tuple(res)
+
+
+def _sparse_rows(seed, count, ncols=5):
+    """Seeded rows, most entries zero, the rest Gaussian with non-unit parts."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.5:
+            return ZERO
+        return GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                                Fraction(rng.choice((0, 0, 1, -3)), rng.randint(1, 3)))
+    return [tuple(entry() for _ in range(ncols)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_zero_skipping_matches_the_dense_elimination(seed, count):
+    *rows, x = _sparse_rows(seed, count + 1)
+    red = rref(rows)
+    assert red == _dense_rref(rows)
+    assert reduce_mod(red, x) == _dense_reduce_mod(red, x)
