@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, mul
@@ -464,13 +463,14 @@ def word_table(group: CayleyGroup, radius: int) -> WordWeightTable:
 # distortion
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DistortionFit:
-    classification: str          # "power" or "exponential"
-    alpha: float | None
-    points: int
-    ssr_power: float
-    ssr_log: float
+    def __init__(self, classification: str, alpha: float | None, points: int,
+                 ssr_power: float, ssr_log: float):
+        self.classification = classification   # "power" or "exponential"
+        self.alpha = alpha
+        self.points = points
+        self.ssr_power = ssr_power
+        self.ssr_log = ssr_log
 
 
 def growth_table(group: CayleyGroup, h, radius: int, max_power: int = 4096):
@@ -517,13 +517,14 @@ def distortion_fit(group: CayleyGroup, h, radius: int,
 # group-algebra smash at the delta-functional level
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SmashCheckResult:
-    passed: bool
-    checked: int
-    witness: object = None
-    reason: str = ""
-    skipped: int = 0             # probes outside the weight's domain
+    def __init__(self, passed: bool, checked: int, witness: object = None,
+                 reason: str = "", skipped: int = 0):
+        self.passed = passed
+        self.checked = checked
+        self.witness = witness
+        self.reason = reason
+        self.skipped = skipped      # probes outside the weight's domain
 
 
 def delta_smash_check(g1: CayleyGroup, g2: CayleyGroup, alpha,

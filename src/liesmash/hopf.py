@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-
 from .exactnum import GaussianRational, ONE, ZERO
 from .errors import PreconditionError
 
@@ -564,12 +562,13 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    checked: int
-    witness: str | None = None
+    def __init__(self, name: str, passed: bool, checked: int,
+                 witness: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.checked = checked
+        self.witness = witness
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -579,10 +578,10 @@ class CheckResult:
         return msg
 
 
-@dataclass
 class HopfReport:
-    model: str
-    results: list = field(default_factory=list)
+    def __init__(self, model: str, results: list | None = None):
+        self.model = model
+        self.results = [] if results is None else results
 
     @property
     def passed(self) -> bool:

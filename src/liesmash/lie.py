@@ -18,8 +18,6 @@ by position; factor names are for display only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import weights as weight_mod
 from .errors import InputError, PreconditionError, VerificationError
 from .exactnum import GaussianRational, ONE, ZERO
@@ -32,18 +30,20 @@ from .linalg import (Vector, in_span, pivot_columns, reduce_mod, rref,
 # ---------------------------------------------------------------------------
 
 class Subspace:
-    """A subspace of the coordinate space of a LieAlgebra, in canonical RREF."""
+    """A subspace of the coordinate space of a LieAlgebra, in canonical RREF,
+    with the rows' pivot columns, which every reduction modulo it reads."""
 
     def __init__(self, parent: "LieAlgebra", rows):
         self.parent = parent
         self.rows = rref(rows)
+        self.pivots = pivot_columns(self.rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def contains(self, x: Vector) -> bool:
-        return in_span(self.rows, x)
+        return in_span(self.rows, self.pivots, x)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -122,6 +122,7 @@ class LieAlgebra:
             self.ad[j][i] = tuple((k, -c) for k, c in comps.items())
         self._full = Subspace(self, [unit_vector(self.dim, i)
                                      for i in range(self.dim)])
+        self._derived = None
 
     # -- basic bracket machinery -------------------------------------------
 
@@ -143,6 +144,13 @@ class LieAlgebra:
     def full_subspace(self) -> Subspace:
         """g itself, row-reduced once per algebra."""
         return self._full
+
+    def derived_algebra(self) -> Subspace:
+        """[g, g], computed once per algebra: the nilpotent radical of a
+        solvable g and the first step of the derived series are both it."""
+        if self._derived is None:
+            self._derived = self.bracket_spans(self._full, self._full)
+        return self._derived
 
     def bracket_spans(self, a: Subspace, b: Subspace) -> Subspace:
         prods = [self.bracket(x, y) for x in a.rows for y in b.rows]
@@ -191,10 +199,11 @@ class LieAlgebra:
         """
         if top is None:
             top = self.full_subspace()
-        bottom_rows = bottom.rows if bottom is not None else ()
+        rows, pivots = ((bottom.rows, bottom.pivots) if bottom is not None
+                        else ((), ()))
 
         def reduced(vectors):
-            return Subspace(self, [reduce_mod(bottom_rows, x) for x in vectors])
+            return Subspace(self, [reduce_mod(rows, pivots, x) for x in vectors])
 
         first = reduced(top.rows)
         # bottom is an ideal, so bracketing the reduced rows of top spans
@@ -213,8 +222,9 @@ class LieAlgebra:
         return self.nilpotency_degree() is not None
 
     def is_solvable(self) -> bool:
-        """Whether the derived series g, [g, g], ... reaches 0."""
-        derived = _until_stable(self.full_subspace(),
+        """Whether the derived series g, [g, g], ... reaches 0 (it does
+        exactly when the one from [g, g] on does)."""
+        derived = _until_stable(self.derived_algebra(),
                                 lambda term: self.bracket_spans(term, term))
         return derived[-1].dim == 0
 
@@ -222,9 +232,10 @@ class LieAlgebra:
         """[g, rad g] for a caller-supplied radical (= [g, g] when g is solvable).
 
         A proper subspace is checked to be an ideal first; the whole algebra
-        always is one."""
-        witness = (self.is_ideal(solvable_part)
-                   if solvable_part.dim < self.dim else None)
+        always is one, and gives the kept derived algebra."""
+        if solvable_part.dim == self.dim:
+            return self.derived_algebra()
+        witness = self.is_ideal(solvable_part)
         if witness is not None:
             raise PreconditionError(
                 f"solvable part is not an ideal: bracket of basis vector "
@@ -258,12 +269,14 @@ class LieAlgebra:
             raise PreconditionError("f_basis needs a nilpotent algebra")
         groups: dict[int, list[Vector]] = {}
         taken: tuple[Vector, ...] = ()
+        pivots: list[int] = []
         for depth in range(len(series) - 2, -1, -1):  # deepest proper term first
             group = []
             for row in series[depth].rows:
-                if not in_span(taken, row):
+                if not in_span(taken, pivots, row):
                     group.append(row)
                     taken = rref(taken + (row,))
+                    pivots = pivot_columns(taken)
             groups[depth + 1] = group
         vectors_: list[Vector] = []
         ws: list[int] = []
@@ -335,23 +348,25 @@ EXP_BLOCK = "exp-block"
 REDUCTIVE_TAIL = "reductive-tail"
 
 
-@dataclass
 class ChainFactor:
-    name: str
-    kind: str
-    weight: object
-    label: str
-    vector: tuple = ()
-    w: int | None = None
+    def __init__(self, name: str, kind: str, weight: object, label: str,
+                 vector: tuple = (), w: int | None = None):
+        self.name = name
+        self.kind = kind
+        self.weight = weight
+        self.label = label
+        self.vector = vector
+        self.w = w
 
 
-@dataclass
 class DecompositionChain:
-    factors: list[ChainFactor]
-    p: int
-    m: int
-    w_exponents: list[int]
-    tail_dim: int = 0
+    def __init__(self, factors: list[ChainFactor], p: int, m: int,
+                 w_exponents: list[int], tail_dim: int = 0):
+        self.factors = factors
+        self.p = p
+        self.m = m
+        self.w_exponents = w_exponents
+        self.tail_dim = tail_dim
 
     def labels(self) -> list[str]:
         return [f.label for f in self.factors]

@@ -60,18 +60,19 @@ def pivot_columns(echelon_rows) -> list[int]:
     return cols
 
 
-def reduce_mod(echelon_rows, x: Vector) -> Vector:
-    """Residual of x after eliminating the pivot coordinates of the rows;
-    zero entries of a row are skipped, as in rref."""
+def reduce_mod(echelon_rows, pivots, x: Vector) -> Vector:
+    """Residual of x after eliminating the pivot coordinates of the rows,
+    given with their pivot_columns; zero entries of a row are skipped, as
+    in rref."""
     res = list(x)
-    for row, p in zip(echelon_rows, pivot_columns(echelon_rows)):
+    for row, p in zip(echelon_rows, pivots):
         if f := res[p]:
             res = [a - f * b if b else a for a, b in zip(res, row)]
     return tuple(res)
 
 
-def in_span(echelon_rows, x: Vector) -> bool:
-    return is_zero_vector(reduce_mod(echelon_rows, x))
+def in_span(echelon_rows, pivots, x: Vector) -> bool:
+    return is_zero_vector(reduce_mod(echelon_rows, pivots, x))
 
 
 def solve_in_basis(basis_rows, x: Vector):

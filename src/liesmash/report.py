@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 from . import weights as weight_mod
 from .hopf import (
@@ -36,34 +35,47 @@ from .linalg import unit_vector
 SCHEMA_HEADER = "liesmash-report 1"
 
 
-@dataclass
 class ChainModel:
     """Radicals, N', semidirect chain and iterated smash of an algebra.
 
     brackets is the chain's bracket table (lie.chain_bracket_matrix), from
     which the smash is built; the smash is checked against brackets computed
-    in the algebra.  smash is None when the chain has no generator.
+    in the algebra.  smash is None when the chain has no generator.  The
+    attributes are exactly the constructor's arguments, so
+    DecompositionReport(**vars(model), ...) extends a model.
     """
-    algebra: LieAlgebra
-    nprime_selector: str
-    nilradical: Subspace
-    expradical: Subspace
-    nprime: Subspace
-    chain: DecompositionChain
-    brackets: dict
-    truncation: int
-    smash: object | None
+
+    def __init__(self, algebra: LieAlgebra, nprime_selector: str,
+                 nilradical: Subspace, expradical: Subspace, nprime: Subspace,
+                 chain: DecompositionChain, brackets: dict, truncation: int,
+                 smash: object | None):
+        self.algebra = algebra
+        self.nprime_selector = nprime_selector
+        self.nilradical = nilradical
+        self.expradical = expradical
+        self.nprime = nprime
+        self.chain = chain
+        self.brackets = brackets
+        self.truncation = truncation
+        self.smash = smash
 
 
-@dataclass
 class DecompositionReport(ChainModel):
     """A built chain model with its input, its checks and its renderings."""
 
-    input_name: str
-    digest: str
-    hopf_report: object | None
-    commutator_check: object | None
-    weight_verdict: object | None
+    def __init__(self, algebra: LieAlgebra, nprime_selector: str,
+                 nilradical: Subspace, expradical: Subspace, nprime: Subspace,
+                 chain: DecompositionChain, brackets: dict, truncation: int,
+                 smash: object | None, input_name: str, digest: str,
+                 hopf_report: object | None, commutator_check: object | None,
+                 weight_verdict: object | None):
+        super().__init__(algebra, nprime_selector, nilradical, expradical,
+                         nprime, chain, brackets, truncation, smash)
+        self.input_name = input_name
+        self.digest = digest
+        self.hopf_report = hopf_report
+        self.commutator_check = commutator_check
+        self.weight_verdict = weight_verdict
 
     @property
     def passed(self) -> bool:

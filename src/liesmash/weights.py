@@ -39,7 +39,6 @@ import cmath
 import math
 import random
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul
@@ -60,6 +59,36 @@ def guarded_exp(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
+
+class _Value:
+    """An immutable value: equality, hashing and repr read the fields named
+    by the class's _fields, in order, and assignment raises.  Two values
+    are equal only when their classes are, so Poly(1) != Const(1).
+    Constructors set their fields with object.__setattr__."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return type(self).__qualname__ + "(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 class _Column:
     """One coordinate column of a batch of points: its values and their
@@ -129,11 +158,13 @@ def _rows(cols, n: int):
     return zip(*cols) if cols else [()] * n
 
 
-@dataclass(frozen=True)
-class Poly(Weight):
+class Poly(_Value, Weight):
     """z -> 1 + sum_i |z_i| (the l1 choice of norm on a delta block)."""
 
-    dim: int = 1
+    _fields = ("dim",)
+
+    def __init__(self, dim: int = 1):
+        object.__setattr__(self, "dim", dim)
 
     def log_table(self, cols, n):
         return list(map(math.log1p, map(sum, _rows(
@@ -143,15 +174,15 @@ class Poly(Weight):
         return "poly" if self.dim == 1 else f"poly({self.dim})"
 
 
-@dataclass(frozen=True)
-class ExpPower(Weight):
+class ExpPower(_Value, Weight):
     """z -> exp(|z|^(1/w)) for an integer depth exponent w >= 1."""
 
-    w: int = 1
+    _fields = ("w",)
 
-    def __post_init__(self):
-        if not (isinstance(self.w, int) and self.w >= 1):
+    def __init__(self, w: int = 1):
+        if not (isinstance(w, int) and w >= 1):
             raise WeightDomainError("exp_power needs an integer w >= 1")
+        object.__setattr__(self, "w", w)
 
     def log_table(self, cols, n):
         (col,) = cols
@@ -162,16 +193,16 @@ class ExpPower(Weight):
         return f"exppow({self.w})"
 
 
-@dataclass(frozen=True)
-class MaxPower(Weight):
+class MaxPower(_Value, Weight):
     """s -> exp(max_k |s_k|^(1/w_k)), the canonical-coordinate weight."""
 
-    ws: tuple = (1,)
+    _fields = ("ws",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ws", tuple(self.ws))
-        if not self.ws or any(not (isinstance(w, int) and w >= 1) for w in self.ws):
+    def __init__(self, ws: tuple = (1,)):
+        ws = tuple(ws)
+        if not ws or any(not (isinstance(w, int) and w >= 1) for w in ws):
             raise WeightDomainError("max_power needs integer exponents >= 1")
+        object.__setattr__(self, "ws", ws)
 
     @property
     def dim(self):
@@ -188,11 +219,13 @@ class MaxPower(Weight):
         return "maxpow(" + ",".join(str(w) for w in self.ws) + ")"
 
 
-@dataclass(frozen=True)
-class ExpSum(Weight):
+class ExpSum(_Value, Weight):
     """z -> exp(|z_1 + ... + z_k|); the non-decomposable counterexample weight."""
 
-    dim: int = 2
+    _fields = ("dim",)
+
+    def __init__(self, dim: int = 2):
+        object.__setattr__(self, "dim", dim)
 
     def log_table(self, cols, n):
         return list(map(abs, map(sum, _rows(
@@ -202,11 +235,13 @@ class ExpSum(Weight):
         return f"expsum({self.dim})"
 
 
-@dataclass(frozen=True)
-class Const(Weight):
+class Const(_Value, Weight):
     """Symbolic factor (reductive tail): evaluates to 1, consumes one slot."""
 
-    dim: int = 1
+    _fields = ("dim",)
+
+    def __init__(self, dim: int = 1):
+        object.__setattr__(self, "dim", dim)
 
     def log_table(self, cols, n):
         return [0.0] * n
@@ -255,14 +290,13 @@ class WordWeight(Weight):
         return f"word({self.name})"
 
 
-@dataclass(frozen=True)
-class Product(Weight):
+class Product(_Value, Weight):
     """Product across the factors of a product domain."""
 
-    parts: tuple = ()
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    def __init__(self, parts: tuple = ()):
+        object.__setattr__(self, "parts", tuple(parts))
 
     @property
     def dim(self):
@@ -279,21 +313,21 @@ class Product(Weight):
         return "prod(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Power(Weight):
+class Power(_Value, Weight):
     """Pointwise power w^gamma (gamma > 0 keeps submultiplicativity classes).
 
     log_evals hands the points to the base untouched, so word() points stay
     group elements.
     """
 
-    base: Weight = None
-    gamma: Fraction = Fraction(1)
+    _fields = ("base", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if self.gamma <= 0:
+    def __init__(self, base: Weight = None, gamma: Fraction = Fraction(1)):
+        gamma = Fraction(gamma)
+        if gamma <= 0:
             raise WeightDomainError("power needs gamma > 0")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def dim(self):
@@ -313,18 +347,18 @@ class Power(Weight):
         return f"pow({self.base},{self.gamma})"
 
 
-@dataclass(frozen=True)
-class Restriction(Weight):
+class Restriction(_Value, Weight):
     """Restriction of a weight on a product domain to a prefix of its factors."""
 
-    base: Product = None
-    prefix: int = 1
+    _fields = ("base", "prefix")
 
-    def __post_init__(self):
-        if not isinstance(self.base, Product):
+    def __init__(self, base: Product = None, prefix: int = 1):
+        if not isinstance(base, Product):
             raise WeightDomainError("restriction needs a product descriptor")
-        if not 1 <= self.prefix <= len(self.base.parts):
+        if not 1 <= prefix <= len(base.parts):
             raise WeightDomainError("restriction prefix out of range")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "prefix", prefix)
 
     @property
     def dim(self):
@@ -438,11 +472,14 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
 # Sampling and verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    count: int = 256
-    radii: tuple = (1.0, 10.0, 100.0, 1000.0)
-    seed: int = 0
+class SamplerConfig(_Value):
+    _fields = ("count", "radii", "seed")
+
+    def __init__(self, count: int = 256,
+                 radii: tuple = (1.0, 10.0, 100.0, 1000.0), seed: int = 0):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "seed", seed)
 
 
 HOLDS = "holds"
@@ -451,16 +488,23 @@ INCONCLUSIVE = "inconclusive"
 
 _SLACK = 1.05   # multiplicative slack for "holds"
 _EXCESS = 5.0   # excess factor certifying "violated"
+_FIT_MULTIPLES = (0.25, 0.5, 1.0, 2.0, 4.0)   # fitted gammas, times the slope
 
 
-@dataclass
-class MajorizationVerdict:
-    verdict: str
-    gamma: float | None = None
-    constant: float | None = None
-    witness: object = None
-    excess: float = 0.0          # log of the worst excess over the frontier
-    samples: list = field(default_factory=list)  # (point, log lhs, log rhs)
+class MajorizationVerdict(_Value):
+    _fields = ("verdict", "gamma", "constant", "witness", "excess", "samples")
+
+    def __init__(self, verdict: str, gamma: float | None = None,
+                 constant: float | None = None, witness: object = None,
+                 excess: float = 0.0, samples: list | None = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "witness", witness)
+        # log of the worst excess over the frontier
+        object.__setattr__(self, "excess", excess)
+        # (point, log lhs, log rhs); a fresh list per verdict by default
+        object.__setattr__(self, "samples", [] if samples is None else samples)
 
     def __bool__(self):
         return self.verdict == HOLDS
@@ -594,8 +638,15 @@ def _majorize_from_tiers(tiers):
     largest tier; a genuine asymptotic violation shows up as an extrapolation
     failure beyond every frontier candidate.  A candidate is tested on the
     held-out tier before the training records, which are swept only for a
-    candidate that survives it.  Raises WeightDomainError when no tier below
-    the held-out one has a sample.
+    candidate that survives it.  When every fitted candidate fails, one more
+    is tried: the envelope slope max(log lhs / log rhs) over the training
+    records with log rhs > 0, with its own envelope constant.  The least
+    squares slope can sit far below the exponent a pair needs (max against
+    sum of six coordinates: 0.22 against 1), and then the probes on which
+    both sides are equal refute every fitted candidate.  The worst
+    candidate, excess and witness of a verdict that fails still come from
+    the fitted candidates.  Raises WeightDomainError when no tier below the
+    held-out one has a sample.
     """
     held = tiers[-1]
     every = [rec for tier in tiers for rec in tier]
@@ -614,10 +665,19 @@ def _majorize_from_tiers(tiers):
         raise OverflowError("the sampled log values overflow the fit")
     base = max(slope, 1e-6)
     limit = math.log(_SLACK)
+
+    def gammas():
+        # the fitted gammas ascend, so the first that holds is the smallest
+        for mult in _FIT_MULTIPLES:
+            yield base * mult
+        # the envelope slope, reached only when every fitted one failed
+        envelope = max([ly / lx for lx, ly in zip(logx, logy) if lx > 0],
+                       default=math.inf)
+        if math.isfinite(envelope):
+            yield envelope
+
     frontier = []
-    # gamma ascends, so the first candidate that holds is the smallest
-    for mult in (0.25, 0.5, 1.0, 2.0, 4.0):
-        gamma = base * mult
+    for gamma in gammas():
         logc = max([ly - gamma * lx for lx, ly in zip(logx, logy)])
         if not (_exceeds(held, gamma, logc, limit)
                 or _exceeds(rest, gamma, logc, limit)):
@@ -625,7 +685,7 @@ def _majorize_from_tiers(tiers):
                                        constant=guarded_exp(logc), samples=every)
         frontier.append((gamma, logc))
     worst = None
-    for gamma, logc in frontier:
+    for gamma, logc in frontier[:len(_FIT_MULTIPLES)]:
         excesses = [lhs - (logc + gamma * rhs) for _, lhs, rhs in every]
         # max keeps its first argument until a later one is strictly
         # greater; every candidate failed, so excess > limit > 0 and the
@@ -657,11 +717,14 @@ def majorizes(w1: Weight, w2: Weight,
     return _majorize_from_tiers([list(zip(*v)) for v in values])
 
 
-@dataclass
-class EquivalenceVerdict:
-    verdict: str
-    forward: MajorizationVerdict
-    backward: MajorizationVerdict
+class EquivalenceVerdict(_Value):
+    _fields = ("verdict", "forward", "backward")
+
+    def __init__(self, verdict: str, forward: MajorizationVerdict,
+                 backward: MajorizationVerdict):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
     def __bool__(self):
         return self.verdict == "equivalent"
@@ -734,20 +797,19 @@ def chain_factor_weights(chain) -> list[Weight]:
 # Series norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeriesNorm:
+class SeriesNorm(_Value):
     """The weighted l1 norm sum |a_n| r^n / n!^s on one-variable series."""
 
-    r: Fraction = Fraction(1)
-    s: Fraction = Fraction(0)
+    _fields = ("r", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "s", Fraction(self.s))
-        if self.r <= 0:
+    def __init__(self, r: Fraction = Fraction(1), s: Fraction = Fraction(0)):
+        r, s = Fraction(r), Fraction(s)
+        if r <= 0:
             raise WeightDomainError("series norm needs r > 0")
-        if self.s < 0:
+        if s < 0:
             raise WeightDomainError("series norm needs s >= 0")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
 
 def series_norm(coeffs, norm: SeriesNorm):
@@ -779,12 +841,13 @@ def _convolve(a, b):
     return out
 
 
-@dataclass
 class NormCheckReport:
-    passed: bool
-    pairs_checked: int
-    polys_checked: int
-    witness: object = None
+    def __init__(self, passed: bool, pairs_checked: int, polys_checked: int,
+                 witness: object = None):
+        self.passed = passed
+        self.pairs_checked = pairs_checked
+        self.polys_checked = polys_checked
+        self.witness = witness
 
 
 def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,

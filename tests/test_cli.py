@@ -107,6 +107,43 @@ def test_decompose_zero_dimensional_algebra(capsys, tmp_path):
     assert "p: 0" in out
 
 
+def _abelian(k):
+    return {"dim": k, "basis": [f"e{i}" for i in range(1, k + 1)],
+            "brackets": []}
+
+
+def _with_primed_copy(data):
+    """The direct sum of an algebra with a copy of itself, primed names."""
+    def primed(name):
+        return name + "'"
+    copy = [{"x": primed(b["x"]), "y": primed(b["y"]),
+             "value": [[primed(n), c] for n, c in b["value"]]}
+            for b in data["brackets"]]
+    return {"dim": 2 * data["dim"],
+            "basis": data["basis"] + [primed(n) for n in data["basis"]],
+            "brackets": data["brackets"] + copy}
+
+
+# The least-squares slope of the chain weight max_k |t_k| against the sum of
+# the six or more exp(|t_k|) factors is far below 1, where the axis probes
+# (both sides equal) refute every fitted gamma; the envelope slope holds.
+@pytest.mark.parametrize("name,data", [
+    pytest.param(name, data, id=name) for name, data in (
+        ("c6", _abelian(6)), ("c8", _abelian(8)), ("c12", _abelian(12)),
+        ("uppertri3+uppertri3", _with_primed_copy(
+            json.loads((DATA / "uppertri3.json").read_text()))))])
+def test_decompose_many_weight_one_exp_blocks_passes(capsys, tmp_path, name,
+                                                      data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, ["decompose", str(path), "--truncation", "1"])
+    assert code == 0, out
+    assert "verify chain-weight-decomposition: equivalent" in out
+    assert "result: pass" in out
+    if name == "c6":
+        assert "equivalent (gamma=1/8.43541)" in out
+
+
 def test_decompose_missing_file_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, ["decompose", str(tmp_path / "nope.json")])
     assert code == 1

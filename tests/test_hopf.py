@@ -815,3 +815,39 @@ def test_case_counts_follow_their_closed_forms(stem, d):
         "module-intertwining": b,
         "factor-embeddings": math.comb(d + n - 1, d) ** 2 + (d + 1) ** 2,
     }
+
+
+def _chain_model_failures(model):
+    hopf_report, commutators = check_chain_model(model)
+    return _failures(hopf_report), (commutators.passed, commutators.checked,
+                                    commutators.witness)
+
+
+def test_chain_model_with_a_corrupted_cached_product_fails():
+    model = build_chain_model(corpus.heisenberg(), truncation=3)
+    s = model.smash
+    e3 = s.generators[0][1]
+    good = s.mult[(e3, e3)]              # computed and cached
+    s.mult[(e3, e3)] = {k: 3 * c for k, c in good.items()}
+    assert _chain_model_failures(model) == (
+        {"associativity": (103, "(e1, e2, e3)"),
+         "bialgebra": (63, "(e3, e3)"),
+         "antipode-convolution": (15, "e3*e2*e1"),
+         "factor-embeddings": (45, "i on (e3, e3)")},
+        (True, 3, None))
+
+
+def test_chain_model_with_a_corrupted_action_entry_fails():
+    """e1 acting on e2 by 2 e3 instead of e3: the smash is built from the
+    corrupted table, and the commutator check, which brackets in g, sees it."""
+    model = build_chain_model(corpus.heisenberg(), truncation=3)
+    s = model.smash
+    e2 = s.A.generators[1][1]
+    e1 = s.H.generators[0][1]
+    table = s.action.table
+    table[(e1, e2)] = {k: 2 * c for k, c in table[(e1, e2)].items()}
+    assert _chain_model_failures(model) == (
+        {"associativity": (102, "(e1, e2, e2)"),
+         "bialgebra": (26, "(e1, e2^2)"),
+         "antipode-convolution": (6, "e2*e1")},
+        (False, 3, "[e2, e1] = (-2)*e3"))

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,8 @@ from liesmash.lie import (
     parse_factorization,
     semidirect_chain,
 )
-from liesmash.linalg import in_span, rref, solve_in_basis, unit_vector
+from liesmash.linalg import (in_span, pivot_columns, rref, solve_in_basis,
+                             unit_vector)
 from liesmash.report import decompose_algebra
 
 
@@ -356,7 +358,8 @@ def test_chain_prefix_ideals():
             prefix = rref(vecs[:i])
             for j in range(i + 1):
                 for k in range(i):
-                    assert in_span(prefix, g.bracket(vecs[j], vecs[k]))
+                    assert in_span(prefix, pivot_columns(prefix),
+                                   g.bracket(vecs[j], vecs[k]))
 
 
 def test_chain_containment_errors():
@@ -578,7 +581,8 @@ def _prefix_check_by_spans(g, chain):
     for i in range(1, len(vecs)):
         prefix = rref(vecs[:i])
         for j in range(i):
-            if not in_span(prefix, g.bracket(vecs[i], vecs[j])):
+            if not in_span(prefix, pivot_columns(prefix),
+                           g.bracket(vecs[i], vecs[j])):
                 return (f"chain prefix of length {i} is not an ideal under "
                         f"{chain.factors[i].name}")
     return None
@@ -695,3 +699,52 @@ def test_full_subspace_is_row_reduced_once_per_algebra(monkeypatch):
     assert g.full_subspace() is g.full_subspace()
     decompose_algebra(g, truncation=1)
     assert sum(calls) == 1
+
+
+def test_derived_algebra_is_computed_once_per_decompose(monkeypatch):
+    """[g, g] is the nilpotent radical of a solvable g and the first step of
+    is_solvable's derived series; one bracket_spans(g, g) serves both."""
+    calls = []
+    bracket_spans = LieAlgebra.bracket_spans
+
+    def counted(g, a, b):
+        full = g.full_subspace()
+        calls.append(a == full and b == full)
+        return bracket_spans(g, a, b)
+    monkeypatch.setattr(LieAlgebra, "bracket_spans", counted)
+    data = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.json"))
+    assert len(data) == 5
+    for path in data:
+        g = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+        calls.clear()
+        decompose_algebra(g, truncation=1)
+        assert sum(calls) == 1, path.name
+
+
+def test_subspace_reductions_reuse_its_pivots(monkeypatch):
+    """A Subspace finds its pivot columns once, when it is built; contains,
+    is_ideal and the reduction modulo bottom read them."""
+    from liesmash import lie, linalg
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return pivot_columns(rows)
+    monkeypatch.setattr(lie, "pivot_columns", counted)
+    monkeypatch.setattr(linalg, "pivot_columns", counted)
+    built = []
+    init = Subspace.__init__
+
+    def counted_init(s, parent, rows):
+        built.append(s)
+        init(s, parent, rows)
+    monkeypatch.setattr(Subspace, "__init__", counted_init)
+    g = corpus.upper_triangular3()
+    nil, _ = _radicals(g)
+    calls.clear()
+    built.clear()
+    assert g.is_ideal(nil) is None
+    assert all(nil.contains(r) for r in nil.rows)
+    assert calls == [] and built == []
+    series = g.lower_central_series(bottom=nil)
+    assert len(calls) == len(built) == len(series) + 1

@@ -7,6 +7,9 @@ package root re-exports nothing: the API is imported from its submodules.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,3 +120,19 @@ def test_package_root_binds_only_the_version():
                              if isinstance(n, ast.Name))
     assert {name for name in bound if not name.startswith("_")} == set()
     assert "__version__" in bound
+
+
+def test_import_loads_no_code_generating_module():
+    """Starting the CLI loads neither dataclasses nor inspect: together
+    they pull in a dozen stdlib modules and exec generated methods."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys\n"
+            "import liesmash.cli, liesmash.cayley, liesmash.hopf, liesmash.linalg\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -44,6 +44,60 @@ def test_descriptor_grammar_roundtrip():
         assert W.parse_weight(str(w)) == w
 
 
+VALUES = [  # (class, fields in order)
+    (W.Poly, {"dim": 1}), (W.Poly, {"dim": 3}), (W.ExpPower, {"w": 2}),
+    (W.MaxPower, {"ws": (1, 2)}), (W.ExpSum, {"dim": 2}),
+    (W.Const, {"dim": 2}), (W.Product, {"parts": (W.Poly(), W.Const())}),
+    (W.Power, {"base": W.Poly(), "gamma": Fraction(2)}),
+    (W.Restriction, {"base": W.Product((W.Poly(),)), "prefix": 1}),
+    (W.SamplerConfig, {"count": 8, "radii": (1, 10), "seed": 0}),
+    (W.SeriesNorm, {"r": Fraction(2), "s": Fraction(1)}),
+]
+
+
+@pytest.mark.parametrize("cls,fields", VALUES, ids=lambda v: getattr(
+    v, "__name__", ""))
+def test_value_types_compare_hash_and_print_by_fields(cls, fields):
+    value = cls(**fields)
+    assert cls(*fields.values()) == value and not cls(**fields) != value
+    assert hash(cls(**fields)) == hash(value) == hash(tuple(fields.values()))
+    assert repr(value) == cls.__name__ + "(" + ", ".join(
+        f"{f}={v!r}" for f, v in fields.items()) + ")"
+    assert eval(repr(value), vars(W) | {"Fraction": Fraction}) == value
+    for f in list(fields) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, f, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, next(iter(fields)))
+
+
+def test_value_types_of_equal_fields_and_other_classes_differ():
+    assert W.Poly(1) != W.Const(1) and W.Poly(1) != W.ExpPower(1)
+    assert W.Poly(2) != (2,) and W.Poly(2) != W.Poly(3)
+    assert len({W.Poly(), W.Poly(1), W.Const(), W.ExpSum(1)}) == 3
+    assert W.MaxPower([1, 2]).ws == (1, 2)
+    assert W.Product([W.Poly()]).parts == (W.Poly(),)
+    assert W.Power(W.Poly(), 2).gamma == Fraction(2)
+    assert W.SamplerConfig(count=8, seed=3) == W.SamplerConfig(8, seed=3)
+    # the sample-table cache keys on repr, where 1 and 1.0 differ
+    assert W.SamplerConfig(radii=(1,)) == W.SamplerConfig(radii=(1.0,))
+    assert repr(W.SamplerConfig(radii=(1,))) != \
+        repr(W.SamplerConfig(radii=(1.0,)))
+    assert repr(W.SamplerConfig()) == \
+        "SamplerConfig(count=256, radii=(1.0, 10.0, 100.0, 1000.0), seed=0)"
+
+
+def test_verdicts_keep_their_own_sample_lists():
+    a, b = W.MajorizationVerdict(W.HOLDS), W.MajorizationVerdict(W.HOLDS)
+    assert a == b and a.samples == [] and a.samples is not b.samples
+    a.samples.append(None)
+    assert a != b
+    with pytest.raises(AttributeError):
+        a.verdict = W.VIOLATED
+    eq = W.EquivalenceVerdict("equivalent", b, b)
+    assert eq and eq == W.EquivalenceVerdict("equivalent", b, W.MajorizationVerdict(W.HOLDS))
+
+
 def test_grammar_rejects_garbage():
     for bad in ("", "poly(", "frobnicate", "prod(poly", "pow(poly)"):
         with pytest.raises((W.WeightDomainError, IndexError)):
@@ -171,6 +225,16 @@ def _ref_majorize_from_tiers(tiers):
                 best = (gamma, logc)
         if worst_excess is None or excess < worst_excess[0]:
             worst_excess = (excess, witness, gamma, logc)
+    if best is None:
+        # the envelope slope, tried only after the five fitted gammas fail;
+        # a failing verdict still reports the worst of the five
+        ratios = [ly / lx for lx, ly in zip(logx, logy) if lx > 0]
+        if ratios and math.isfinite(max(ratios)):
+            gamma = max(ratios)
+            logc = max(ly - gamma * lx for lx, ly in zip(logx, logy))
+            if all(lhs - (logc + gamma * rhs) <= math.log(1.05)
+                   for _, lhs, rhs in every):
+                best = (gamma, logc)
     if best is not None:
         gamma, logc = best
         return W.MajorizationVerdict(W.HOLDS, gamma=gamma,
@@ -335,6 +399,11 @@ FIT_CASES = {
          (1125899906842578.0, 1.914029841632461e+16)],
         [(1.0470869133636403e+17, 8.106479329266893e+16)]], W.VIOLATED,
         (0, 1)),
+    # the training slope is below 0, so every fitted gamma is tiny and the
+    # held-out record, on which both sides are equal, refutes it; the
+    # envelope slope max(log lhs / log rhs) = 1 holds with log C = 0
+    "envelope": ([[(1.0, 1.0), (0.1, 2.0), (0.1, 3.0)], [(5.0, 5.0)]],
+                 W.HOLDS, None),
     # the same for the last candidate, gamma = 4 * slope
     "last fails only on training": ([
         [(1.9455550390240543e+18, 2.9903901525740093e+18),
@@ -350,6 +419,8 @@ def test_fit_cases_match_reference(name):
     tiers, verdict, witness = FIT_CASES[name]
     got = _assert_fit_matches_reference(_labelled(tiers))
     assert (got.verdict, got.witness) == (verdict, witness)
+    if name == "envelope":
+        assert (got.gamma, got.constant) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("tiers", [
