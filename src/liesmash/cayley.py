@@ -2,10 +2,14 @@
 
 Discrete lattices stand in for the complex Lie groups (the Heisenberg
 lattice for the Heisenberg group, a Baumslag-Solitar-type group for the
-exponentially distorted directions).  Word lengths come from an exact,
-radius-bounded breadth-first search, which grows each layer from one lazy
-step per generator (CayleyGroup.right_steps); all asymptotic statements are
-reported as finite-radius fits with explicit tolerances.
+exponentially distorted directions).  Word lengths and ball sizes are exact:
+Z^k and the Heisenberg lattice have closed formulas for both
+(CayleyGroup.word_length and ball_size), and every other model reads them
+from a radius-bounded breadth-first search, which grows each layer from one
+lazy step per generator (CayleyGroup.right_steps).  The search also
+enumerates a ball's elements where they are sampled, for every model.  All
+asymptotic statements are reported as finite-radius fits with explicit
+tolerances.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from operator import add, mul
 
@@ -45,6 +50,17 @@ class CayleyGroup:
         form for a generator step override this."""
         mult = self.multiply
         return [map(mult, frontier, repeat(u)) for u in self.generators()]
+
+    def word_length(self, g):
+        """The exact word length of g from a closed formula, or None: for
+        anything that is not an element, and for every g of a model without
+        a formula.  A model with a formula has one for ball_size too."""
+        return None
+
+    def ball_size(self, radius: int):
+        """The exact number of elements of word length <= radius, or None
+        for a model without a formula."""
+        return None
 
     def random_element(self, rng: random.Random, size: int):
         """Random element from a word of length <= size (always in the group)."""
@@ -98,6 +114,16 @@ class ZK(CayleyGroup):
             return (g[:i] + (g[i] + s,) + g[i + 1:] for g in frontier)
         return [shift(i, s) for i in range(self.k) for s in (1, -1)]
 
+    def word_length(self, g):
+        """The l1 norm."""
+        return sum(map(abs, g)) if _is_int_tuple(g, self.k) else None
+
+    def ball_size(self, radius):
+        """Points with j nonzero coordinates: C(k, j) supports, 2^j signs and
+        C(radius, j) absolute values with sum <= radius."""
+        return sum(2 ** j * math.comb(self.k, j) * math.comb(radius, j)
+                   for j in range(self.k + 1))
+
     def parse_element(self, text):
         return _parse_int_tuple(text, self.k)
 
@@ -132,6 +158,53 @@ class Heis3Z(CayleyGroup):
                 ((a - 1, b, c) for a, b, c in frontier),
                 ((a, b + 1, c + a) for a, b, c in frontier),
                 ((a, b - 1, c - a) for a, b, c in frontier)]
+
+    def word_length(self, g):
+        """Blachère's word length (Colloq. Math. 95, 2003), in O(1).
+
+        (a, b, c) -> (-a, b, -c) and (a, -b, -c) are automorphisms fixing
+        the generating set, and (a, b, ab - c) is their composite with the
+        inverse, so each keeps the length; they reduce g to a, b >= 0 and
+        2c >= ab.  Then a word of length a + b reaches every c <= ab.  A
+        larger c needs min 2(W + H) - a - b over W >= a, H >= b, W H >= c:
+        a box path of width W and height H reaches it, and closing a word's
+        path by (a, b) -> (0, b) -> (0, 0) encloses area c, so halving the
+        loop's horizontal and vertical lengths bounds every word below by
+        such a box.  The minimum is at W = ceil(sqrt c) or, when H = b
+        binds, at W = ceil(c / b); either one alone misses some g.
+        """
+        if not _is_int_tuple(g, 3):
+            return None
+        a, b, c = g
+        if a < 0:
+            a, c = -a, -c
+        if b < 0:
+            b, c = -b, -c
+        if 2 * c < a * b:
+            c = a * b - c
+        if c <= a * b:
+            return a + b
+        perimeters = []
+        for w in (math.isqrt(c - 1) + 1, -(-c // b) if b else c):
+            w = max(w, a, 1)
+            perimeters.append(2 * (w + max(b, -(-c // w))))
+        return min(perimeters) - a - b
+
+    def ball_size(self, radius):
+        """Column by column: with p, q >= 0, p + q <= radius and
+        s = (radius + p + q) // 2, the elements (+-p, +-q, c) of the ball
+        are those with pq - cmax <= c <= cmax, where cmax, the largest W H
+        over W >= p, H >= q, W + H <= s, is W (s - W) at the W of [p, s - q]
+        nearest s / 2.  The sizes are the partial sums of Shapiro's rational
+        growth series (Math. Ann. 285, 1989)."""
+        total = 0
+        for p in range(radius + 1):
+            for q in range(radius - p + 1):
+                s = (radius + p + q) // 2
+                w = min(max(s // 2, p), s - q)
+                total += ((2 * w * (s - w) - p * q + 1)
+                          * (2 if p else 1) * (2 if q else 1))
+        return total
 
     def parse_element(self, text):
         return _parse_int_tuple(text, 3)
@@ -331,6 +404,13 @@ class DirectProduct(CayleyGroup):
                 + [(e1, g) for g in self.g2.generators()])
 
 
+def _is_int_tuple(g, k: int) -> bool:
+    """Whether g is a tuple of k plain ints, the element form of ZK(k) and
+    Heis3Z (a 1-tuple wrapping an element is not one)."""
+    return (type(g) is tuple and len(g) == k
+            and all(type(x) is int for x in g))
+
+
 def _parse_int_tuple(text: str, k: int):
     parts = [p.strip() for p in text.strip().strip("()").split(",") if p.strip()]
     if len(parts) != k:
@@ -391,7 +471,7 @@ def make_group(spec: str) -> CayleyGroup:
 
 
 # ---------------------------------------------------------------------------
-# word weights by breadth-first search
+# word weights: formulas, or breadth-first search
 # ---------------------------------------------------------------------------
 
 # A ball element costs about 170 bytes (dict slot, key tuple, ints), so
@@ -403,31 +483,53 @@ MAX_BALL_ELEMENTS = 2_000_000
 class WordWeightTable:
     """Exact word lengths on the ball of a given radius (weight = 2^length).
 
-    Each layer grows from the frontier by the group's right_steps, read
-    frontier-element-major and generator-minor: g u_1, ..., g u_s, then the
-    next g.  That is the order of a loop over g and then u, so lengths keeps
-    the same insertion order (which sample_group_points draws from) and the
-    same lengths.
+    A group with formulas (CayleyGroup.word_length and ball_size: zk:<k>,
+    heis3z) answers length() and len() from them, and builds its ball only
+    when lengths is read, that is when the ball's elements are enumerated
+    (sample_group_points).  Every other group builds its ball in the
+    constructor and answers from it.
 
-    Before each layer the size of the ball is estimated, and a ball
-    estimated beyond MAX_BALL_ELEMENTS is refused with PreconditionError
-    before it is allocated.  The next layer adds at most len(gens) - 1
-    elements per frontier element, and each of the remaining layers is
-    taken to be no smaller than the frontier (sphere sizes do not shrink in
-    the models of this module), so the estimate exceeds the true size only
-    through the next-layer bound.
+    The ball is a breadth-first search.  Each layer grows from the frontier
+    by the group's right_steps, read frontier-element-major and
+    generator-minor: g u_1, ..., g u_s, then the next g.  That is the order
+    of a loop over g and then u, so lengths keeps the same insertion order
+    (which sample_group_points draws from) and the same lengths.
+
+    A ball beyond MAX_BALL_ELEMENTS is refused with PreconditionError
+    before it is allocated.  A group with formulas is refused from its
+    exact size (check_ball_size).  Otherwise the size is estimated before
+    each layer: the next layer adds at most len(gens) - 1 elements per
+    frontier element, and each of the remaining layers is taken to be no
+    smaller than the frontier (sphere sizes do not shrink in the models of
+    this module), so the estimate exceeds the true size only through the
+    next-layer bound.
     """
 
     def __init__(self, group: CayleyGroup, radius: int):
+        if radius < 0:
+            raise InputError(f"a word ball needs radius >= 0, got {radius}")
         self.group = group
         self.radius = radius
+        self._formula = group.word_length(group.identity()) is not None
+        if not self._formula:
+            self.lengths = self._ball()
+
+    @cached_property
+    def lengths(self) -> dict:
+        """Element -> word length over the ball, in breadth-first order."""
+        return self._ball()
+
+    def _ball(self):
+        group, radius = self.group, self.radius
+        if self._formula:
+            check_ball_size(group, radius)
         lengths = {group.identity(): 0}
         frontier = [group.identity()]
         gens = group.generators()
         for depth in range(radius):
             estimate = (len(lengths)
                         + max(len(gens) - 1, radius - depth) * len(frontier))
-            if estimate > MAX_BALL_ELEMENTS:
+            if not self._formula and estimate > MAX_BALL_ELEMENTS:
                 raise PreconditionError(
                     f"the {group.name} ball of radius {radius} would hold "
                     f"about {estimate} elements at depth {depth + 1}, more "
@@ -438,13 +540,40 @@ class WordWeightTable:
                     lengths[h] = depth + 1
                     nxt.append(h)
             frontier = nxt
-        self.lengths = lengths
+        return lengths
 
     def __len__(self):
+        if self._formula:
+            return self.group.ball_size(self.radius)
         return len(self.lengths)
 
     def length(self, g):
-        return self.lengths.get(g)
+        """The word length of g if g is an element of the ball, else None."""
+        if not self._formula:
+            return self.lengths.get(g)
+        n = self.group.word_length(g)
+        return n if n is not None and n <= self.radius else None
+
+
+def check_ball_size(group: CayleyGroup, radius: int):
+    """Refuse the ball of a group with formulas beyond MAX_BALL_ELEMENTS.
+
+    Balls grow with the radius, so the radius is doubled from 1 until it
+    reaches the one asked for or its ball passes the budget: the ball size
+    formula takes O(r^2) steps for heis3z, and a huge radius is refused from
+    a ball of at most twice the largest radius that fits.
+    """
+    r = 1
+    while True:
+        r = min(2 * r, radius)
+        size = group.ball_size(r)
+        if size > MAX_BALL_ELEMENTS:
+            count = size if r == radius else f"more than {size}"
+            raise PreconditionError(
+                f"the {group.name} ball of radius {radius} holds {count} "
+                f"elements, more than the {MAX_BALL_ELEMENTS} allowed")
+        if r == radius:
+            return
 
 
 _TABLE_CACHE: dict[tuple, WordWeightTable] = {}

@@ -19,7 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import cayley, corpus, weights as weight_mod
+from . import corpus, weights as weight_mod
 from .exactnum import GaussianRational, ONE
 from .hopf import (
     SmashAlgebra,
@@ -249,6 +249,8 @@ def cmd_smash_table(args) -> int:
 
 
 def _group_resolver(radius):
+    from . import cayley    # only word() descriptors need the group models
+
     def resolve(spec):
         group = cayley.make_group(spec)
         return cayley.word_table(group, radius), group.name
@@ -310,6 +312,7 @@ def cmd_weight_check(args) -> int:
 
 
 def cmd_word_weight(args) -> int:
+    from . import cayley
     group = cayley.make_group(args.group)
     element = group.parse_element(args.element)
     table = cayley.word_table(group, args.radius)
@@ -359,6 +362,7 @@ def cmd_norm(args) -> int:
 def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
                   extra_algebras=None):
     """Run the invariant suite of all modules; returns (lines, passed)."""
+    from . import cayley
     lines = []
     passed = True
 

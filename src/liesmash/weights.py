@@ -251,7 +251,9 @@ class Const(_Value, Weight):
 
 
 class WordWeight(Weight):
-    """2^(word length) on a finitely generated group model, via its BFS table.
+    """2^(word length) on a finitely generated group model, via its word
+    table (cayley.WordWeightTable: a formula for zk:<k> and heis3z, the BFS
+    ball otherwise).
 
     Points are group elements (or 1-tuples holding one), not coordinate
     tuples, so log_evals looks them up as they are.
@@ -580,7 +582,7 @@ def _word_weights(w: Weight) -> list:
 
 
 def word_table_of(*ws: Weight):
-    """The BFS table of the word() descriptors inside ws, or None.
+    """The word table of the word() descriptors inside ws, or None.
 
     A comparison samples the elements of one table, so word() descriptors
     on two different tables are an input error naming both.
@@ -595,7 +597,8 @@ def word_table_of(*ws: Weight):
 
 
 def sample_group_points(table, config: SamplerConfig):
-    """Group-element tiers from a BFS table, nested balls of growing radius."""
+    """Group-element tiers from a word table's BFS ball, nested balls of
+    growing radius."""
     rng = random.Random(config.seed)
     radius = table.radius
     cuts = sorted({max(1, radius // 8), max(1, radius // 4),

@@ -1,5 +1,7 @@
 """Group models, BFS word metrics, distortion fits, delta smash checks."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 
@@ -344,6 +346,153 @@ def test_ball_budget_refuses_before_building(monkeypatch):
     with pytest.raises(PreconditionError, match="5000 allowed"):
         C.WordWeightTable(C.BS12(), 10)
     assert len(C.WordWeightTable(C.BS12(), 6)) < 5000
+
+
+# ---------------------------------------------------------------------------
+# word-length and ball-size formulas, against BFS
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def heis_ball_26():
+    return C.WordWeightTable(C.Heis3Z(), 26).lengths
+
+
+def test_heis_word_length_matches_bfs_on_radius_24_ball(heis_ball_26):
+    g = C.Heis3Z()
+    wrong = [(e, n) for e, n in heis_ball_26.items()
+             if n <= 24 and g.word_length(e) != n]
+    assert wrong == []
+
+
+def test_heis_word_length_exceeds_radius_outside_the_ball(heis_ball_26):
+    g, radius = C.Heis3Z(), 12
+    inside = 0
+    for a in range(-radius - 2, radius + 3):
+        for b in range(-radius - 2, radius + 3):
+            for c in range(-radius ** 2, radius ** 2 + 1):
+                n = heis_ball_26.get((a, b, c))
+                if n is not None and n <= radius:
+                    inside += 1
+                    continue
+                assert g.word_length((a, b, c)) > radius, (a, b, c)
+    assert inside == g.ball_size(radius)
+
+
+def _box_minimum(a, b, c):
+    """min 2(W + H) - a - b over W >= a, H >= b, W H >= c, trying every W
+    up to the first at which H = b suffices."""
+    first = max(a, 1)
+    return min(2 * (w + max(b, -(-c // w)))
+               for w in range(first, max(first, c) + 1)) - a - b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 20_000))
+def test_heis_word_length_minimum_matches_exhaustive(a, b, c):
+    # 2c >= ab or not, c <= ab means a word of length a + b
+    expected = a + b if c <= a * b else _box_minimum(a, b, c)
+    g = C.Heis3Z()
+    assert g.word_length((a, b, c)) == expected
+    assert g.word_length((-a, b, -c)) == expected
+    assert g.word_length((a, -b, -c)) == expected
+    assert g.word_length((a, b, a * b - c)) == expected
+
+
+def _shapiro_ball_sizes(n):
+    """The first n ball sizes of heis3z: the coefficients of Shapiro's
+    growth series (1 + x + 4x^2 + 11x^3 + 8x^4 + 21x^5 + 6x^6 + 9x^7 + x^8)
+    / ((1 - x)^4 (1 + x^2) (1 + x + x^2)), divided once more by 1 - x."""
+    num = [1, 1, 4, 11, 8, 21, 6, 9, 1]
+    den = [1]
+    for factor in [[1, -1]] * 5 + [[1, 0, 1], [1, 1, 1]]:
+        den = [sum(den[i] * factor[k - i] for i in range(len(den))
+                   if 0 <= k - i < len(factor))
+               for k in range(len(den) + len(factor) - 1)]
+    out = []
+    for i in range(n):
+        out.append((num[i] if i < len(num) else 0)
+                   - sum(den[j] * out[i - j]
+                         for j in range(1, min(i, len(den) - 1) + 1)))
+    return out
+
+
+def test_heis_ball_size_matches_bfs_and_shapiro(heis_ball_26):
+    g = C.Heis3Z()
+    spheres = [0] * 27
+    for n in heis_ball_26.values():
+        spheres[n] += 1
+    assert [g.ball_size(r) for r in range(27)] == \
+        [sum(spheres[:r + 1]) for r in range(27)]
+    assert [g.ball_size(r) for r in range(201)] == _shapiro_ball_sizes(201)
+    assert g.ball_size(24) == 141_225
+
+
+@functools.cache
+def _l1_ball_count(k, r):
+    """Points of Z^k with l1 norm <= r, one coordinate at a time."""
+    if k == 0:
+        return 1
+    return sum(_l1_ball_count(k - 1, r - abs(x)) for x in range(-r, r + 1))
+
+
+@pytest.mark.parametrize("k, radius", [(1, 40), (2, 20), (3, 12), (4, 8)])
+def test_zk_formulas_match_bfs_and_recursive_count(k, radius):
+    g = C.ZK(k)
+    ball = C.WordWeightTable(g, radius).lengths
+    assert all(g.word_length(e) == n for e, n in ball.items())
+    spheres = [0] * (radius + 1)
+    for n in ball.values():
+        spheres[n] += 1
+    assert [g.ball_size(r) for r in range(radius + 1)] == \
+        [sum(spheres[:r + 1]) for r in range(radius + 1)]
+    assert [g.ball_size(r) for r in range(3 * radius)] == \
+        [_l1_ball_count(k, r) for r in range(3 * radius)]
+    assert C.ZK(3).ball_size(24) == 19_649
+
+
+def test_formula_length_is_none_off_the_group():
+    """WordWeight.log_evals first passes 1-tuples wrapping an element."""
+    for group, elem in ((C.Heis3Z(), (1, 2, 3)), (C.ZK(1), (5,)),
+                        (C.ZK(3), (1, 0, -2)), (C.BS12(), (1, 0, 0))):
+        table = C.WordWeightTable(group, 8)
+        assert table.length((elem,)) is None
+        assert group.word_length((elem,)) is None
+        assert table.length(elem) is not None
+    assert C.Heis3Z().word_length((1, 2)) is None
+    assert C.Heis3Z().word_length([1, 2, 3]) is None
+    weight = W.WordWeight(C.WordWeightTable(C.Heis3Z(), 6), "heis3z")
+    assert weight.log_evals([((1, 0, 0),), ((0, 0, 1),)]) == \
+        pytest.approx([math.log(2), 4 * math.log(2)])
+
+
+def test_formula_table_answers_without_a_ball():
+    table = C.WordWeightTable(C.Heis3Z(), 10 ** 5)
+    assert table.length((0, 0, 10 ** 6)) == 4000
+    assert table.length((10 ** 5 + 1, 0, 0)) is None
+    assert len(C.WordWeightTable(C.ZK(2), 5000)) == 2 * 5000 ** 2 + 2 * 5000 + 1
+    assert "lengths" not in vars(table)
+    assert "lengths" in vars(C.WordWeightTable(C.BS12(), 3))
+
+
+def test_negative_radius_is_refused():
+    for group in (C.ZK(2), C.Heis3Z(), C.BS12()):
+        with pytest.raises(InputError, match="radius >= 0"):
+            C.WordWeightTable(group, -1)
+
+
+def test_exact_ball_budget_boundary():
+    """The exact size decides: heis3z fits through radius 46, Z^2 through
+    999 (2r^2 + 2r + 1 elements), and neither ball is built here."""
+    C.check_ball_size(C.Heis3Z(), 45)
+    C.check_ball_size(C.Heis3Z(), 46)
+    C.check_ball_size(C.ZK(2), 999)
+    with pytest.raises(PreconditionError, match="holds 2084777 elements"):
+        C.check_ball_size(C.Heis3Z(), 47)
+    with pytest.raises(PreconditionError, match="holds 2002001 elements"):
+        C.check_ball_size(C.ZK(2), 1000)
+    # a huge radius is refused from the first ball past the budget
+    with pytest.raises(PreconditionError, match="holds more than 7179905 "):
+        C.check_ball_size(C.Heis3Z(), 10 ** 9)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,30 @@ def test_word_weight_refuses_oversized_ball_quickly(capsys):
     assert time.perf_counter() - start < 1.5
 
 
+def test_word_ball_refused_up_front_with_exact_count(capsys):
+    # heis3z has 2,268,225 elements within radius 48; no layer is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["weight-check", "--lhs", "word(heis3z)",
+                                  "--rhs", "word(heis3z)", "--radius", "48"])
+    assert code == 2
+    assert out == ""
+    assert "ball of radius 48 holds 2268225 elements" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("spec, radius, element, length", [
+    ("zk:2", 5000, "(1,0)", 1), ("heis3z", 100000, "(0,0,1)", 4)])
+def test_word_weight_length_needs_no_ball(capsys, spec, radius, element,
+                                          length):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["word-weight", "--group", spec, "--radius",
+                                  str(radius), "--element", element])
+    assert (code, err) == (0, "")
+    assert f"length: {length}\n" in out
+    assert len(out.splitlines()) == 3 + 4096   # every power up to --max-power
+    assert time.perf_counter() - start < 1.0
+
+
 def test_decompose_refuses_oversized_truncation_quickly(capsys, heis_file):
     # heisenberg at D=40 has a smash basis of C(43, 3) = 12341 elements
     start = time.perf_counter()

@@ -136,3 +136,19 @@ def test_import_loads_no_code_generating_module():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_cayley_unloaded():
+    """Only word-weight, weight-check on word() and selfcheck use the group
+    models, so starting the CLI does not compile them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    code = ("import sys\n"
+            "import liesmash.cli\n"
+            "print('liesmash.cayley' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
