@@ -6,7 +6,8 @@ exponentially distorted directions).  Word lengths and ball sizes are exact:
 Z^k and the Heisenberg lattice have closed formulas for both
 (CayleyGroup.word_length and ball_size), and every other model reads them
 from a radius-bounded breadth-first search, which grows each layer from one
-lazy step per generator (CayleyGroup.right_steps).  The search also
+lazy step per generator (CayleyGroup.right_steps: the group law, or a
+closed-form step on bs12 and semidirect: groups).  The search also
 enumerates a ball's elements where they are sampled, for every model.  All
 asymptotic statements are reported as finite-radius fits with explicit
 tolerances.
@@ -109,11 +110,6 @@ class ZK(CayleyGroup):
             gens.append(tuple(e))
         return gens
 
-    def right_steps(self, frontier):
-        def shift(i, s):
-            return (g[:i] + (g[i] + s,) + g[i + 1:] for g in frontier)
-        return [shift(i, s) for i in range(self.k) for s in (1, -1)]
-
     def word_length(self, g):
         """The l1 norm."""
         return sum(map(abs, g)) if _is_int_tuple(g, self.k) else None
@@ -152,12 +148,6 @@ class Heis3Z(CayleyGroup):
 
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
-
-    def right_steps(self, frontier):
-        return [((a + 1, b, c) for a, b, c in frontier),
-                ((a - 1, b, c) for a, b, c in frontier),
-                ((a, b + 1, c + a) for a, b, c in frontier),
-                ((a, b - 1, c - a) for a, b, c in frontier)]
 
     def word_length(self, g):
         """Blachère's word length (Colloq. Math. 95, 2003), in O(1).

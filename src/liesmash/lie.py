@@ -95,15 +95,15 @@ class LieAlgebra:
 
     brackets maps (i, j) with i < j to a sparse coordinate map
     {k: coefficient} describing [e_i, e_j]; antisymmetry is implied and
-    omitted pairs bracket to zero.  ad holds the same table as adjoint
-    rows: ad[i][j] is the tuple of nonzero terms (k, c) of [e_i, e_j], for
-    i < j and for i > j.
+    omitted pairs bracket to zero.  The table is kept only as adjoint rows:
+    ad[i][j] is the tuple of nonzero terms (k, c) of [e_i, e_j], for i < j
+    and for i > j.
     """
 
     def __init__(self, basis_names, brackets):
         self.basis_names = list(basis_names)
         self.dim = len(self.basis_names)
-        table = {}
+        self.ad = ad = [{} for _ in range(self.dim)]
         for (i, j), comps in brackets.items():
             if not (0 <= i < j < self.dim):
                 raise InputError(
@@ -114,12 +114,8 @@ class LieAlgebra:
                 if not 0 <= k < self.dim:
                     raise InputError(f"bracket target index {k} out of range")
             if cleaned:
-                table[(i, j)] = cleaned
-        self.brackets = table
-        self.ad = [{} for _ in range(self.dim)]
-        for (i, j), comps in table.items():
-            self.ad[i][j] = tuple(comps.items())
-            self.ad[j][i] = tuple((k, -c) for k, c in comps.items())
+                ad[i][j] = tuple(cleaned.items())
+                ad[j][i] = tuple((k, -c) for k, c in cleaned.items())
         self._full = Subspace(self, [unit_vector(self.dim, i)
                                      for i in range(self.dim)])
         self._derived = None
@@ -289,13 +285,14 @@ class LieAlgebra:
 
     def to_json_dict(self) -> dict:
         entries = []
-        for (i, j), comps in sorted(self.brackets.items()):
-            entries.append({
-                "x": self.basis_names[i],
-                "y": self.basis_names[j],
-                "value": [[self.basis_names[k], str(c)]
-                          for k, c in sorted(comps.items())],
-            })
+        for i, row in enumerate(self.ad):
+            for j in sorted(j for j in row if j > i):
+                entries.append({
+                    "x": self.basis_names[i],
+                    "y": self.basis_names[j],
+                    "value": [[self.basis_names[k], str(c)]
+                              for k, c in sorted(row[j])],
+                })
         return {"dim": self.dim, "basis": self.basis_names, "brackets": entries}
 
     @classmethod

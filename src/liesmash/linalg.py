@@ -87,9 +87,7 @@ def solve_in_basis(basis_rows, x: Vector):
     red = [list(r) for r in rref(aug)]
     coeffs = [ZERO] * k
     for row in red:
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
+        lead = next(j for j, v in enumerate(row) if v)   # rref drops zero rows
         if lead == k:
             return None  # inconsistent: x outside the span
         coeffs[lead] = row[k]

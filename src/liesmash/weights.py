@@ -133,9 +133,6 @@ class Weight:
     def eval(self, point) -> float:
         return guarded_exp(self.log_eval(point))
 
-    def __call__(self, point) -> float:
-        return self.eval(point)
-
     def _shape_error(self, got: int) -> WeightDomainError:
         return WeightDomainError(
             f"{self} expects {self.dim} coordinates, got {got}")
@@ -507,9 +504,6 @@ class MajorizationVerdict(_Value):
         object.__setattr__(self, "excess", excess)
         # (point, log lhs, log rhs); a fresh list per verdict by default
         object.__setattr__(self, "samples", [] if samples is None else samples)
-
-    def __bool__(self):
-        return self.verdict == HOLDS
 
 
 def _structured_points(dim: int, radius: float):

@@ -465,6 +465,7 @@ def test_random_solvable_chain_smash_axioms(a, b, c, kill_a):
     names = [f.name for f in built.chain.factors]
     comm = commutator_table_check(model, g, built.chain.basis_vectors(), names)
     assert comm.passed, comm.witness
+    _assert_actions_match_the_word_expansion(model)
 
 
 def test_heisenberg_smash_table_matches_pbw_oracle():
@@ -851,3 +852,106 @@ def test_chain_model_with_a_corrupted_action_entry_fails():
          "bialgebra": (26, "(e1, e2^2)"),
          "antipode-convolution": (6, "e2*e1")},
         (False, 3, "[e2, e1] = (-2)*e3"))
+
+
+@pytest.mark.parametrize("pair, term, want", [
+    ((1, 2), (), (3, "[e2, e1] = 1 + (-1)*e3")),
+    ((0, 1), (0, 1), (1, "[e3, e2] = e3*e2"))])
+def test_commutator_check_refuses_a_term_outside_degree_one(pair, term, want):
+    """A commutator with a term of degree 0 or 2 has no image in g: the
+    check fails on that pair, and the witness shows the term.  The term,
+    given by its generator indices, is added to a cached generator product."""
+    built = build_chain_model(corpus.heisenberg(), truncation=3)
+    s = built.smash
+    gens = [key for _, key in s.generators]     # e3, e2, e1
+    factors = tuple(gens[i] for i in term)
+    extra = next(k for k in s.basis if s.factorization[k] == factors)
+    assert s.degree[extra] == len(term) != 1
+    left, right = (gens[i] for i in pair)
+    good = s.mult[(left, right)]                # computed and cached
+    s.mult[(left, right)] = el_axpy(dict(good), ONE, {extra: ONE})
+    check = commutator_table_check(s, built.algebra,
+                                   built.chain.basis_vectors(),
+                                   built.chain.generator_names())
+    assert (check.passed, check.checked, check.witness) == (False, *want)
+
+
+def test_decompose_reports_the_first_failing_hopf_check(monkeypatch, capsys):
+    """A cached product corrupted inside a decompose run: the text report
+    names the first failing check with its count and witness, and the run
+    exits 3."""
+    from liesmash import cli, report
+    build = report.build_chain_model
+
+    def corrupted(*args, **kwargs):
+        model = build(*args, **kwargs)
+        s = model.smash
+        e3 = s.generators[0][1]
+        s.mult[(e3, e3)] = {k: 3 * c for k, c in s.mult[(e3, e3)].items()}
+        return model
+    monkeypatch.setattr(report, "build_chain_model", corrupted)
+    assert cli.main(["decompose", str(DATA / "heisenberg.json"),
+                     "--truncation", "3"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("verify hopf-axioms: FAIL (8 checks)")
+    assert lines[at + 1] == ("  failing check: associativity: FAIL (103 cases) "
+                             "witness: (e1, e2, e3)")
+    assert lines[at + 2] == "verify commutator-recovery: pass (3 pairs)"
+    assert lines[-1] == "result: FAIL"
+
+
+# -- the derivation builder against the word expansion ------------------------
+
+def _word_expansion_table(H, A, images):
+    """Reference action table: der of each basis element by expanding its
+    factorization word, each factor in turn replaced by its image (O(L^2)
+    products for L factors), and y^n acting as der applied n times."""
+    gen_image = {key: img for (_, key), img in zip(A.generators, images)}
+    der = {}
+    for key in A.basis:
+        factors = A.factorization[key]
+        total = {}
+        for i in range(len(factors)):
+            term = {A.unit: ONE}
+            for j, f in enumerate(factors):
+                term = A.multiply(term, gen_image[f] if j == i else {f: ONE})
+            el_axpy(total, ONE, term)
+        der[key] = total
+    table = {}
+    for ak in A.basis:
+        current = {ak: ONE}
+        for n in H.basis:
+            table[(n, ak)] = current
+            nxt = {}
+            for k, c in current.items():
+                el_axpy(nxt, c, der[k])
+            current = nxt
+    return table
+
+
+def _assert_actions_match_the_word_expansion(top):
+    """Every derivation action in top's tower equals the reference table
+    built from the same generator images.  der(1) = 0, so y acts on each
+    generator of A by its image: table[(1, g)] reads the images back."""
+    checked = 0
+    for X in _tower(top):
+        if not isinstance(X, SmashAlgebra) or X.H.kind != "primitive-series":
+            continue
+        table = X.action.table
+        images = [table[(1, key)] for _, key in X.A.generators]
+        assert _word_expansion_table(X.H, X.A, images) == table, X.name
+        checked += 1
+    return checked
+
+
+def test_derivation_builder_matches_the_word_expansion():
+    models = _models_at_d3()
+    for stem, d in (("heisenberg", 4), ("filiform4", 4)):
+        g = LieAlgebra.from_json_dict(json.loads((DATA / f"{stem}.json").read_text()))
+        models[f"{stem}@{d}"] = build_chain_model(g, truncation=d).smash
+    checked = {name: _assert_actions_match_the_word_expansion(top)
+               for name, top in models.items()}
+    assert checked == {
+        "series": 0, "smash2": 1, "heis3": 2, "solv2": 1, "cyclic2": 0,
+        "tensor2": 1, "abelian2": 1, "filiform4": 3, "heisenberg": 2,
+        "uppertri3": 5, "heisenberg@4": 2, "filiform4@4": 3}
