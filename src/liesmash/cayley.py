@@ -5,12 +5,11 @@ lattice for the Heisenberg group, a Baumslag-Solitar-type group for the
 exponentially distorted directions).  Word lengths and ball sizes are exact:
 Z^k and the Heisenberg lattice have closed formulas for both
 (CayleyGroup.word_length and ball_size), and every other model reads them
-from a radius-bounded breadth-first search, which grows each layer from one
-lazy step per generator (CayleyGroup.right_steps: the group law, or a
-closed-form step on bs12 and semidirect: groups).  The search also
-enumerates a ball's elements where they are sampled, for every model.  All
-asymptotic statements are reported as finite-radius fits with explicit
-tolerances.
+from a radius-bounded breadth-first search.  The search runs on int keys
+(CayleyGroup.ball_code: one int per element, each generator step one int
+addition) and decodes the keys to elements only where a ball's elements
+are enumerated, as when they are sampled.  All asymptotic statements are
+reported as finite-radius fits with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import accumulate
+from operator import mul
 
 from .errors import InputError, PreconditionError
 from .weights import WeightDomainError, _lsq
@@ -45,12 +44,10 @@ class CayleyGroup:
         """Symmetric generating set U, identity excluded."""
         raise NotImplementedError
 
-    def right_steps(self, frontier) -> list:
-        """One lazy iterator per generator u, in generators() order, each
-        yielding g u for every g of frontier in order.  Models with a closed
-        form for a generator step override this."""
-        mult = self.multiply
-        return [map(mult, frontier, repeat(u)) for u in self.generators()]
+    def ball_code(self, radius: int):
+        """The BallCode packing the ball of this radius, or None: the ball
+        is then built on the elements themselves, by multiply."""
+        return None
 
     def word_length(self, g):
         """The exact word length of g from a closed formula, or None: for
@@ -119,6 +116,11 @@ class ZK(CayleyGroup):
         C(radius, j) absolute values with sum <= radius."""
         return sum(2 ** j * math.comb(self.k, j) * math.comb(radius, j)
                    for j in range(self.k + 1))
+
+    def ball_code(self, radius):
+        """Each coordinate in [-radius, radius]; every step is one row."""
+        gens = self.generators()
+        return BallCode((radius,) * self.k, lambda _: gens, select=False)
 
     def parse_element(self, text):
         return _parse_int_tuple(text, self.k)
@@ -196,6 +198,12 @@ class Heis3Z(CayleyGroup):
                           * (2 if p else 1) * (2 if q else 1))
         return total
 
+    def ball_code(self, radius):
+        """|a|, |b| <= radius and |c| <= radius^2, since c sums at most
+        radius values of a; a selects the row, as y adds a to c."""
+        return BallCode((radius, radius, radius * radius), lambda a: [
+            (1, 0, 0), (-1, 0, 0), (0, 1, a), (0, -1, -a)])
+
     def parse_element(self, text):
         return _parse_int_tuple(text, 3)
 
@@ -236,10 +244,32 @@ class BS12(CayleyGroup):
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]
 
-    def right_steps(self, frontier):
-        return [_bs12_a_step(frontier, 1), _bs12_a_step(frontier, -1),
-                ((m, k, n + 1) for m, k, n in frontier),
-                ((m, k, n - 1) for m, k, n in frontier)]
+    def ball_code(self, radius):
+        """Fields n and X = x 2^radius.  A word of length <= radius adds at
+        most radius terms +-2^n with |n| < radius to x, so X is an integer
+        with |X| <= radius 2^(2 radius); n selects the row, as a adds 2^n."""
+        def fields(g):
+            if type(g) is tuple and len(g) == 3:
+                m, k, n = g
+                if type(m) is type(k) is int and 0 <= k <= radius \
+                        and (m & 1 or not k):
+                    return (n, m << (radius - k))
+            return None
+
+        def steps(n):
+            a = 1 << (n + radius)
+            return [(0, a), (0, -a), (1, 0), (-1, 0)]
+
+        def elements(ns, xs):
+            # x = X / 2^k with k = radius less the powers of 2 in X, at most
+            # radius of them: bit radius is set in x | top
+            top = 1 << radius
+            ks = [radius + 1 - ((x | top) & -(x | top)).bit_length()
+                  for x in xs]
+            return list(zip([x >> (radius - k) for x, k in zip(xs, ks)],
+                            ks, ns))
+        return BallCode((radius, radius << 2 * radius), steps, fields,
+                        elements)
 
     def parse_element(self, text):
         """Read "(x, n)" with x an integer, a fraction m/2^k or a decimal."""
@@ -259,18 +289,6 @@ class BS12(CayleyGroup):
     def format_element(self, g):
         m, k, n = g
         return f"({m}, {n})" if not k else f"({m}/{1 << k}, {n})"
-
-
-def _bs12_a_step(frontier, s: int):
-    """g a^s for each g = (m, k, n) of frontier: x + s 2^n, in normal form."""
-    for m, k, n in frontier:
-        e = n + k       # s 2^n = s 2^e / 2^k
-        if e < 0:       # odd over 2^-n, with -n > k
-            yield ((m << -e) + s, -n, n)
-        elif e or not k:
-            yield (m + (s << e), k, n)
-        else:           # odd m plus s over 2^k: cancel powers of 2
-            yield _dyadic(m + s, k, n)
 
 
 def _dyadic(m: int, k: int, n: int) -> tuple:
@@ -305,7 +323,6 @@ class SemidirectZkZ(CayleyGroup):
             raise InputError(f"semidirect matrix must have det +-1, got {det}")
         self._inv = _int_inverse(self.matrix, det)
         self._powers: dict[int, tuple] = {0: _int_identity(self.k)}
-        self._images: dict[int, tuple] = {}   # n -> generator images of M^n
         rows = ";".join(",".join(str(x) for x in row) for row in self.matrix)
         self.name = f"semidirect:{self.k}:[{rows}]"
 
@@ -344,25 +361,32 @@ class SemidirectZkZ(CayleyGroup):
         return ([(e, 0) for e in ZK(self.k).generators()]
                 + [(zero, 1), (zero, -1)])
 
-    def _generator_images(self, n: int) -> tuple:
-        """M^n e_i and -M^n e_i for each i, in generators() order."""
-        out = self._images.get(n)
-        if out is None:
-            out = tuple(w for col in zip(*self._power_matrix(n))
-                        for w in (col, tuple(-x for x in col)))
-            self._images[n] = out
-        return out
+    def ball_code(self, radius):
+        """Fields n and v.  A word of length <= radius adds at most radius
+        columns of M^n with |n| <= radius to v, so |v_i| <= radius times
+        their largest entry; n selects the row, as e_i adds the column
+        M^n e_i.  The ball holds the 2 r^2 + 2 r + 1 distinct e_1^x t^n
+        with |x| + |n| <= r, so past the radius where those alone exceed
+        MAX_BALL_ELEMENTS it is refused after a few layers: there c^radius,
+        c the largest absolute row sum of M or M^-1, bounds the entries in
+        one power instead of radius matrix products."""
+        if 2 * radius * (radius + 1) < MAX_BALL_ELEMENTS:
+            top = max(abs(x) for n in range(radius + 1) for m in (n, -n)
+                      for row in self._power_matrix(m) for x in row)
+        else:
+            top = max(sum(map(abs, row))
+                      for row in self.matrix + self._inv) ** radius
+        zero = (0,) * self.k
 
-    def _image_step(self, frontier, j: int):
-        images = self._images
-        for v, n in frontier:
-            w = images[n][j] if n in images else self._generator_images(n)[j]
-            yield (tuple(map(add, v, w)), n)
-
-    def right_steps(self, frontier):
-        return ([self._image_step(frontier, j) for j in range(2 * self.k)]
-                + [((v, n + 1) for v, n in frontier),
-                   ((v, n - 1) for v, n in frontier)])
+        def steps(n):
+            return [(0, *w) for col in zip(*self._power_matrix(n))
+                    for w in (col, [-x for x in col])] + [(1, *zero),
+                                                          (-1, *zero)]
+        return BallCode(
+            (radius,) + (radius * top,) * self.k, steps,
+            lambda g: (g[1], *g[0]) if type(g) is tuple and len(g) == 2
+            and type(g[0]) is tuple else None,
+            lambda ns, *vs: list(zip(zip(*vs), ns)))
 
     def parse_element(self, text):
         """Read "(v_1, ..., v_k, n)" or the printed "((v_1, ..., v_k), n)"."""
@@ -464,9 +488,72 @@ def make_group(spec: str) -> CayleyGroup:
 # word weights: formulas, or breadth-first search
 # ---------------------------------------------------------------------------
 
-# A ball element costs about 170 bytes (dict slot, key tuple, ints), so
-# this refuses balls of more than about 340 MB; the BS12 radius-20 ball
-# (1,062,841 elements) still fits.
+class BallCode:
+    """The elements of a word ball packed one-to-one into non-negative ints.
+
+    The coordinates x_1, ..., x_f of an element g (to_fields(g); g itself
+    by default), with |x_i| <= bounds[i] over the ball, sit in fixed-width
+    fields x_i + bounds[i] of one int, x_1 highest.  Within the bounds the
+    packing is linear, so the step from g by the j-th generator adds the
+    j-th delta of rows[g >> shift].  x_1 (n of bs12 and semidirect:, a of
+    heis3z) selects that row, whose coordinate changes are steps(x_1) in
+    generators() order; without select (zk:<k>) shift passes every field
+    and there is one row.  from_columns(*columns) builds the elements back
+    from decoded coordinate columns (by default the tuples of them).
+    """
+
+    def __init__(self, bounds, steps, to_fields=None, from_columns=None,
+                 select=True):
+        self.bounds = bounds
+        widths = [(2 * b).bit_length() for b in bounds]
+        self.masks = [(1 << w) - 1 for w in widths]
+        self.positions = list(accumulate(widths[:0:-1], initial=0))[::-1]
+        self.shift = self.positions[0] + (0 if select else widths[0])
+        self._steps = steps
+        self._to_fields = to_fields or (lambda g: g)
+        self._from_columns = from_columns or (lambda *cols: list(zip(*cols)))
+        self._rows = {} if select else {0: self._row(None)}
+        self._depth = -1 if select else math.inf
+
+    def _row(self, x):
+        return [sum(c << p for c, p in zip(change, self.positions))
+                for change in self._steps(x)]
+
+    def rows(self, depth: int) -> dict:
+        """The rows of all elements with |x_1| <= depth, which holds every
+        frontier element at that depth: a radius refused after a few layers
+        builds only the rows of those layers."""
+        while self._depth < depth:
+            self._depth += 1
+            for x in {-self._depth, self._depth}:
+                self._rows[x + self.bounds[0]] = self._row(x)
+        return self._rows
+
+    def encode(self, g):
+        """The key of g, or None for anything that is not an element in
+        normal form within the bounds."""
+        fields = self._to_fields(g)
+        if type(fields) is not tuple or len(fields) != len(self.bounds):
+            return None
+        key = 0
+        for x, b, p in zip(fields, self.bounds, self.positions):
+            if type(x) is not int or not -b <= x <= b:
+                return None
+            key += (x + b) << p
+        return key
+
+    def decode(self, keys) -> list:
+        """The elements of keys in order, decoded one column at a time."""
+        return self._from_columns(*[[(key >> p & m) - b for key in keys]
+                                    for b, p, m in zip(self.bounds,
+                                                       self.positions,
+                                                       self.masks)])
+
+
+# A ball element costs about 70 bytes (dict slot and int key, by
+# sys.getsizeof on the BS12 radius-20 ball), so this refuses balls of more
+# than about 140 MB; the BS12 radius-20 ball (1,062,841 elements) still
+# fits.  Reading lengths adds the decoded elements.
 MAX_BALL_ELEMENTS = 2_000_000
 
 
@@ -479,11 +566,13 @@ class WordWeightTable:
     (sample_group_points).  Every other group builds its ball in the
     constructor and answers from it.
 
-    The ball is a breadth-first search.  Each layer grows from the frontier
-    by the group's right_steps, read frontier-element-major and
-    generator-minor: g u_1, ..., g u_s, then the next g.  That is the order
-    of a loop over g and then u, so lengths keeps the same insertion order
-    (which sample_group_points draws from) and the same lengths.
+    The ball is a breadth-first search on the int keys of the group's
+    BallCode: each generator step adds one int, and lengths decodes the
+    elements only when it is read.  A group without a code (a direct
+    product) multiplies its elements by each generator instead.  Each
+    layer grows from the frontier element-major and generator-minor: g u_1,
+    ..., g u_s, then the next g, so lengths keeps the insertion order that
+    sample_group_points draws from.
 
     A ball beyond MAX_BALL_ELEMENTS is refused with PreconditionError
     before it is allocated.  A group with formulas is refused from its
@@ -492,7 +581,8 @@ class WordWeightTable:
     frontier element, and each of the remaining layers is taken to be no
     smaller than the frontier (sphere sizes do not shrink in the models of
     this module), so the estimate exceeds the true size only through the
-    next-layer bound.
+    next-layer bound.  The first layer's estimate is checked before the
+    code is built, since its fields widen with the radius.
     """
 
     def __init__(self, group: CayleyGroup, radius: int):
@@ -502,45 +592,74 @@ class WordWeightTable:
         self.radius = radius
         self._formula = group.word_length(group.identity()) is not None
         if not self._formula:
-            self.lengths = self._ball()
+            self._code, self._keys = self._ball()
 
     @cached_property
     def lengths(self) -> dict:
-        """Element -> word length over the ball, in breadth-first order."""
-        return self._ball()
+        """Element -> word length over the ball, in breadth-first order,
+        decoded from the keys when first read."""
+        code, keys = self._ball() if self._formula else (self._code,
+                                                         self._keys)
+        if code is None:
+            return keys
+        return dict(zip(code.decode(keys), keys.values()))
 
     def _ball(self):
+        """(code, key -> word length): the ball on the code's keys, or on
+        the elements when the group has no code."""
         group, radius = self.group, self.radius
         if self._formula:
             check_ball_size(group, radius)
-        lengths = {group.identity(): 0}
-        frontier = [group.identity()]
-        gens = group.generators()
+        elif radius:    # the first layer's check, before the code is built
+            self._check_estimate(0, 1, 1)
+        code = group.ball_code(radius)
+        gens, mult = group.generators(), group.multiply
+        start = group.identity() if code is None else \
+            code.encode(group.identity())
+        keys = {start: 0}
+        frontier = [start]
         for depth in range(radius):
-            estimate = (len(lengths)
-                        + max(len(gens) - 1, radius - depth) * len(frontier))
-            if not self._formula and estimate > MAX_BALL_ELEMENTS:
-                raise PreconditionError(
-                    f"the {group.name} ball of radius {radius} would hold "
-                    f"about {estimate} elements at depth {depth + 1}, more "
-                    f"than the {MAX_BALL_ELEMENTS} allowed")
+            if not self._formula:
+                self._check_estimate(depth, len(keys), len(frontier))
+            n = depth + 1
             nxt = []
-            for h in chain.from_iterable(zip(*group.right_steps(frontier))):
-                if h not in lengths:
-                    lengths[h] = depth + 1
-                    nxt.append(h)
+            if code is None:
+                for g in frontier:
+                    for u in gens:
+                        h = mult(g, u)
+                        if h not in keys:
+                            keys[h] = n
+                            nxt.append(h)
+            else:
+                rows, shift = code.rows(depth), code.shift
+                for g in frontier:
+                    for d in rows[g >> shift]:
+                        h = g + d
+                        if h not in keys:
+                            keys[h] = n
+                            nxt.append(h)
             frontier = nxt
-        return lengths
+        return code, keys
+
+    def _check_estimate(self, depth, size, frontier):
+        estimate = (size + max(len(self.group.generators()) - 1,
+                               self.radius - depth) * frontier)
+        if estimate > MAX_BALL_ELEMENTS:
+            raise PreconditionError(
+                f"the {self.group.name} ball of radius {self.radius} would "
+                f"hold about {estimate} elements at depth {depth + 1}, more "
+                f"than the {MAX_BALL_ELEMENTS} allowed")
 
     def __len__(self):
         if self._formula:
             return self.group.ball_size(self.radius)
-        return len(self.lengths)
+        return len(self._keys)
 
     def length(self, g):
         """The word length of g if g is an element of the ball, else None."""
         if not self._formula:
-            return self.lengths.get(g)
+            code = self._code
+            return self._keys.get(g if code is None else code.encode(g))
         n = self.group.word_length(g)
         return n if n is not None and n <= self.radius else None
 

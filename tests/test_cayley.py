@@ -180,7 +180,7 @@ def test_make_group_specs():
 
 
 # ---------------------------------------------------------------------------
-# per-generator steps
+# packed ball keys
 # ---------------------------------------------------------------------------
 
 big_ints = st.one_of(small_ints, st.integers(-2 ** 70, 2 ** 70))
@@ -192,25 +192,34 @@ def _semidirect_elements(k):
     return st.tuples(st.tuples(*[big_ints] * k), st.integers(-7, 7))
 
 
-# (group, element strategy, elements always in the frontier)
+# (group, element strategy, elements always in the frontier, a radius whose
+# code bounds hold every element and its steps).  heis3z's a and the n of
+# bs12 and semidirect: select a row, so they stay small.
 STEP_MODELS = {
-    "zk1": (C.ZK(1), st.tuples(big_ints), [(0,)]),
-    "zk3": (C.ZK(3), st.tuples(big_ints, big_ints, big_ints), [(0, 0, 0)]),
-    "heis3z": (C.Heis3Z(), heis_elements, [(0, 0, 0)]),
-    # every branch of the a-steps: n + k < 0, n + k = 0 with k > 0 (the sum
-    # loses powers of 2), n + k > 0, k = 0, and m near 2^70
+    "zk1": (C.ZK(1), st.tuples(big_ints), [(0,)], 2 ** 71),
+    "zk3": (C.ZK(3), st.tuples(big_ints, big_ints, big_ints), [(0, 0, 0)],
+            2 ** 71),
+    "heis3z": (C.Heis3Z(), st.tuples(small_ints, big_ints, big_ints),
+               [(0, 0, 0)], 2 ** 71),
+    # a-steps from n + k < 0, n + k = 0 with k > 0 (the sum loses powers of
+    # 2), n + k > 0, k = 0, and m near 2^70
     "bs12": (C.BS12(), bs12_elements,
              [(0, 0, 0), (1, 3, -5), (-3, 2, -7), (1, 1, -1), (-1, 4, -4),
-              (3, 2, 1), (5, 0, 3), (2 ** 70 + 1, 0, 2), (2 ** 70 - 1, 9, -70)]),
+              (3, 2, 1), (5, 0, 3), (2 ** 70 + 1, 0, 2), (2 ** 70 - 1, 9, -70)],
+             201),
     "semidirect-det-1": (C.SemidirectZkZ([[1, 1], [1, 0]]),
-                         _semidirect_elements(2), [((0, 0), 0), ((1, -2), -3)]),
+                         _semidirect_elements(2), [((0, 0), 0), ((1, -2), -3)],
+                         110),
     "semidirect-2x2": (C.SemidirectZkZ([[2, 1], [1, 1]]),
-                       _semidirect_elements(2), [((0, 0), 0)]),
+                       _semidirect_elements(2), [((0, 0), 0)], 72),
     "semidirect-3x3": (C.SemidirectZkZ([[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
-                       _semidirect_elements(3), [((0, 0, 0), 0)]),
+                       _semidirect_elements(3), [((0, 0, 0), 0)], 170),
+    # a radius whose ball is refused: its bound comes from a matrix norm
+    "semidirect-norm-bound": (C.SemidirectZkZ([[1, 1], [1, 0]]),
+                              _semidirect_elements(2), [((0, 0), 0)], 1000),
     "product": (C.DirectProduct(C.Heis3Z(), C.BS12()),
                 st.tuples(heis_elements, bs12_elements),
-                [((0, 0, 0), (0, 0, 0)), ((1, 2, 3), (1, 3, -5))]),
+                [((0, 0, 0), (0, 0, 0)), ((1, 2, 3), (1, 3, -5))], 3),
 }
 
 
@@ -218,14 +227,28 @@ STEP_MODELS = {
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_right_steps_match_multiply(model, data):
-    group, elements, fixed = STEP_MODELS[model]
+    """Each right step g -> g u by a generator adds u's delta from g's row
+    of the ball code: decode(encode(g) + d) = g u."""
+    group, elements, fixed, radius = STEP_MODELS[model]
     frontier = fixed + data.draw(st.lists(elements, max_size=10))
-    steps = group.right_steps(frontier)
     gens = group.generators()
-    assert len(steps) == len(gens)
-    for step, u in zip(steps, gens):
-        assert iter(step) is step       # a lazy iterator, not a list
-        assert list(step) == [group.multiply(g, u) for g in frontier]
+    code = group.ball_code(radius)
+    if code is None:    # the ball multiplies by each generator
+        table = C.WordWeightTable(group, radius)
+        assert list(table.lengths.items()) == \
+            list(_per_element_bfs(group, radius).items())
+        assert all(table.length(g) == 1 for g in gens)
+        return
+    keys = [code.encode(g) for g in frontier]
+    assert None not in keys
+    # rows(depth) holds the rows of |x_1| <= depth (zk:<k> has one row)
+    rows = code.rows(max(abs((key >> code.shift) - code.bounds[0])
+                         for key in keys))
+    for g, key in zip(frontier, keys):
+        row = rows[key >> code.shift]
+        assert len(row) == len(gens)
+        assert code.decode([key + d for d in row]) == \
+            [group.multiply(g, u) for u in gens]
 
 
 def _per_element_bfs(group, radius):
@@ -255,6 +278,101 @@ def test_ball_matches_per_element_bfs(group, radius):
     assert len(table) >= 5000
     assert list(table.lengths.items()) == \
         list(_per_element_bfs(group, radius).items())
+
+
+def _past_bounds(group, code):
+    """Elements with one coordinate just past its field's bound, at twice
+    the bound (past the field's width for some bounds) or at +-2^70, and
+    anything that is not an element."""
+    big, out = 2 ** 70, []
+    if isinstance(group, C.BS12):
+        r, bound = code.bounds
+        for s in (1, -1):
+            out += [(s * (bound + 1), r, 0), (s * (2 * bound + 1), r, 0),
+                    (s * big, 0, 0), (s * big + 1, 3, 0),
+                    (1, 0, s * (r + 1)), (1, 0, s * 2 * r), (1, 0, s * big),
+                    (0, 0, s * (r + 1))]
+        # k > r, and triples that are not normal forms: none aliases (1, 0, 0)
+        out += [(1, r + 1, 0), (3, big, 0), (2, 1, 0), (0, 3, 0), (4, 2, 0),
+                (-2, 1, 0), (1, -1, 0)]
+    elif isinstance(group, C.SemidirectZkZ):
+        r, bound = code.bounds[:2]
+        zero = (0,) * group.k
+        for s in (1, -1):
+            for i in range(group.k):
+                for x in (bound + 1, 2 * bound, big):
+                    out.append((zero[:i] + (s * x,) + zero[i + 1:], 0))
+            out += [(zero, s * (r + 1)), (zero, s * 2 * r), (zero, s * big)]
+        out += [(zero + (0,), 0), (zero[1:], 0), (zero, 0, 0), (*zero, 0)]
+    else:
+        k = len(group.identity())
+        for i, bound in enumerate(code.bounds):
+            for x in (bound + 1, -bound - 1, 2 * bound, -2 * bound, big, -big):
+                out.append((0,) * i + (x,) + (0,) * (k - i - 1))
+        out += [(0,) * (k + 1), (0,) * (k - 1)]
+    return out + [(u,) for u in group.generators()] + [(), (group.identity(),)]
+
+
+CODED_BALLS = [(C.ZK(3), 6), (C.ZK(1), 9), (C.Heis3Z(), 6), (C.BS12(), 6),
+               (C.BS12(), 0), (C.SemidirectZkZ([[2, 1], [1, 1]]), 5),
+               (C.SemidirectZkZ([[-1]]), 10),
+               (C.SemidirectZkZ([[0, 1, 0], [0, 0, 1], [1, 1, 0]]), 4)]
+
+
+@pytest.mark.parametrize("group, radius", CODED_BALLS,
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_length_matches_reference_bfs_on_every_probe(group, radius):
+    """table.length, and a lookup of encode in the packed reference ball,
+    agree with the reference ball's dict lookup: on the ball, one step
+    beyond it, past each field's bound and on anything not an element."""
+    ref = _per_element_bfs(group, radius)
+    code = group.ball_code(radius)
+    packed = {code.encode(g): n for g, n in ref.items()}
+    assert None not in packed and len(packed) == len(ref)
+    table = C.WordWeightTable(group, radius)
+    probes = list(ref) + [group.multiply(g, u) for g in ref
+                          for u in group.generators()]
+    probes += _past_bounds(group, code)
+    for g in probes:
+        want = ref.get(g)
+        assert table.length(g) == want, g
+        assert packed.get(code.encode(g)) == want, g
+    if isinstance(group, C.BS12):
+        assert table.length((1, 0, 0)) == (1 if radius else None)
+        assert table.length((2, 1, 0)) is None
+        assert table.length((0, 3, 0)) is None
+
+
+@pytest.mark.parametrize("group, radius", CODED_BALLS,
+                         ids=lambda x: getattr(x, "name", str(x)))
+def test_decode_inverts_encode_over_the_ball(group, radius):
+    ref = _per_element_bfs(group, radius)
+    code = group.ball_code(radius)
+    keys = [code.encode(g) for g in ref]
+    assert code.decode(keys) == list(ref)
+    assert min(keys) >= 0
+    assert list(C.WordWeightTable(group, radius).lengths.items()) == \
+        list(ref.items())
+
+
+def test_semidirect_code_bounds_by_the_largest_power_entry():
+    """|v_i| <= r max |(M^n)_ij| over |n| <= r: the Fibonacci entries
+    F(23) = 28657 of M^11 and M^-11, and C(16, 2) = 120 of J^-15 for the
+    unipotent Jordan block J."""
+    code = C.SemidirectZkZ([[2, 1], [1, 1]]).ball_code(11)
+    assert code.bounds == (11, 11 * 28657, 11 * 28657)
+    jordan = C.SemidirectZkZ([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert jordan.ball_code(15).bounds == (15,) + (15 * 120,) * 3
+
+
+def test_huge_radius_is_refused_before_its_code_is_built():
+    """The first layer's estimate is checked before the code, whose
+    fields widen with the radius; a radius passing it is refused a few
+    layers later, with only those layers' rows built."""
+    for group in (C.BS12(), C.SemidirectZkZ([[2, 1], [1, 1]])):
+        for radius in (10 ** 5, 10 ** 12):
+            with pytest.raises(PreconditionError, match="2000000 allowed"):
+                C.WordWeightTable(group, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +589,16 @@ def test_formula_table_answers_without_a_ball():
     assert table.length((10 ** 5 + 1, 0, 0)) is None
     assert len(C.WordWeightTable(C.ZK(2), 5000)) == 2 * 5000 ** 2 + 2 * 5000 + 1
     assert "lengths" not in vars(table)
-    assert "lengths" in vars(C.WordWeightTable(C.BS12(), 3))
+    # bs12 has no formulas: its ball is built in the constructor, len and
+    # length answer from it without decoding, and lengths decodes it
+    group = C.BS12()
+    bs = C.WordWeightTable(group, 3)
+    group.ball_code = None      # building a ball from here on would fail
+    ref = _per_element_bfs(C.BS12(), 3)
+    assert len(bs) == len(ref)
+    assert [bs.length(g) for g in ref] == list(ref.values())
+    assert "lengths" not in vars(bs)
+    assert list(bs.lengths.items()) == list(ref.items())
 
 
 def test_negative_radius_is_refused():
