@@ -5,11 +5,12 @@ lattice for the Heisenberg group, a Baumslag-Solitar-type group for the
 exponentially distorted directions).  Word lengths and ball sizes are exact:
 Z^k and the Heisenberg lattice have closed formulas for both
 (CayleyGroup.word_length and ball_size), and every other model reads them
-from a radius-bounded breadth-first search.  The search runs on int keys
-(CayleyGroup.ball_code: one int per element, each generator step one int
-addition) and decodes the keys to elements only where a ball's elements
-are enumerated, as when they are sampled.  All asymptotic statements are
-reported as finite-radius fits with explicit tolerances.
+from a radius-bounded breadth-first search.  The search on the models
+without formulas runs on int keys (CayleyGroup.ball_code: one int per
+element, each generator step one int addition) and decodes the keys to
+elements only where a ball's elements are enumerated, as when they are
+sampled.  All asymptotic statements are reported as finite-radius fits
+with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -117,11 +119,6 @@ class ZK(CayleyGroup):
         return sum(2 ** j * math.comb(self.k, j) * math.comb(radius, j)
                    for j in range(self.k + 1))
 
-    def ball_code(self, radius):
-        """Each coordinate in [-radius, radius]; every step is one row."""
-        gens = self.generators()
-        return BallCode((radius,) * self.k, lambda _: gens, select=False)
-
     def parse_element(self, text):
         return _parse_int_tuple(text, self.k)
 
@@ -197,12 +194,6 @@ class Heis3Z(CayleyGroup):
                 total += ((2 * w * (s - w) - p * q + 1)
                           * (2 if p else 1) * (2 if q else 1))
         return total
-
-    def ball_code(self, radius):
-        """|a|, |b| <= radius and |c| <= radius^2, since c sums at most
-        radius values of a; a selects the row, as y adds a to c."""
-        return BallCode((radius, radius, radius * radius), lambda a: [
-            (1, 0, 0), (-1, 0, 0), (0, 1, a), (0, -1, -a)])
 
     def parse_element(self, text):
         return _parse_int_tuple(text, 3)
@@ -362,20 +353,23 @@ class SemidirectZkZ(CayleyGroup):
                 + [(zero, 1), (zero, -1)])
 
     def ball_code(self, radius):
-        """Fields n and v.  A word of length <= radius adds at most radius
-        columns of M^n with |n| <= radius to v, so |v_i| <= radius times
-        their largest entry; n selects the row, as e_i adds the column
-        M^n e_i.  The ball holds the 2 r^2 + 2 r + 1 distinct e_1^x t^n
-        with |x| + |n| <= r, so past the radius where those alone exceed
-        MAX_BALL_ELEMENTS it is refused after a few layers: there c^radius,
-        c the largest absolute row sum of M or M^-1, bounds the entries in
-        one power instead of radius matrix products."""
+        """Fields n and v.  A word of length <= radius with s letters e_i^+-1
+        is at some |n| <= radius - s at each of them, where it adds a column
+        of M^n to v, so |v_i| <= s times the largest entry of M^n over
+        |n| <= radius - s, at the worst s; n selects the row, as e_i adds
+        the column M^n e_i.  The ball holds the 2 r^2 + 2 r + 1 distinct
+        e_1^x t^n with |x| + |n| <= r, so past the radius where those alone
+        exceed MAX_BALL_ELEMENTS it is refused after a few layers: there
+        radius c^radius, c the largest absolute row sum of M or M^-1, bounds
+        v from one power instead of radius matrix products."""
         if 2 * radius * (radius + 1) < MAX_BALL_ELEMENTS:
-            top = max(abs(x) for n in range(radius + 1) for m in (n, -n)
-                      for row in self._power_matrix(m) for x in row)
+            tops = list(accumulate((max(
+                abs(x) for m in (n, -n) for row in self._power_matrix(m)
+                for x in row) for n in range(radius + 1)), max))
+            bound = max(s * tops[radius - s] for s in range(radius + 1))
         else:
-            top = max(sum(map(abs, row))
-                      for row in self.matrix + self._inv) ** radius
+            bound = radius * max(sum(map(abs, row)) for row in
+                                 self.matrix + self._inv) ** radius
         zero = (0,) * self.k
 
         def steps(n):
@@ -383,7 +377,7 @@ class SemidirectZkZ(CayleyGroup):
                     for w in (col, [-x for x in col])] + [(1, *zero),
                                                           (-1, *zero)]
         return BallCode(
-            (radius,) + (radius * top,) * self.k, steps,
+            (radius,) + (bound,) * self.k, steps,
             lambda g: (g[1], *g[0]) if type(g) is tuple and len(g) == 2
             and type(g[0]) is tuple else None,
             lambda ns, *vs: list(zip(zip(*vs), ns)))
@@ -491,29 +485,28 @@ def make_group(spec: str) -> CayleyGroup:
 class BallCode:
     """The elements of a word ball packed one-to-one into non-negative ints.
 
-    The coordinates x_1, ..., x_f of an element g (to_fields(g); g itself
-    by default), with |x_i| <= bounds[i] over the ball, sit in fixed-width
-    fields x_i + bounds[i] of one int, x_1 highest.  Within the bounds the
-    packing is linear, so the step from g by the j-th generator adds the
-    j-th delta of rows[g >> shift].  x_1 (n of bs12 and semidirect:, a of
-    heis3z) selects that row, whose coordinate changes are steps(x_1) in
-    generators() order; without select (zk:<k>) shift passes every field
-    and there is one row.  from_columns(*columns) builds the elements back
-    from decoded coordinate columns (by default the tuples of them).
+    The coordinates x_1, ..., x_f of an element g (to_fields(g)), with
+    |x_i| <= bounds[i] over the ball, sit in fixed-width fields
+    x_i + bounds[i] of one int of at most width bits, x_1 highest.  Within
+    the bounds the packing is linear, so the step from g by the j-th
+    generator adds the j-th delta of rows[g >> shift]: x_1 (n of bs12 and
+    semidirect:) selects that row, whose coordinate changes are steps(x_1)
+    in generators() order.  from_columns(*columns) builds the elements back
+    from decoded coordinate columns.
     """
 
-    def __init__(self, bounds, steps, to_fields=None, from_columns=None,
-                 select=True):
+    def __init__(self, bounds, steps, to_fields, from_columns):
         self.bounds = bounds
         widths = [(2 * b).bit_length() for b in bounds]
         self.masks = [(1 << w) - 1 for w in widths]
         self.positions = list(accumulate(widths[:0:-1], initial=0))[::-1]
-        self.shift = self.positions[0] + (0 if select else widths[0])
+        self.shift = self.positions[0]
+        self.width = self.shift + widths[0]
         self._steps = steps
-        self._to_fields = to_fields or (lambda g: g)
-        self._from_columns = from_columns or (lambda *cols: list(zip(*cols)))
-        self._rows = {} if select else {0: self._row(None)}
-        self._depth = -1 if select else math.inf
+        self._to_fields = to_fields
+        self._from_columns = from_columns
+        self._rows = {}
+        self._depth = -1
 
     def _row(self, x):
         return [sum(c << p for c, p in zip(change, self.positions))
@@ -550,6 +543,11 @@ class BallCode:
                                                        self.masks)])
 
 
+# CPython hashes an int modulo a Mersenne prime (2^61 - 1 on 64-bit builds),
+# so wider keys fold their high fields onto the low ones and collide: such a
+# ball is built on the elements instead.
+HASHED_KEY_BITS = sys.hash_info.modulus.bit_length()
+
 # A ball element costs about 70 bytes (dict slot and int key, by
 # sys.getsizeof on the BS12 radius-20 ball), so this refuses balls of more
 # than about 140 MB; the BS12 radius-20 ball (1,062,841 elements) still
@@ -568,8 +566,9 @@ class WordWeightTable:
 
     The ball is a breadth-first search on the int keys of the group's
     BallCode: each generator step adds one int, and lengths decodes the
-    elements only when it is read.  A group without a code (a direct
-    product) multiplies its elements by each generator instead.  Each
+    elements only when it is read.  A group without a code (zk:<k>,
+    heis3z, a direct product), or whose keys would be wider than
+    HASHED_KEY_BITS, multiplies its elements by each generator instead.  Each
     layer grows from the frontier element-major and generator-minor: g u_1,
     ..., g u_s, then the next g, so lengths keeps the insertion order that
     sample_group_points draws from.
@@ -613,6 +612,8 @@ class WordWeightTable:
         elif radius:    # the first layer's check, before the code is built
             self._check_estimate(0, 1, 1)
         code = group.ball_code(radius)
+        if code is not None and code.width > HASHED_KEY_BITS:
+            code = None
         gens, mult = group.generators(), group.multiply
         start = group.identity() if code is None else \
             code.encode(group.identity())

@@ -193,14 +193,14 @@ def _semidirect_elements(k):
 
 
 # (group, element strategy, elements always in the frontier, a radius whose
-# code bounds hold every element and its steps).  heis3z's a and the n of
-# bs12 and semidirect: select a row, so they stay small.
+# code bounds hold every element and its steps).  The n of bs12 and
+# semidirect: selects a row, so it stays small.  zk:<k>, heis3z and products
+# have no code: their balls, at the radius given, multiply by each generator.
 STEP_MODELS = {
-    "zk1": (C.ZK(1), st.tuples(big_ints), [(0,)], 2 ** 71),
-    "zk3": (C.ZK(3), st.tuples(big_ints, big_ints, big_ints), [(0, 0, 0)],
-            2 ** 71),
+    "zk1": (C.ZK(1), st.tuples(big_ints), [(0,)], 9),
+    "zk3": (C.ZK(3), st.tuples(big_ints, big_ints, big_ints), [(0, 0, 0)], 6),
     "heis3z": (C.Heis3Z(), st.tuples(small_ints, big_ints, big_ints),
-               [(0, 0, 0)], 2 ** 71),
+               [(0, 0, 0)], 6),
     # a-steps from n + k < 0, n + k = 0 with k > 0 (the sum loses powers of
     # 2), n + k > 0, k = 0, and m near 2^70
     "bs12": (C.BS12(), bs12_elements,
@@ -213,7 +213,7 @@ STEP_MODELS = {
     "semidirect-2x2": (C.SemidirectZkZ([[2, 1], [1, 1]]),
                        _semidirect_elements(2), [((0, 0), 0)], 72),
     "semidirect-3x3": (C.SemidirectZkZ([[0, 1, 0], [0, 0, 1], [1, 1, 0]]),
-                       _semidirect_elements(3), [((0, 0, 0), 0)], 170),
+                       _semidirect_elements(3), [((0, 0, 0), 0)], 200),
     # a radius whose ball is refused: its bound comes from a matrix norm
     "semidirect-norm-bound": (C.SemidirectZkZ([[1, 1], [1, 0]]),
                               _semidirect_elements(2), [((0, 0), 0)], 1000),
@@ -295,7 +295,7 @@ def _past_bounds(group, code):
         # k > r, and triples that are not normal forms: none aliases (1, 0, 0)
         out += [(1, r + 1, 0), (3, big, 0), (2, 1, 0), (0, 3, 0), (4, 2, 0),
                 (-2, 1, 0), (1, -1, 0)]
-    elif isinstance(group, C.SemidirectZkZ):
+    else:
         r, bound = code.bounds[:2]
         zero = (0,) * group.k
         for s in (1, -1):
@@ -304,17 +304,11 @@ def _past_bounds(group, code):
                     out.append((zero[:i] + (s * x,) + zero[i + 1:], 0))
             out += [(zero, s * (r + 1)), (zero, s * 2 * r), (zero, s * big)]
         out += [(zero + (0,), 0), (zero[1:], 0), (zero, 0, 0), (*zero, 0)]
-    else:
-        k = len(group.identity())
-        for i, bound in enumerate(code.bounds):
-            for x in (bound + 1, -bound - 1, 2 * bound, -2 * bound, big, -big):
-                out.append((0,) * i + (x,) + (0,) * (k - i - 1))
-        out += [(0,) * (k + 1), (0,) * (k - 1)]
     return out + [(u,) for u in group.generators()] + [(), (group.identity(),)]
 
 
-CODED_BALLS = [(C.ZK(3), 6), (C.ZK(1), 9), (C.Heis3Z(), 6), (C.BS12(), 6),
-               (C.BS12(), 0), (C.SemidirectZkZ([[2, 1], [1, 1]]), 5),
+CODED_BALLS = [(C.BS12(), 6), (C.BS12(), 0),
+               (C.SemidirectZkZ([[2, 1], [1, 1]]), 5),
                (C.SemidirectZkZ([[-1]]), 10),
                (C.SemidirectZkZ([[0, 1, 0], [0, 0, 1], [1, 1, 0]]), 4)]
 
@@ -350,19 +344,46 @@ def test_decode_inverts_encode_over_the_ball(group, radius):
     code = group.ball_code(radius)
     keys = [code.encode(g) for g in ref]
     assert code.decode(keys) == list(ref)
-    assert min(keys) >= 0
+    assert min(keys) >= 0 and max(keys).bit_length() <= code.width
+    # keys of at most C.HASHED_KEY_BITS bits hash to themselves
+    assert len(set(map(hash, keys))) == len(keys)
     assert list(C.WordWeightTable(group, radius).lengths.items()) == \
         list(ref.items())
 
 
 def test_semidirect_code_bounds_by_the_largest_power_entry():
-    """|v_i| <= r max |(M^n)_ij| over |n| <= r: the Fibonacci entries
-    F(23) = 28657 of M^11 and M^-11, and C(16, 2) = 120 of J^-15 for the
-    unipotent Jordan block J."""
-    code = C.SemidirectZkZ([[2, 1], [1, 1]]).ball_code(11)
-    assert code.bounds == (11, 11 * 28657, 11 * 28657)
+    """|v_i| <= max over s of s max |(M^n)_ij| over |n| <= r - s: the
+    Fibonacci entry F(21) = 10946 of M^10 at s = 1, and 5 C(11, 2) = 275
+    from J^-10 for the unipotent Jordan block J.  At r = 2, t e_1 reaches
+    v = (2, 1) and e_1^2 reaches (2, 0).  No ball element exceeds them."""
+    fib = C.SemidirectZkZ([[2, 1], [1, 1]])
+    assert fib.ball_code(11).bounds == (11, 10946, 10946)
+    assert fib.ball_code(2).bounds == (2, 2, 2)
     jordan = C.SemidirectZkZ([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    assert jordan.ball_code(15).bounds == (15,) + (15 * 120,) * 3
+    assert jordan.ball_code(15).bounds == (15,) + (275,) * 3
+    for group, radius in ((fib, 6), (jordan, 7)):
+        code = group.ball_code(radius)
+        tops = [max(abs(x) for x in col) for col in
+                zip(*[v for v, _ in _per_element_bfs(group, radius)])]
+        assert all(top <= b for top, b in zip(tops, code.bounds[1:]))
+
+
+def test_wide_keys_multiply_instead():
+    """A code wider than C.HASHED_KEY_BITS would fold its high fields onto
+    the low ones in the int hash, so the ball multiplies by each generator
+    instead: the bounds 999998000 of M^3 make two 30-bit fields."""
+    group = C.SemidirectZkZ([[1000, 1], [-1, 0]])
+    assert group.ball_code(4).width > C.HASHED_KEY_BITS
+    ref = _per_element_bfs(group, 4)
+    rows = C.BallCode.rows
+    C.BallCode.rows = None      # the packed search would fail
+    try:
+        table = C.WordWeightTable(group, 4)
+    finally:
+        C.BallCode.rows = rows
+    assert [table.length(g) for g in ref] == list(ref.values())
+    assert table.length(((10 ** 9, 0), 0)) is None
+    assert list(table.lengths.items()) == list(ref.items())
 
 
 def test_huge_radius_is_refused_before_its_code_is_built():
