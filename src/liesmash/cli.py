@@ -1,12 +1,13 @@
 """Command-line surface: decompose, hopf-verify, smash-table, weight-check,
 word-weight, norm, selfcheck.
 
-The chain models (heis3, solv2) are built by report.build_chain_model, as in
-decompose; hopf-verify and selfcheck check them with report.check_chain_model,
-and smash-table only builds them.
+Every Hopf model but cyclic2 is a chain model, report.build_chain_model of a
+small Lie algebra (MODEL_ALGEBRAS), as in decompose.  hopf-verify and
+selfcheck check the Hopf axioms of each, and the commutator recovery of heis3
+and solv2; smash-table only builds them.
 
-Exit codes: 0 pass, 1 input error, 2 mathematical precondition violated,
-3 verification failure.
+Exit codes: 0 pass, 1 input error (or stdout closed early by its reader),
+2 mathematical precondition violated, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -15,24 +16,21 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
 
 from . import corpus, weights as weight_mod
-from .exactnum import GaussianRational, ONE
+from .exactnum import GaussianRational
 from .hopf import (
-    SmashAlgebra,
-    check_smash_basis,
-    derivation_to_action,
-    make_primitive_series_hopf,
     cyclic_group_hopf,
     tensor_degeneration_check,
-    trivial_action,
     verify_hopf_axioms,
 )
 from .lie import (
     InputError,
+    LieAlgebra,
     PreconditionError,
     VerificationError,
     semidirect_chain,
@@ -76,13 +74,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hopf-verify", help="verify Hopf axioms of a model")
     sp.add_argument("--model", default="series",
-                    choices=sorted(MODEL_BUILDERS))
+                    choices=sorted(MODEL_ALGEBRAS))
     sp.add_argument("--truncation", type=int, default=4, metavar="D",
                     help="truncation degree of the model (default 4)")
     sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("smash-table", help="emit multiplication/comultiplication tables")
-    sp.add_argument("--model", default="series", choices=sorted(MODEL_BUILDERS))
+    sp.add_argument("--model", default="series", choices=sorted(MODEL_ALGEBRAS))
     sp.add_argument("--table", default="mult", choices=("mult", "comult"))
     sp.add_argument("--truncation", type=int, default=4, metavar="D",
                     help="truncation degree of the model (default 4)")
@@ -129,46 +127,29 @@ def build_parser() -> argparse.ArgumentParser:
 # hopf model builders
 # ---------------------------------------------------------------------------
 
-def _model_series(d):
-    check_smash_basis(1, d)
-    return make_primitive_series_hopf("x", d)
-
-
-def _model_smash2(d):
-    check_smash_basis(2, d)
-    a = make_primitive_series_hopf("x", d)
-    h = make_primitive_series_hopf("y", d)
-    action = derivation_to_action(h, a, [{1: ONE}])
-    return SmashAlgebra(a, h, action)
-
-
-def _model_heis3(d):
-    return build_chain_model(corpus.heisenberg(), truncation=d)
-
-
-def _model_solv2(d):
-    return build_chain_model(corpus.solv2(), truncation=d)
-
-
-def _model_cyclic2(d):
-    return cyclic_group_hopf("C[Z/2]", 2, d)
-
-
-def _model_tensor2(d):
-    check_smash_basis(2, d)
-    a = make_primitive_series_hopf("x", d)
-    h = make_primitive_series_hopf("y", d)
-    return SmashAlgebra(a, h, trivial_action(h, a))
-
-
-MODEL_BUILDERS = {
-    "series": _model_series,
-    "smash2": _model_smash2,
-    "heis3": _model_heis3,
-    "solv2": _model_solv2,
-    "cyclic2": _model_cyclic2,
-    "tensor2": _model_tensor2,
+# a primitive series C[[x]] per chain factor, each smashed on under the
+# adjoint derivation: series is C[[x]], and tensor2's action is trivial
+MODEL_ALGEBRAS = {
+    "series": LieAlgebra(["x"], {}),
+    "smash2": LieAlgebra(["y", "x"], {(0, 1): {1: GaussianRational(1)}}),
+    "heis3": corpus.heisenberg(),
+    "solv2": corpus.solv2(),
+    "cyclic2": None,    # the group algebra of Z/2, built by hand
+    "tensor2": LieAlgebra(["y", "x"], {}),
 }
+
+
+def build_model(name: str, truncation: int):
+    """The named model: a ChainModel, or for cyclic2 a TruncatedHopf."""
+    g = MODEL_ALGEBRAS[name]
+    if g is None:
+        return cyclic_group_hopf("C[Z/2]", 2, truncation)
+    return build_chain_model(g, truncation=truncation)
+
+
+def _hopf_of(model):
+    """The Hopf algebra of a built model."""
+    return model.smash if isinstance(model, ChainModel) else model
 
 
 # ---------------------------------------------------------------------------
@@ -191,21 +172,21 @@ def cmd_decompose(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _check_model(model):
-    """A built model's Hopf-axiom report, and for a chain model its
+def _check_model(name, model):
+    """A built model's Hopf-axiom report, and for heis3 and solv2 its
     commutator-recovery check (None for the other models)."""
-    if isinstance(model, ChainModel):
+    if name in ("heis3", "solv2"):
         return check_chain_model(model)
-    return verify_hopf_axioms(model), None
+    return verify_hopf_axioms(_hopf_of(model)), None
 
 
 def cmd_hopf_verify(args) -> int:
-    model = MODEL_BUILDERS[args.model](args.truncation)
-    report, commutators = _check_model(model)
+    model = build_model(args.model, args.truncation)
+    report, commutators = _check_model(args.model, model)
     if commutators is not None:
         report.results.append(commutators)
     if args.model == "tensor2":
-        report.results.append(tensor_degeneration_check(model))
+        report.results.append(tensor_degeneration_check(model.smash))
     if args.format == "json":
         print(json.dumps({
             "model": report.model,
@@ -221,9 +202,7 @@ def cmd_hopf_verify(args) -> int:
 
 
 def cmd_smash_table(args) -> int:
-    model = MODEL_BUILDERS[args.model](args.truncation)
-    if isinstance(model, ChainModel):
-        model = model.smash
+    model = _hopf_of(build_model(args.model, args.truncation))
     names = [model.key_str(k) for k in model.basis]
     b = len(names)
 
@@ -422,7 +401,7 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
         commutators = {}
         for model_name in ("series", "smash2", "heis3", "solv2", "cyclic2"):
             rep, commutators[model_name] = _check_model(
-                MODEL_BUILDERS[model_name](truncation))
+                model_name, build_model(model_name, truncation))
             fail = rep.first_failure()
             record("hopf", f"axioms {model_name}", rep.passed,
                    fail.line() if fail else "")
@@ -431,7 +410,8 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16,
             record("hopf", f"commutators {cname}", chk.passed,
                    chk.witness or "")
         record("hopf", "tensor degeneration",
-               tensor_degeneration_check(_model_tensor2(truncation)).passed)
+               tensor_degeneration_check(
+                   build_model("tensor2", truncation).smash).passed)
 
     # --- weights suite
     config = weight_mod.SamplerConfig(seed=seed)
@@ -530,7 +510,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_run_sizes(args)
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()      # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`liesmash ... | head`): point
+        # stdout at devnull so the interpreter's final flush cannot raise
+        # again, and exit 1 without a traceback, as Python's signal docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -16,6 +16,7 @@ import liesmash
 import liesmash.__main__ as liesmash_main
 from liesmash import cayley, cli, hopf
 from liesmash.cli import EXIT_INPUT, build_parser, main
+from liesmash.report import ChainModel, check_chain_model
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -208,14 +209,18 @@ def test_decompose_preset_delta_counts(capsys, heis_file):
     assert "p: 0" in out_e
 
 
-def _run_process(cmd):
+def _child_env():
     # lead PYTHONPATH with the tree that holds the package under test, so the
     # child never imports another installed copy
     src = str(Path(liesmash.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return env
+
+
+def _run_process(cmd):
+    return subprocess.run(cmd, capture_output=True, text=True, env=_child_env())
 
 
 def _check_entry_point(cmd, heis_file, tmp_path):
@@ -253,6 +258,42 @@ def test_hopf_verify_models(capsys):
         code, out, _ = run(capsys, ["hopf-verify", "--model", model])
         assert code == 0, (model, out)
         assert "result: pass" in out
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that closes the pipe early (`liesmash ... | head -1`) ends
+    the run with exit 1 and nothing on stderr, not a traceback."""
+    # the heis3 table at D=4 is about 0.5 MB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liesmash", "smash-table", "--model", "heis3",
+         "--truncation", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert proc.stdout.readline().startswith(b"left,right,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_every_model_but_cyclic2_is_a_chain_model():
+    for name in cli.MODEL_ALGEBRAS:
+        model = cli.build_model(name, 3)
+        assert isinstance(model, ChainModel) == (name != "cyclic2"), name
+
+
+@pytest.mark.parametrize("name,pairs", [("series", 0), ("smash2", 1),
+                                        ("tensor2", 1)])
+def test_small_chain_models_recover_their_commutators(name, pairs):
+    # hopf-verify does not print this check for these models
+    report, commutators = check_chain_model(cli.build_model(name, 3))
+    assert report.passed
+    assert (commutators.name, commutators.passed, commutators.checked) == (
+        "commutator-recovery", True, pairs)
+
+
+def test_tensor2_acts_trivially():
+    smash = cli.build_model("tensor2", 4).smash
+    assert smash.action.table == hopf.trivial_action(smash.H, smash.A).table
 
 
 def test_smash_table_mult_csv(capsys):
@@ -445,7 +486,8 @@ def test_model_builders_refuse_an_oversized_basis(capsys, monkeypatch, command):
 
     def build(*args):
         raise AssertionError("a refused model was built")
-    monkeypatch.setattr(cli, "make_primitive_series_hopf", build)
+    # iterated_smash builds its first series after the basis check
+    monkeypatch.setattr(hopf, "make_primitive_series_hopf", build)
     cases = (("smash2", 62, 2016), ("tensor2", 62, 2016),
              ("smash2", 100, 5151), ("series", 2000, 2001),
              ("series", 3000, 3001))

@@ -148,6 +148,16 @@ def test_derivation_needs_one_image_per_generator(series):
             derivation_to_action(h, series, images)
 
 
+def test_derivation_refuses_a_non_binomial_coproduct(series):
+    """h.(ab) = sum (h1.a)(h2.b) rests on H's coproduct being binomial, so
+    one corrupted coefficient is refused, with its element as witness."""
+    h = make_primitive_series_hopf("y", D)
+    h.comult = {**h.comult, 3: {**h.comult[3], (1, 2): GQ(4)}}  # C(3, 1) = 3
+    with pytest.raises(PreconditionError, match=r"^module-algebra axiom fails: "
+                       r"the coproduct of y\^3 in C\[\[y\]\] is not binomial$"):
+        derivation_to_action(h, series, [{0: GQ(1)}])
+
+
 def test_derivation_leibniz_negative_control():
     """A generator map violating the algebra's own relations is rejected."""
     model = build_chain_model(corpus.heisenberg(), truncation=D).smash
@@ -533,11 +543,11 @@ def _tower(model):
 
 
 def _models_at_d3():
-    from liesmash.cli import MODEL_BUILDERS
+    from liesmash.cli import MODEL_ALGEBRAS, build_model
     from liesmash.report import ChainModel
     models = {}
-    for name, build in MODEL_BUILDERS.items():
-        model = build(3)
+    for name in MODEL_ALGEBRAS:
+        model = build_model(name, 3)
         models[name] = model.smash if isinstance(model, ChainModel) else model
     for path in sorted(DATA.glob("*.json")):
         g = LieAlgebra.from_json_dict(json.loads(path.read_text()))
