@@ -41,8 +41,8 @@ class ChainModel:
     brackets is the chain's bracket table (lie.chain_bracket_matrix), from
     which the smash is built; the smash is checked against brackets computed
     in the algebra.  smash is None when the chain has no generator.  The
-    attributes are exactly the constructor's arguments, so
-    DecompositionReport(**vars(model), ...) extends a model.
+    attributes are exactly the constructor's arguments, so vars(model)
+    rebuilds a model: DecompositionReport extends one that way.
     """
 
     def __init__(self, algebra: LieAlgebra, nprime_selector: str,
@@ -63,14 +63,10 @@ class ChainModel:
 class DecompositionReport(ChainModel):
     """A built chain model with its input, its checks and its renderings."""
 
-    def __init__(self, algebra: LieAlgebra, nprime_selector: str,
-                 nilradical: Subspace, expradical: Subspace, nprime: Subspace,
-                 chain: DecompositionChain, brackets: dict, truncation: int,
-                 smash: object | None, input_name: str, digest: str,
+    def __init__(self, model: ChainModel, input_name: str, digest: str,
                  hopf_report: object | None, commutator_check: object | None,
                  weight_verdict: object | None):
-        super().__init__(algebra, nprime_selector, nilradical, expradical,
-                         nprime, chain, brackets, truncation, smash)
+        super().__init__(**vars(model))
         self.input_name = input_name
         self.digest = digest
         self.hopf_report = hopf_report
@@ -264,7 +260,7 @@ def decompose_algebra(g: LieAlgebra, input_name: str = "<memory>",
         verdict = weight_mod.decompose_check(cw, parts, config)
 
     return DecompositionReport(
-        **vars(model), input_name=input_name, digest=digest,
+        model, input_name=input_name, digest=digest,
         hopf_report=hopf_report, commutator_check=comm_check,
         weight_verdict=verdict)
 

@@ -704,6 +704,11 @@ def majorizes(w1: Weight, w2: Weight,
     table = word_table_of(w1, w2)
     if table is None:
         values = _table_values(w1, w2, config)
+    elif w1.dim != 1:
+        raise WeightDomainError(
+            f"a word() comparison samples elements of {table.group.name}, "
+            f"so it needs 1-coordinate descriptors; {w1} and {w2} "
+            f"take {w1.dim}")
     elif config.count < 1:
         raise WeightDomainError(
             "a word() comparison samples group elements only, so it needs "

@@ -365,6 +365,25 @@ def test_weight_check_word_descriptor_inside_a_product(capsys, lhs, rhs,
     assert (code, out, err) == (0, expected, "")
 
 
+@pytest.mark.parametrize("spec, name", [
+    ("semidirect:[[2,1],[1,1]]", "semidirect:2:[2,1;1,1]"),
+    ("bs12", "bs12"), ("heis3z", "heis3z")])
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_refuses_word_descriptor_beside_coordinates(
+        capsys, spec, name, mode):
+    # a sampled point is one group element, so a prod() that adds a
+    # coordinate factor to word() has no points to split
+    code, out, err = run(capsys, [
+        "weight-check", "--lhs", f"prod(word({spec}),poly)",
+        "--rhs", f"prod(word({spec}),exppow(2))", "--mode", mode,
+        "--radius", "6"])
+    assert code == 1 and out == ""
+    assert err == (f"input error: a word() comparison samples elements of "
+                   f"{name}, so it needs 1-coordinate descriptors; "
+                   f"prod(word({name}),poly) and prod(word({name}),exppow(2)) "
+                   "take 2\n")
+
+
 @pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
 def test_weight_check_refuses_word_descriptors_on_two_groups(capsys, mode):
     code, out, err = run(capsys, [
@@ -441,6 +460,9 @@ def test_word_weight_refuses_oversized_ball_quickly(capsys):
     assert code == 2
     assert out == ""
     assert "precondition violated" in err and "allowed" in err
+    # the refusal comes after 17 built layers (211,603 elements), whatever
+    # the host's speed
+    assert "about 2249357 elements at depth 18" in err
     assert time.perf_counter() - start < 1.5
 
 
@@ -700,17 +722,57 @@ def test_selfcheck_reduced_coverage_warning(capsys):
     assert "reduced coverage" in out
 
 
-def test_selfcheck_detects_corrupted_brackets():
+def test_selfcheck_detects_corrupted_brackets(monkeypatch):
+    from liesmash import corpus
     from liesmash.cli import selfcheck_run
     from liesmash.exactnum import GaussianRational as GQ
     from liesmash.lie import LieAlgebra
     broken = LieAlgebra(["e1", "e2", "e3"],
                         {(0, 1): {2: GQ(1)}, (0, 2): {0: GQ(1)},
                          (1, 2): {1: GQ(1)}})
-    lines, ok = selfcheck_run(radius=8, extra_algebras={"broken": broken})
+    monkeypatch.setitem(corpus.CORPUS, "broken", lambda: broken)
+    lines, ok = selfcheck_run(radius=8)
     assert not ok
     assert any("jacobi broken: FAIL" in l and "witness (e1, e2, e3)" in l
                for l in lines)
+
+
+def test_selfcheck_chain_determinism_reads_the_built_model(monkeypatch):
+    # the lie suite compares the chain of build_chain_model, the stage
+    # decompose runs, with a fresh semidirect_chain: a built chain whose
+    # factors come out reversed must fail it
+    from liesmash import corpus
+    heisenberg = corpus.heisenberg().to_json_dict()
+    build = cli.build_chain_model
+
+    def reversed_heisenberg(g, **kwargs):
+        model = build(g, **kwargs)
+        if g.to_json_dict() == heisenberg:
+            model.chain.factors = model.chain.factors[::-1]
+        return model
+    monkeypatch.setattr(cli, "build_chain_model", reversed_heisenberg)
+    lines, ok = cli.selfcheck_run(truncation=2, radius=8)
+    assert not ok
+    assert "[lie] chain determinism heisenberg: FAIL" in lines
+    assert "[lie] chain determinism solv2: pass" in lines
+
+
+def test_selfcheck_refuses_truncation_zero(capsys):
+    # the hopf suite builds its models at the given truncation, and the
+    # refusal comes before any line is printed
+    code, out, err = run(capsys, ["selfcheck", "--truncation", "0",
+                                  "--radius", "8"])
+    assert (code, out) == (2, "")
+    assert err == "precondition violated: truncation degree must be >= 1\n"
+
+
+def test_selfcheck_passes_past_the_largest_corpus_smash():
+    # the lie lines read no smash, so a truncation at which uppertri3's
+    # smash (6 generators) is over the basis budget still passes
+    from liesmash.cli import selfcheck_run
+    lines, ok = selfcheck_run(truncation=8, radius=8)
+    assert ok
+    assert "[lie] chain determinism uppertri3: pass" in lines
 
 
 def test_decompose_repeated_pivot_names(capsys, tmp_path):
