@@ -25,6 +25,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import InputError, PreconditionError
+from .linalg import inverse
 from .weights import WeightDomainError, _lsq
 
 
@@ -180,20 +181,12 @@ class Heis3Z(CayleyGroup):
         return min(perimeters) - a - b
 
     def ball_size(self, radius):
-        """Column by column: with p, q >= 0, p + q <= radius and
-        s = (radius + p + q) // 2, the elements (+-p, +-q, c) of the ball
-        are those with pq - cmax <= c <= cmax, where cmax, the largest W H
-        over W >= p, H >= q, W + H <= s, is W (s - W) at the W of [p, s - q]
-        nearest s / 2.  The sizes are the partial sums of Shapiro's rational
-        growth series (Math. Ann. 285, 1989)."""
-        total = 0
-        for p in range(radius + 1):
-            for q in range(radius - p + 1):
-                s = (radius + p + q) // 2
-                w = min(max(s // 2, p), s - q)
-                total += ((2 * w * (s - w) - p * q + 1)
-                          * (2 if p else 1) * (2 if q else 1))
-        return total
+        """The partial sums of Shapiro's rational growth series (Math. Ann.
+        285, 1989), in closed form: a quartic in the radius whose constant
+        term has period 12."""
+        r = radius
+        return (31 * r ** 4 - 14 * r ** 3 + 127 * r ** 2 + 144 * r
+                + _HEIS_BALL_CONSTANTS[r % 12]) // 72
 
     def parse_element(self, text):
         return _parse_int_tuple(text, 3)
@@ -282,6 +275,10 @@ class BS12(CayleyGroup):
         return f"({m}, {n})" if not k else f"({m}/{1 << k}, {n})"
 
 
+# 72 |B(r)| - (31 r^4 - 14 r^3 + 127 r^2 + 144 r) by r mod 12
+_HEIS_BALL_CONSTANTS = (72, 72, 44, 108, 72, 8, 108, 108, 8, 72, 108, 44)
+
+
 def _dyadic(m: int, k: int, n: int) -> tuple:
     """The BS12 normal form of (m / 2^k, n) for k >= 0: common powers of 2
     cancelled, so m is odd when k > 0, and zero is (0, 0, n)."""
@@ -309,11 +306,15 @@ class SemidirectZkZ(CayleyGroup):
                              f"matrix of integers, got {matrix!r}")
         self.k = len(matrix)
         self.matrix = tuple(tuple(row) for row in matrix)
-        det = _int_det(self.matrix)
-        if det not in (1, -1):
-            raise InputError(f"semidirect matrix must have det +-1, got {det}")
-        self._inv = _int_inverse(self.matrix, det)
-        self._powers: dict[int, tuple] = {0: _int_identity(self.k)}
+        # det M is +-1 exactly when M^-1 exists and has integer entries
+        inv = inverse(self.matrix)
+        if inv is None or any(x.re.denominator != 1 for row in inv
+                              for x in row):
+            raise InputError(f"semidirect matrix {matrix!r} must have det "
+                             "+-1, that is an inverse with integer entries")
+        self._inv = tuple(tuple(x.re.numerator for x in row) for row in inv)
+        self._powers: dict[int, tuple] = {0: tuple(
+            tuple(int(i == j) for j in range(self.k)) for i in range(self.k))}
         rows = ";".join(",".join(str(x) for x in row) for row in self.matrix)
         self.name = f"semidirect:{self.k}:[{rows}]"
 
@@ -429,38 +430,10 @@ def _parse_int_tuple(text: str, k: int):
         raise InputError(f"bad integer in {text!r}") from exc
 
 
-def _int_identity(k):
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
-
-
 def _int_matmul(a, b):
     k = len(a)
     return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(k))
                        for j in range(k)) for i in range(k))
-
-
-def _int_det(m):
-    k = len(m)
-    if k == 1:
-        return m[0][0]
-    total = 0
-    for j in range(k):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += (-1) ** j * m[0][j] * _int_det(minor)
-    return total
-
-
-def _int_inverse(m, det):
-    k = len(m)
-    cof = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            minor = tuple(r[:j] + r[j + 1:] for ri, r in enumerate(m) if ri != i)
-            row.append((-1) ** (i + j) * (_int_det(minor) if k > 1 else 1))
-        cof.append(row)
-    # adjugate transpose over det (+-1 keeps everything integral)
-    return tuple(tuple(cof[j][i] * det for j in range(k)) for i in range(k))
 
 
 def make_group(spec: str) -> CayleyGroup:
@@ -558,11 +531,11 @@ MAX_BALL_ELEMENTS = 2_000_000
 class WordWeightTable:
     """Exact word lengths on the ball of a given radius (weight = 2^length).
 
-    A group with formulas (CayleyGroup.word_length and ball_size: zk:<k>,
-    heis3z) answers length() and len() from them, and builds its ball only
-    when lengths is read, that is when the ball's elements are enumerated
-    (sample_group_points).  Every other group builds its ball in the
-    constructor and answers from it.
+    A group with formulas (CayleyGroup.word_length and ball_size, each O(1)
+    on heis3z and O(k) on zk:<k>) answers length() and len() from them,
+    and builds its ball only when lengths is read, that is when the ball's
+    elements are enumerated (sample_group_points).  Every other group
+    builds its ball in the constructor and answers from it.
 
     The ball is a breadth-first search on the int keys of the group's
     BallCode: each generator step adds one int, and lengths decodes the
@@ -575,12 +548,12 @@ class WordWeightTable:
 
     A ball beyond MAX_BALL_ELEMENTS is refused with PreconditionError
     before it is allocated.  A group with formulas is refused from its
-    exact size (check_ball_size).  Otherwise the size is estimated before
-    each layer: the next layer adds at most len(gens) - 1 elements per
-    frontier element, and each of the remaining layers is taken to be no
-    smaller than the frontier (sphere sizes do not shrink in the models of
-    this module), so the estimate exceeds the true size only through the
-    next-layer bound.  The first layer's estimate is checked before the
+    exact size, evaluated once (check_ball_size).  Otherwise the size is
+    estimated before each layer: the next layer adds at most len(gens) - 1
+    elements per frontier element, and each of the remaining layers is
+    taken to be no smaller than the frontier (sphere sizes do not shrink in
+    the models of this module), so the estimate exceeds the true size only
+    through the next-layer bound.  The first layer's estimate is checked before the
     code is built, since its fields widen with the radius.
     """
 
@@ -666,24 +639,13 @@ class WordWeightTable:
 
 
 def check_ball_size(group: CayleyGroup, radius: int):
-    """Refuse the ball of a group with formulas beyond MAX_BALL_ELEMENTS.
-
-    Balls grow with the radius, so the radius is doubled from 1 until it
-    reaches the one asked for or its ball passes the budget: the ball size
-    formula takes O(r^2) steps for heis3z, and a huge radius is refused from
-    a ball of at most twice the largest radius that fits.
-    """
-    r = 1
-    while True:
-        r = min(2 * r, radius)
-        size = group.ball_size(r)
-        if size > MAX_BALL_ELEMENTS:
-            count = size if r == radius else f"more than {size}"
-            raise PreconditionError(
-                f"the {group.name} ball of radius {radius} holds {count} "
-                f"elements, more than the {MAX_BALL_ELEMENTS} allowed")
-        if r == radius:
-            return
+    """Refuse the ball of a group with formulas beyond MAX_BALL_ELEMENTS,
+    from its exact size."""
+    size = group.ball_size(radius)
+    if size > MAX_BALL_ELEMENTS:
+        raise PreconditionError(
+            f"the {group.name} ball of radius {radius} holds {size} "
+            f"elements, more than the {MAX_BALL_ELEMENTS} allowed")
 
 
 _TABLE_CACHE: dict[tuple, WordWeightTable] = {}
@@ -718,7 +680,9 @@ def growth_table(group: CayleyGroup, h, radius: int, max_power: int = 4096):
     data = []
     g = group.identity()
     for m in range(1, max_power + 1):
-        g = group.multiply(g, h)
+        # h^m = h h^(m-1): a semidirect: group then needs only the power
+        # M^n at h's n, not M^n at n m
+        g = group.multiply(h, g)
         n = table.length(g)
         if n is not None and n > 0:
             data.append((m, n))

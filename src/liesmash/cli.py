@@ -310,8 +310,16 @@ def cmd_word_weight(args) -> int:
     return EXIT_OK if n is not None else EXIT_PRECONDITION
 
 
+def _rational_flag(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"--{flag} {text!r} has a zero denominator") from None
+
+
 def cmd_norm(args) -> int:
-    norm = weight_mod.SeriesNorm(Fraction(args.r), Fraction(args.s))
+    r, s = _rational_flag("r", args.r), _rational_flag("s", args.s)
+    norm = weight_mod.SeriesNorm(r, s)
     ran_value = False
     if args.coeffs is not None:
         coeffs = [GaussianRational.parse(c.strip())
@@ -321,8 +329,7 @@ def cmd_norm(args) -> int:
         ran_value = True
     if args.check_degree is not None:
         rep = weight_mod.norm_submultiplicativity_check(
-            degree=args.check_degree, r=Fraction(args.r), s=Fraction(args.s),
-            seed=args.seed)
+            degree=args.check_degree, r=r, s=s, seed=args.seed)
         status = "pass" if rep.passed else "FAIL"
         print(f"submultiplicativity (r'=2^s r): {status} "
               f"({rep.pairs_checked} monomial pairs, {rep.polys_checked} "

@@ -80,6 +80,9 @@ class GaussianRational:
         m = _COEFF_RE.match(text)
         if not m or (m.group("re") is None and m.group("im") is None):
             raise ValueError(f"bad coefficient string: {text!r}")
+        if re.search(r"/0+(?!\d)", text):
+            raise ValueError(f"zero denominator in coefficient string: "
+                             f"{text!r}")
         re_part = Fraction(m.group("re")) if m.group("re") is not None else Fraction(0)
         im_part = Fraction(0)
         if m.group("im") is not None:

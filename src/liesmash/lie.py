@@ -21,8 +21,8 @@ from __future__ import annotations
 from . import weights as weight_mod
 from .errors import InputError, PreconditionError, VerificationError
 from .exactnum import GaussianRational, ONE, ZERO
-from .linalg import (Vector, in_span, pivot_columns, reduce_mod, rref,
-                     unit_vector)
+from .linalg import (Vector, in_span, inverse, pivot_columns, reduce_mod,
+                     rref, unit_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,10 @@ class LieAlgebra:
             raise InputError(f"dim={dim} but {len(names)} basis names given")
         if len(set(names)) != len(names):
             raise InputError("duplicate basis names")
+        for name in names:
+            if " # " in str(name):  # factor labels are joined by " # "
+                raise InputError(f"basis name {name!r} contains the "
+                                 "factorization separator ' # '")
         index = {n: i for i, n in enumerate(names)}
         table = {}
         for entry in data.get("brackets", []):
@@ -327,7 +331,7 @@ class LieAlgebra:
                     raise InputError(f"unknown basis name {name!r} in bracket value")
                 try:
                     comps[index[name]] = GaussianRational.parse(coeff)
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise InputError(
                         f"bracket [{entry['x']}, {entry['y']}]: bad coefficient "
                         f"{coeff!r} of {name}; want a string such as \"-1/2\" "
@@ -480,24 +484,24 @@ def chain_bracket_matrix(g: LieAlgebra, chain: DecompositionChain):
     """Brackets of the chain basis, expressed in chain coordinates.
 
     Returns {(i, j): {k: coeff}} for i < j with [v_i, v_j] = sum_k c_k v_k.
-    The chain vectors V are inverted once, by one rref of [V | I], and each
-    bracket's coordinates are read as [v_i, v_j] V^-1.  Every prefix of the
-    chain is an ideal in the next exactly when k < max(i, j) throughout;
-    a VerificationError names the first prefix that is not.
+    The chain vectors V are inverted once (linalg.inverse: one rref of
+    [V | I]), and each bracket's coordinates are read as [v_i, v_j] V^-1.
+    Every prefix of the chain is an ideal in the next exactly when
+    k < max(i, j) throughout; a VerificationError names the first prefix
+    that is not.
     """
     vecs = chain.basis_vectors()
     n = len(vecs)
-    red = rref([v + unit_vector(n, i) for i, v in enumerate(vecs)])
-    if g.dim != n or pivot_columns(red) != list(range(n)):
+    if g.dim != n or (inv := inverse(vecs)) is None:
         raise VerificationError("chain basis does not span its brackets")
-    inverse = [tuple((k, c) for k, c in enumerate(row[n:]) if c) for row in red]
+    inv = [tuple((k, c) for k, c in enumerate(row) if c) for row in inv]
     out = {}
     for i in range(n):
         for j in range(i + 1, n):
             coords = [ZERO] * n
             for m, p in enumerate(g.bracket(vecs[i], vecs[j])):
                 if p:
-                    for k, c in inverse[m]:
+                    for k, c in inv[m]:
                         coords[k] = coords[k] + p * c
             out[(i, j)] = {k: c for k, c in enumerate(coords) if c}
     for j in range(1, n):

@@ -50,6 +50,17 @@ def rref(rows) -> tuple[Vector, ...]:
     return tuple(tuple(row) for row in mat[:pivot_row])
 
 
+def inverse(rows):
+    """The exact inverse of a square matrix, from one rref of [M | I], or
+    None when M is singular.  Entries may be ints or Gaussian rationals;
+    the inverse's are Gaussian rationals."""
+    n = len(rows)
+    red = rref([tuple(r) + unit_vector(n, i) for i, r in enumerate(rows)])
+    if pivot_columns(red) != list(range(n)):
+        return None
+    return tuple(row[n:] for row in red)
+
+
 def pivot_columns(echelon_rows) -> list[int]:
     cols = []
     for row in echelon_rows:

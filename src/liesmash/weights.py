@@ -155,13 +155,20 @@ def _rows(cols, n: int):
     return zip(*cols) if cols else [()] * n
 
 
-class Poly(_Value, Weight):
-    """z -> 1 + sum_i |z_i| (the l1 choice of norm on a delta block)."""
+class _Dimensioned(_Value, Weight):
+    """A descriptor whose one field is its dimension, an int >= 1."""
 
     _fields = ("dim",)
 
     def __init__(self, dim: int = 1):
+        if type(dim) is not int or dim < 1:
+            raise WeightDomainError(f"{type(self).__name__.lower()} needs a "
+                                    f"dimension >= 1, got {dim!r}")
         object.__setattr__(self, "dim", dim)
+
+
+class Poly(_Dimensioned):
+    """z -> 1 + sum_i |z_i| (the l1 choice of norm on a delta block)."""
 
     def log_table(self, cols, n):
         return list(map(math.log1p, map(sum, _rows(
@@ -216,13 +223,11 @@ class MaxPower(_Value, Weight):
         return "maxpow(" + ",".join(str(w) for w in self.ws) + ")"
 
 
-class ExpSum(_Value, Weight):
+class ExpSum(_Dimensioned):
     """z -> exp(|z_1 + ... + z_k|); the non-decomposable counterexample weight."""
 
-    _fields = ("dim",)
-
     def __init__(self, dim: int = 2):
-        object.__setattr__(self, "dim", dim)
+        super().__init__(dim)
 
     def log_table(self, cols, n):
         return list(map(abs, map(sum, _rows(
@@ -232,13 +237,8 @@ class ExpSum(_Value, Weight):
         return f"expsum({self.dim})"
 
 
-class Const(_Value, Weight):
+class Const(_Dimensioned):
     """Symbolic factor (reductive tail): evaluates to 1, consumes one slot."""
-
-    _fields = ("dim",)
-
-    def __init__(self, dim: int = 1):
-        object.__setattr__(self, "dim", dim)
 
     def log_table(self, cols, n):
         return [0.0] * n
@@ -435,7 +435,10 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
             pos += 1
         if start == pos:
             error("expected a number")
-        return Fraction(s[start:pos])
+        try:
+            return Fraction(s[start:pos])
+        except ZeroDivisionError:
+            error(f"zero denominator in {s[start:pos]!r}")
 
     def build(head, args):
         if head == "poly":

@@ -143,8 +143,53 @@ def test_semidirect_model():
     assert g.multiply(t, g.multiply(x, g.inverse(t))) == ((-3,), 0)
     res = C.associativity_spot_check(g, triples=500, seed=7)
     assert res.passed
-    with pytest.raises(InputError):
-        C.SemidirectZkZ([[2]])  # det 2 is not invertible over Z
+
+
+def _unimodular(k, rng):
+    """A k x k integer matrix of det +-1: the identity under seeded row
+    additions, swaps and sign changes."""
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        op = rng.randrange(3)
+        if op == 0 and i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        elif op == 1:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-a for a in m[i]]
+    return m
+
+
+def _acts_invertibly(g):
+    """M M^-1 = M^-1 M = I, read column by column through act."""
+    for i in range(g.k):
+        e = tuple(int(i == j) for j in range(g.k))
+        if g.act(1, g.act(-1, e)) != e or g.act(-1, g.act(1, e)) != e:
+            return False
+    return True
+
+
+def test_semidirect_inverse_is_exact():
+    rng = random.Random(23)
+    for k in range(1, 9):
+        for _ in range(5):
+            assert _acts_invertibly(C.SemidirectZkZ(_unimodular(k, rng)))
+
+
+def test_semidirect_refuses_non_unimodular():
+    for m in ([[2]], [[1, 1], [1, 1]], [[2, 1], [0, 1]]):
+        with pytest.raises(InputError, match="inverse with integer entries"):
+            C.SemidirectZkZ(m)
+
+
+def test_semidirect_large_matrix_constructs():
+    """A 12 x 12 Jordan block and a seeded 12 x 12 unimodular matrix; the
+    inverse is one exact row reduction, not k! cofactor terms."""
+    jordan = [[int(j in (i, i + 1)) for j in range(12)] for i in range(12)]
+    for m in (jordan, _unimodular(12, random.Random(12))):
+        assert _acts_invertibly(C.SemidirectZkZ(m))
 
 
 def test_heis_shear_semidirect_matches_heis3z():
@@ -638,8 +683,9 @@ def test_exact_ball_budget_boundary():
         C.check_ball_size(C.Heis3Z(), 47)
     with pytest.raises(PreconditionError, match="holds 2002001 elements"):
         C.check_ball_size(C.ZK(2), 1000)
-    # a huge radius is refused from the first ball past the budget
-    with pytest.raises(PreconditionError, match="holds more than 7179905 "):
+    # a huge radius is refused from its exact size, in O(1)
+    with pytest.raises(PreconditionError,
+                       match="holds 430555555361111112875000002000000001 "):
         C.check_ball_size(C.Heis3Z(), 10 ** 9)
 
 

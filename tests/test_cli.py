@@ -166,6 +166,19 @@ def test_decompose_refuses_a_bad_coefficient(capsys, tmp_path, coeff):
     assert "Traceback" not in err
 
 
+def test_decompose_refuses_a_separator_in_a_basis_name(capsys, tmp_path):
+    """A name holding " # " would make the factorization string of its
+    chain unreadable; it is refused before the model is built."""
+    path = tmp_path / "sep.json"
+    path.write_text(json.dumps({
+        "dim": 3, "basis": ["x", "y", "c # d"],
+        "brackets": [{"x": "x", "y": "y", "value": [["c # d", "1"]]}]}))
+    code, out, err = run(capsys, ["decompose", str(path)])
+    assert (code, out) == (1, "")
+    assert err == ("input error: basis name 'c # d' contains the "
+                   "factorization separator ' # '\n")
+
+
 def test_decompose_bad_json_exit_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -637,6 +650,26 @@ def test_negative_run_sizes_are_input_errors(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert "input error: --" in err
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["norm", "--coeffs", "1", "--r", "1/0"], "'1/0'"),
+    (["norm", "--coeffs", "1", "--s", "2/00"], "'2/00'"),
+    (["norm", "--coeffs", "1/0"], "'1/0'"),
+    (["norm", "--coeffs", "1,1/2+1/0*i"], "'1/2+1/0*i'"),
+    (["weight-check", "--lhs", "pow(poly,1/0)", "--rhs", "poly"], "'1/0'"),
+    (["weight-check", "--lhs", "restrict(prod(poly,poly),1/0)",
+      "--rhs", "poly"], "'1/0'"),
+    (["weight-check", "--lhs", "poly(-1)", "--rhs", "poly(-1)"], "-1"),
+    (["weight-check", "--lhs", "const(0)", "--rhs", "poly(0)"], "0"),
+    (["weight-check", "--lhs", "expsum(0)", "--rhs", "poly(0)"], "0"),
+])
+def test_zero_denominators_and_dimensions_are_input_errors(capsys, argv,
+                                                           value):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith("input error: ") and value in err
+    assert ("zero denominator" in err) != ("dimension >= 1" in err)
 
 
 # one run of every command

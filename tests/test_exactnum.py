@@ -62,13 +62,14 @@ def test_str_parse_roundtrip(a):
     ("i", gq(0, 1)),
     ("-i", -gq(0, 1)),
     ("2-3/4*i", gq(2, Fraction(-3, 4))),
+    ("1/10", gq(Fraction(1, 10))),
 ])
 def test_parse_forms(text, expected):
     assert GaussianRational.parse(text) == expected
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x", "1+2", "1//2", "i*i"):
+    for bad in ("", "x", "1+2", "1//2", "i*i", "1/0", "-3/00", "1/2+1/0*i"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
 

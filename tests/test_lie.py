@@ -664,8 +664,9 @@ def test_prefix_check_matches_one_rref_per_prefix_on_corrupted_chains():
 
 
 def _counting_rref(monkeypatch, counted=lambda rows: True):
-    """Count lie's rref calls whose rows satisfy counted."""
-    from liesmash import lie
+    """Count the rref calls of lie, and of the linalg functions it calls,
+    whose rows satisfy counted."""
+    from liesmash import lie, linalg
     calls = []
 
     def rref_counted(rows):
@@ -673,6 +674,7 @@ def _counting_rref(monkeypatch, counted=lambda rows: True):
         calls.append(counted(rows))
         return rref(rows)
     monkeypatch.setattr(lie, "rref", rref_counted)
+    monkeypatch.setattr(linalg, "rref", rref_counted)
     return calls
 
 

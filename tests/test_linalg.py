@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from liesmash.exactnum import GaussianRational, ONE, ZERO
 from liesmash.linalg import (
-    in_span, pivot_columns, reduce_mod, rref, solve_in_basis, unit_vector,
+    in_span, inverse, pivot_columns, reduce_mod, rref, solve_in_basis,
+    unit_vector,
 )
 
 
@@ -62,6 +63,23 @@ def test_solve_in_basis():
     coords = solve_in_basis(basis, x)
     assert coords == (GaussianRational(2), GaussianRational(3))
     assert solve_in_basis(basis, vector([0, 0, 1])) is None
+
+
+@given(st.lists(st.tuples(*([small_scalars] * 3)), min_size=3, max_size=3))
+def test_inverse_is_exact_or_none(rows):
+    inv = inverse(rows)
+    if inv is None:
+        assert len(rref(rows)) < 3
+        return
+    product = [tuple(sum((a * b for a, b in zip(row, col)), ZERO)
+                     for col in zip(*inv)) for row in rows]
+    assert product == [unit_vector(3, i) for i in range(3)]
+
+
+def test_inverse_of_integer_matrices():
+    assert inverse([[2, 1], [1, 1]]) == (vector([1, -1]), vector([-1, 2]))
+    assert inverse([[1, 1], [1, 1]]) is None
+    assert inverse([]) == ()
 
 
 def test_unit_vectors():

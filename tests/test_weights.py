@@ -35,6 +35,14 @@ def test_exp_power_validates_exponent():
         W.ExpPower(0)
 
 
+def test_dimensions_below_one_are_refused():
+    for make in (W.Poly, W.Const, W.ExpSum):
+        for dim in (0, -1, 1.0, True):
+            with pytest.raises(W.WeightDomainError, match="dimension >= 1"):
+                make(dim)
+    assert W.ExpSum(1).dim == 1
+
+
 def test_descriptor_grammar_roundtrip():
     for text in ("poly", "poly(3)", "exppow(2)", "maxpow(1,1,2)", "expsum(2)",
                  "const", "prod(poly,exppow(2))", "pow(poly,1/2)",
