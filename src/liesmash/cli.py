@@ -233,8 +233,7 @@ def _group_resolver(radius):
     from . import cayley    # only word() descriptors need the group models
 
     def resolve(spec):
-        group = cayley.make_group(spec)
-        return cayley.word_table(group, radius), group.name
+        return cayley.word_table(cayley.make_group(spec), radius)
     return resolve
 
 
@@ -466,7 +465,7 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16):
     record("cayley", "delta smash trivial", res.passed, res.reason)
     wtab = cayley.word_table(cayley.ZK(2), 8)
     res = cayley.weighted_l1_submult_check(
-        cayley.ZK(2), weight_mod.WordWeight(wtab, "zk:2"), samples=60,
+        cayley.ZK(2), weight_mod.WordWeight(wtab), samples=60,
         seed=seed, size=3)
     record("cayley", "weighted l1 submultiplicative", res.passed, res.reason)
 

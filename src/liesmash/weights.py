@@ -8,17 +8,19 @@ tested on the largest one, with fixed slack constants, so genuinely
 asymptotic violations (distortion phenomena) surface as extrapolation
 failures with a concrete witness.
 
-Coordinate comparisons (majorizes, equivalent, decompose_check) sample from
-one bounded cache of sample tables, keyed only by (dim, SamplerConfig) and
-holding the _TABLES_KEPT most recently used.  A table holds each tier's
-points, as sample_points draws them, and its coordinate columns; a column
-computes its moduli abs(complex(z)) once, on first use, and every descriptor
-but ExpSum evaluates from them.  The key is the config's repr, so radii 1
-and 1.0 (whose structured probes differ) get separate tables and a list of
+Every comparison samples through _sampled_logs: a word() comparison draws
+elements of its group's BFS ball, a coordinate one reads one bounded cache
+of sample tables, keyed only by (dim, SamplerConfig) and holding the
+_TABLES_KEPT most recently used.  A table holds each tier's points, as
+sample_points draws them, and its coordinate columns; a column computes
+its moduli abs(complex(z)) once, on first use, and every descriptor but
+ExpSum evaluates from them.  The key is the config's repr, so radii 1 and
+1.0 (whose structured probes differ) get separate tables and a list of
 radii is hashable.  Values and verdicts are not cached: each comparison
-evaluates both descriptors on every sample and runs its own fit, so a
-verdict is always the result of the check that reports it, and the cache's
-size depends on the configs alone, never on the descriptors compared.
+evaluates both descriptors once on every sample (a two-sided check reads
+them both ways) and runs its own fit, so a verdict is always the result of
+the check that reports it, and the cache's size depends on the configs
+alone, never on the descriptors compared.
 
 A tier is evaluated in one batch per descriptor (log_table over its
 columns), with the same float operations in the same order as evaluating
@@ -116,8 +118,9 @@ class Weight:
     overflow.  log_evals evaluates a whole list of points at once: it checks
     every point's shape against dim and hands their coordinate _Columns to
     log_table(cols, n), one float per row, where each descriptor keeps its
-    formula (word() points are group elements, so WordWeight reads each
-    row as one and, like Power, overrides log_evals).
+    formula.  word() points are group elements, not coordinate tuples, so
+    WordWeight overrides log_evals and has no log_table; Power overrides
+    log_evals to hand the points to its base.
     """
 
     dim = 1
@@ -250,34 +253,25 @@ class Const(_Dimensioned):
 class WordWeight(Weight):
     """2^(word length) on a finitely generated group model, via its word
     table (cayley.WordWeightTable: a formula for zk:<k> and heis3z, the BFS
-    ball otherwise).
+    ball otherwise); it prints as word(<the table's group name>).
 
-    Points are group elements (or 1-tuples holding one), not coordinate
-    tuples, so log_evals looks them up as they are.
+    Points are group elements, not coordinate tuples, so log_evals looks
+    them up as they are.  A word() comparison samples whole elements, so a
+    WordWeight is never evaluated on coordinate columns.
     """
 
     dim = 1
 
-    def __init__(self, table, name: str = "word"):
+    def __init__(self, table):
         self.table = table  # cayley.WordWeightTable
-        self.name = name
 
     def log_evals(self, points):
-        length = self.table.length
-        lengths = list(map(length, points))
-        for i, n in enumerate(lengths):
-            if n is None:
-                point = points[i]
-                if isinstance(point, (tuple, list)) and len(point) == 1:
-                    n = lengths[i] = length(point[0])
-                if n is None:
-                    raise WeightDomainError(
-                        f"element {point!r} beyond BFS radius")
+        lengths = list(map(self.table.length, points))
+        if None in lengths:
+            raise WeightDomainError(
+                f"element {points[lengths.index(None)]!r} beyond BFS radius")
         log2 = math.log(2.0)
         return [n * log2 for n in lengths]
-
-    def log_table(self, cols, n):
-        return self.log_evals(list(_rows([c.values for c in cols], n)))
 
     def __eq__(self, other):
         return isinstance(other, WordWeight) and other.table is self.table
@@ -286,7 +280,7 @@ class WordWeight(Weight):
         return hash((WordWeight, id(self.table)))
 
     def __str__(self):
-        return f"word({self.name})"
+        return f"word({self.table.group.name})"
 
 
 class Product(_Value, Weight):
@@ -346,48 +340,43 @@ class Power(_Value, Weight):
         return f"pow({self.base},{self.gamma})"
 
 
-class Restriction(_Value, Weight):
-    """Restriction of a weight on a product domain to a prefix of its factors."""
-
-    _fields = ("base", "prefix")
-
-    def __init__(self, base: Product = None, prefix: int = 1):
-        if not isinstance(base, Product):
-            raise WeightDomainError("restriction needs a product descriptor")
-        if not 1 <= prefix <= len(base.parts):
-            raise WeightDomainError("restriction prefix out of range")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "prefix", prefix)
-
-    @property
-    def dim(self):
-        return sum(p.dim for p in self.base.parts[: self.prefix])
-
-    def log_table(self, cols, n):
-        pad = self.base.dim - self.dim
-        return self.base.log_table(list(cols) + [_Column((0,) * n)] * pad, n)
-
-    def __str__(self):
-        return f"restrict({self.base},{self.prefix})"
-
-
 # ---------------------------------------------------------------------------
 # Descriptor grammar (CLI surface)
 # ---------------------------------------------------------------------------
 
 def parse_weight(text: str, group_resolver=None) -> Weight:
     """Parse the prefix grammar: poly, poly(3), exppow(2), maxpow(1,1,2),
-    expsum(2), const, word(<group>), prod(...), pow(w,3/2), restrict(w,2)."""
+    expsum(2), const, word(<group>), prod(...), pow(w,3/2), restrict(w,2).
+
+    Descriptors that restate their parts are parsed to the products they
+    equal: a one-part prod(x) is x, and restrict(prod(p1,...,pn),k) is
+    prod(p1,...,pk) (every descriptor is 1 at the origin, so restricting
+    to a prefix of the factors drops the others).  group_resolver maps a
+    group spec to its word table.
+    """
     pos = 0
     s = text.strip()
+    # each head's argument count, fewest and most, and what they are
+    takes = {
+        "poly": (0, 1, "0 or 1 integer"), "const": (0, 1, "0 or 1 integer"),
+        "expsum": (0, 1, "0 or 1 integer"), "exppow": (1, 1, "1 integer"),
+        "maxpow": (1, math.inf, "1 or more integers"),
+        "prod": (1, math.inf, "1 or more descriptors"),
+        "pow": (2, 2, "a descriptor and a fraction"),
+        "restrict": (2, 2, "a descriptor and an integer"),
+        "word": (1, 1, "one group spec"),
+    }
 
-    def error(msg):
-        raise WeightDomainError(f"{msg} at position {pos} in {text!r}")
+    def error(msg, at=None):
+        at = pos if at is None else at
+        raise WeightDomainError(f"{msg} at position {at} in {text!r}")
 
     def peek():
         return s[pos] if pos < len(s) else ""
 
-    def parse_expr():
+    def parse_expr(parts=False):
+        """The descriptor at pos; with parts, a prod(...) gives the list of
+        its parts instead (restrict's first argument)."""
         nonlocal pos
         start = pos
         while pos < len(s) and (s[pos].isalnum() or s[pos] in "_"):
@@ -399,7 +388,7 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
         if peek() == "(":
             pos += 1
             if head in ("prod", "pow", "restrict"):
-                args.append(parse_expr())
+                args.append(parse_expr(parts=head == "restrict"))
                 while peek() == ",":
                     pos += 1
                     if head == "prod":
@@ -426,7 +415,8 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
             if peek() != ")":
                 error("expected ')'")
             pos += 1
-        return build(head, args)
+        out = build(head, args, start)
+        return args if parts and head == "prod" else out
 
     def parse_scalar():
         nonlocal pos
@@ -440,29 +430,37 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
         except ZeroDivisionError:
             error(f"zero denominator in {s[start:pos]!r}")
 
-    def build(head, args):
-        if head == "poly":
-            return Poly(int(args[0])) if args else Poly()
-        if head == "exppow":
-            return ExpPower(int(args[0]))
-        if head == "maxpow":
-            return MaxPower(tuple(int(a) for a in args))
-        if head == "expsum":
-            return ExpSum(int(args[0])) if args else ExpSum()
-        if head == "const":
-            return Const(int(args[0])) if args else Const()
-        if head == "prod":
-            return Product(tuple(args))
-        if head == "pow":
-            return Power(args[0], args[1])
-        if head == "restrict":
-            return Restriction(args[0], int(args[1]))
+    def build(head, args, at):
+        if head not in takes:
+            raise WeightDomainError(f"unknown descriptor {head!r}")
+        fewest, most, what = takes[head]
+        if not fewest <= len(args) <= most:
+            error(f"{head} takes {what}, got {len(args)} argument"
+                  + "s" * (len(args) != 1), at)
         if head == "word":
             if group_resolver is None:
                 raise WeightDomainError("no group resolver for word() descriptors")
-            table, name = group_resolver(args[0])
-            return WordWeight(table, name)
-        raise WeightDomainError(f"unknown descriptor {head!r}")
+            return WordWeight(group_resolver(args[0]))
+        if head == "prod":
+            return args[0] if len(args) == 1 else Product(tuple(args))
+        if head == "pow":
+            return Power(*args)
+        ints = args[1:] if head == "restrict" else args
+        for a in ints:
+            if a.denominator != 1:
+                error(f"{head} takes {what}, got {a}", at)
+        ints = list(map(int, ints))
+        if head == "restrict":
+            parts, (prefix,) = args[0], ints
+            if not isinstance(parts, list):
+                raise WeightDomainError("restriction needs a product descriptor")
+            if not 1 <= prefix <= len(parts):
+                raise WeightDomainError("restriction prefix out of range")
+            return build("prod", parts[:prefix], at)
+        if head == "maxpow":
+            return MaxPower(ints)
+        return {"poly": Poly, "const": Const, "expsum": ExpSum,
+                "exppow": ExpPower}[head](*ints)
 
     out = parse_expr()
     if pos != len(s):
@@ -559,21 +557,13 @@ def _sample_table(dim: int, config: SamplerConfig):
     return table
 
 
-def _table_values(w1: Weight, w2: Weight, config: SamplerConfig):
-    """(points, log w1, log w2) of each tier of the cached coordinate sample
-    table of w1's domain."""
-    tiers, columns = _sample_table(w1.dim, config)
-    return [(pts, w1.log_table(cols, len(pts)), w2.log_table(cols, len(pts)))
-            for pts, cols in zip(tiers, columns)]
-
-
 def _word_weights(w: Weight) -> list:
     """The word() descriptors inside w, in order."""
     if isinstance(w, WordWeight):
         return [w]
     if isinstance(w, Product):
         return [x for p in w.parts for x in _word_weights(p)]
-    if isinstance(w, (Power, Restriction)):
+    if isinstance(w, Power):
         return _word_weights(w.base)
     return []
 
@@ -608,6 +598,31 @@ def sample_group_points(table, config: SamplerConfig):
                for _ in range(min(config.count, len(pool)))]
         tiers.append(pts)
     return tiers
+
+
+def _sampled_logs(w1: Weight, w2: Weight, config: SamplerConfig):
+    """(points, log w1, log w2) of each tier, ascending: group elements of
+    the word table of a word() comparison, the cached coordinate sample
+    table of the common domain otherwise.  Each sample is evaluated once."""
+    if w1.dim != w2.dim:
+        raise WeightDomainError("majorizes needs a common domain")
+    table = word_table_of(w1, w2)
+    if table is None:
+        tiers, columns = _sample_table(w1.dim, config)
+        return [(pts, w1.log_table(cols, len(pts)),
+                 w2.log_table(cols, len(pts)))
+                for pts, cols in zip(tiers, columns)]
+    if w1.dim != 1:
+        raise WeightDomainError(
+            f"a word() comparison samples elements of {table.group.name}, "
+            f"so it needs 1-coordinate descriptors; {w1} and {w2} "
+            f"take {w1.dim}")
+    if config.count < 1:
+        raise WeightDomainError(
+            "a word() comparison samples group elements only, so it needs "
+            f"a sample count >= 1, got {config.count}")
+    return [(pts, w1.log_evals(pts), w2.log_evals(pts))
+            for pts in sample_group_points(table, config)]
 
 
 def _lsq(xs, ys):
@@ -702,24 +717,8 @@ def _majorize_from_tiers(tiers):
 def majorizes(w1: Weight, w2: Weight,
               config: SamplerConfig = SamplerConfig()) -> MajorizationVerdict:
     """Sampled test of the majorization w1 <= C * w2^gamma."""
-    if w1.dim != w2.dim:
-        raise WeightDomainError("majorizes needs a common domain")
-    table = word_table_of(w1, w2)
-    if table is None:
-        values = _table_values(w1, w2, config)
-    elif w1.dim != 1:
-        raise WeightDomainError(
-            f"a word() comparison samples elements of {table.group.name}, "
-            f"so it needs 1-coordinate descriptors; {w1} and {w2} "
-            f"take {w1.dim}")
-    elif config.count < 1:
-        raise WeightDomainError(
-            "a word() comparison samples group elements only, so it needs "
-            f"a sample count >= 1, got {config.count}")
-    else:
-        values = [(pts, w1.log_evals(pts), w2.log_evals(pts))
-                  for pts in sample_group_points(table, config)]
-    return _majorize_from_tiers([list(zip(*v)) for v in values])
+    return _majorize_from_tiers(
+        [list(zip(*v)) for v in _sampled_logs(w1, w2, config)])
 
 
 class EquivalenceVerdict(_Value):
@@ -748,20 +747,17 @@ def _two_sided(fwd: MajorizationVerdict,
 
 def equivalent(w1: Weight, w2: Weight,
                config: SamplerConfig = SamplerConfig()) -> EquivalenceVerdict:
-    # two comparisons, each evaluating every sample; the second reads the
-    # sample table the first left in the cache
-    return _two_sided(majorizes(w1, w2, config), majorizes(w2, w1, config))
+    """Sampled two-sided comparison of w1 and w2."""
+    return decompose_check(w1, (w2,), config)
 
 
 def decompose_check(w: Weight, parts,
                     config: SamplerConfig = SamplerConfig()) -> EquivalenceVerdict:
-    """Sampled two-sided comparison of w against the product of the parts."""
-    parts = list(parts)
-    total = sum(p.dim for p in parts)
-    if w.dim != total:
-        raise WeightDomainError(
-            f"parts dimensions sum to {total}, weight domain has {w.dim}")
-    values = _table_values(w, Product(tuple(parts)), config)
+    """Sampled two-sided comparison of w against the product of the parts
+    (one part is compared as it is)."""
+    parts = tuple(parts)
+    values = _sampled_logs(
+        w, parts[0] if len(parts) == 1 else Product(parts), config)
     # each sample is evaluated once and read in both directions
     return _two_sided(
         _majorize_from_tiers([list(zip(p, lhs, rhs)) for p, lhs, rhs in values]),

@@ -368,11 +368,26 @@ def test_weight_check_word_descriptor(capsys):
     ("restrict(prod(word(zk:1),poly),1)", "poly", "equivalent",
      "verdict: equivalent\nforward: holds (gamma=3.12275)\n"
      "backward: holds (gamma=0.303688)\n"),
+    ("prod(word(heis3z))", "word(heis3z)", "majorizes",
+     "verdict: holds\ngamma: 1\nC: 1\n"),
+    ("prod(word(heis3z))", "word(heis3z)", "equivalent",
+     "verdict: equivalent\nforward: holds (gamma=1)\n"
+     "backward: holds (gamma=1)\n"),
+    ("restrict(prod(word(heis3z),poly),1)", "word(heis3z)", "majorizes",
+     "verdict: holds\ngamma: 1\nC: 1\n"),
+    ("restrict(prod(word(heis3z),poly),1)", "word(heis3z)", "equivalent",
+     "verdict: equivalent\nforward: holds (gamma=1)\n"
+     "backward: holds (gamma=1)\n"),
+    ("prod(word(bs12))", "pow(word(bs12),2)", "majorizes",
+     "verdict: holds\ngamma: 0.5\nC: 1\n"),
+    ("prod(word(bs12))", "pow(word(bs12),2)", "equivalent",
+     "verdict: equivalent\nforward: holds (gamma=0.5)\n"
+     "backward: holds (gamma=2)\n"),
 ])
 def test_weight_check_word_descriptor_inside_a_product(capsys, lhs, rhs,
                                                        mode, expected):
-    # a word() part of prod() or restrict() is evaluated on the rows of
-    # the product's coordinate columns, each row a 1-tuple element
+    # a one-part prod() and a one-part restrict() parse to their word()
+    # part, which is evaluated on whole group elements
     code, out, err = run(capsys, ["weight-check", "--lhs", lhs, "--rhs", rhs,
                                   "--mode", mode, "--radius", "6"])
     assert (code, out, err) == (0, expected, "")
@@ -670,6 +685,40 @@ def test_zero_denominators_and_dimensions_are_input_errors(capsys, argv,
     assert (code, out) == (EXIT_INPUT, "")
     assert err.startswith("input error: ") and value in err
     assert ("zero denominator" in err) != ("dimension >= 1" in err)
+
+
+@pytest.mark.parametrize("lhs,message", [
+    ("pow(poly)", "pow takes a descriptor and a fraction, got 1 argument "
+     "at position 0"),
+    ("pow(poly,2,3)", "pow takes a descriptor and a fraction, got 3 "
+     "arguments at position 0"),
+    ("exppow", "exppow takes 1 integer, got 0 arguments at position 0"),
+    ("exppow(1,2)", "exppow takes 1 integer, got 2 arguments at position 0"),
+    ("word", "word takes one group spec, got 0 arguments at position 0"),
+    ("restrict(prod(poly,poly))", "restrict takes a descriptor and an "
+     "integer, got 1 argument at position 0"),
+    ("poly(1,2)", "poly takes 0 or 1 integer, got 2 arguments at position 0"),
+    ("expsum(1,1)", "expsum takes 0 or 1 integer, got 2 arguments at "
+     "position 0"),
+    ("prod", "prod takes 1 or more descriptors, got 0 arguments at "
+     "position 0"),
+    ("poly(3/2)", "poly takes 0 or 1 integer, got 3/2 at position 0"),
+    ("exppow(5/2)", "exppow takes 1 integer, got 5/2 at position 0"),
+    ("maxpow(1,3/2)", "maxpow takes 1 or more integers, got 3/2 at "
+     "position 0"),
+    ("restrict(prod(poly,poly),3/2)", "restrict takes a descriptor and an "
+     "integer, got 3/2 at position 0"),
+    ("prod(poly,exppow(5/2))", "exppow takes 1 integer, got 5/2 at "
+     "position 10"),
+])
+def test_descriptor_arity_and_integrality_are_input_errors(capsys, lhs,
+                                                           message):
+    # each of these once ended in an IndexError traceback, dropped its
+    # extra arguments or truncated a fraction, and printed a verdict
+    code, out, err = run(capsys, ["weight-check", "--lhs", lhs,
+                                  "--rhs", lhs])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == f"input error: {message} in {lhs!r}\n"
 
 
 # one run of every command

@@ -44,11 +44,21 @@ def test_dimensions_below_one_are_refused():
 
 
 def test_descriptor_grammar_roundtrip():
-    for text in ("poly", "poly(3)", "exppow(2)", "maxpow(1,1,2)", "expsum(2)",
-                 "const", "prod(poly,exppow(2))", "pow(poly,1/2)",
-                 "restrict(prod(poly,const),1)"):
+    # restrict(prod(...),k) and a one-part prod(...) parse to the products
+    # they equal, and render as those
+    for text, rendered in [
+            ("poly", "poly"), ("poly(3)", "poly(3)"), ("exppow(2)", "exppow(2)"),
+            ("maxpow(1,1,2)", "maxpow(1,1,2)"), ("expsum(2)", "expsum(2)"),
+            ("const", "const"), ("prod(poly,exppow(2))", "prod(poly,exppow(2))"),
+            ("pow(poly,1/2)", "pow(poly,1/2)"),
+            ("restrict(prod(poly,const),1)", "poly"),
+            ("restrict(prod(poly,exppow(2),const),2)", "prod(poly,exppow(2))"),
+            ("restrict(prod(prod(poly,const)),1)", "prod(poly,const)"),
+            ("prod(exppow(2))", "exppow(2)"), ("prod(prod(poly))", "poly"),
+            ("pow(prod(poly),2)", "pow(poly,2)"),
+            ("prod(poly(4/2),maxpow(3/3))", "prod(poly(2),maxpow(1))")]:
         w = W.parse_weight(text)
-        assert str(w) == text
+        assert str(w) == rendered
         assert W.parse_weight(str(w)) == w
 
 
@@ -57,7 +67,6 @@ VALUES = [  # (class, fields in order)
     (W.MaxPower, {"ws": (1, 2)}), (W.ExpSum, {"dim": 2}),
     (W.Const, {"dim": 2}), (W.Product, {"parts": (W.Poly(), W.Const())}),
     (W.Power, {"base": W.Poly(), "gamma": Fraction(2)}),
-    (W.Restriction, {"base": W.Product((W.Poly(),)), "prefix": 1}),
     (W.SamplerConfig, {"count": 8, "radii": (1, 10), "seed": 0}),
     (W.SeriesNorm, {"r": Fraction(2), "s": Fraction(1)}),
 ]
@@ -107,8 +116,11 @@ def test_verdicts_keep_their_own_sample_lists():
 
 
 def test_grammar_rejects_garbage():
-    for bad in ("", "poly(", "frobnicate", "prod(poly", "pow(poly)"):
-        with pytest.raises((W.WeightDomainError, IndexError)):
+    for bad in ("", "poly(", "frobnicate", "prod(poly", "pow(poly)", "prod",
+                "restrict(poly,1)", "restrict(pow(prod(poly,poly),1),1)",
+                "restrict(restrict(prod(poly,poly,poly),2),1)",
+                "restrict(prod(poly,poly),0)", "restrict(prod(poly),2)"):
+        with pytest.raises(W.WeightDomainError):
             W.parse_weight(bad)
 
 
@@ -116,7 +128,7 @@ descriptors = st.sampled_from([
     W.Poly(), W.Poly(3), W.ExpPower(1), W.ExpPower(3), W.MaxPower((1, 2)),
     W.ExpSum(2), W.Const(), W.Product((W.Poly(), W.ExpPower(2))),
     W.Power(W.Poly(), Fraction(1, 2)),
-    W.Restriction(W.Product((W.Poly(), W.Const())), 1),
+    W.parse_weight("restrict(prod(poly,const),1)"),
 ])
 
 
@@ -146,8 +158,6 @@ def _ref_log_eval(w, point):
     """One point at a time, each descriptor's formula written out."""
     if isinstance(w, W.WordWeight):
         n = w.table.length(point)
-        if n is None and isinstance(point, (tuple, list)) and len(point) == 1:
-            n = w.table.length(point[0])
         if n is None:
             raise W.WeightDomainError(f"element {point!r} beyond BFS radius")
         return n * math.log(2.0)
@@ -171,9 +181,15 @@ def _ref_log_eval(w, point):
             blocks.append(coords[pos:pos + p.dim])
             pos += p.dim
         return sum(_ref_log_eval(p, b) for p, b in zip(w.parts, blocks))
-    if isinstance(w, W.Restriction):
-        return _ref_log_eval(w.base, coords + (0,) * (w.base.dim - w.dim))
     raise TypeError(w)
+
+
+def _ref_restricted_log_eval(base, prefix, point):
+    """The product base restricted to its first prefix parts: base at the
+    point padded with zeros in the coordinates of the other parts."""
+    dim = sum(p.dim for p in base.parts[:prefix])
+    coords = _ref_coords(W.Poly(dim), point)
+    return _ref_log_eval(base, coords + (0,) * (base.dim - dim))
 
 
 def _ref_sample_points(dim, config):
@@ -277,18 +293,17 @@ BATCH_DESCRIPTORS = [
     W.Product((W.Poly(2), W.MaxPower((1, 1)))), _TRIPLE,
     W.Power(W.Poly(), Fraction(1, 2)),
     W.Power(W.Product((W.Poly(), W.ExpPower(1))), Fraction(3, 2)),
-    W.Restriction(_TRIPLE, 2),
-    W.Power(W.Restriction(W.Product((W.MaxPower((1, 2)), W.Poly())), 1), 2),
-    W.Product((W.Power(W.ExpSum(2), Fraction(1, 3)),
-               W.Restriction(W.Product((W.Poly(), W.Const())), 1))),
-]
+] + [pytest.param(W.parse_weight(text), id=text) for text in (
+    "restrict(prod(poly,exppow(2),const),2)",
+    "pow(restrict(prod(maxpow(1,2),poly),1),2)",
+    "prod(pow(expsum(2),1/3),restrict(prod(poly,const),1))")]
 SAMPLER_CONFIGS = [W.SamplerConfig(count=24, radii=(1.0, 100.0, 1e4, 1e6),
                                    seed=seed) for seed in (0, 1, 2)]
 
 
 def _word_descriptors():
-    heis = W.WordWeight(C.word_table(C.Heis3Z(), 5), "heis3z")
-    z1 = W.WordWeight(C.word_table(C.ZK(1), 6), "zk:1")
+    heis = W.WordWeight(C.word_table(C.Heis3Z(), 5))
+    z1 = W.WordWeight(C.word_table(C.ZK(1), 6))
     return heis, z1
 
 
@@ -313,7 +328,6 @@ def test_log_evals_on_group_elements_match_reference():
     heis, z1 = _word_descriptors()
     for w in (heis, W.Power(heis, 2), W.Power(W.Power(heis, Fraction(1, 3)), 3)):
         pts = list(heis.table.lengths)
-        pts += [(g,) for g in pts[:20]]          # elements wrapped in 1-tuples
         assert w.log_evals(pts) == [_ref_log_eval(w, p) for p in pts]
     pts = list(z1.table.lengths)
     for w in (z1, W.Poly(), W.Power(z1, Fraction(1, 2))):
@@ -322,13 +336,38 @@ def test_log_evals_on_group_elements_match_reference():
         heis.log_evals([(0, 0, 0), (0, 0, 10 ** 6)])
 
 
+RESTRICTED_PARTS = [
+    ("poly", "exppow(2)", "const"), ("maxpow(1,2)", "poly"), ("exppow(1)",),
+    ("pow(expsum(2),1/3)", "poly(2)", "maxpow(1,1,3)"),
+    ("prod(poly,exppow(1))", "expsum(3)"),
+    ("const(2)", "pow(prod(poly,exppow(3)),3/2)", "poly"),
+]
+
+
+@pytest.mark.parametrize("parts", RESTRICTED_PARTS, ids=",".join)
+def test_parsed_restrictions_match_the_zero_padded_reference(parts):
+    """restrict(prod(p1,...,pn),k) parses to the product of p1..pk, which
+    evaluates bit for bit like the product at the point padded with zeros,
+    up to radius 1e300, where the weights themselves overflow a float."""
+    base = W.Product(tuple(map(W.parse_weight, parts)))
+    for k in range(1, len(parts) + 1):
+        w = W.parse_weight(f"restrict(prod({','.join(parts)}),{k})")
+        for seed in (0, 1, 2):
+            config = W.SamplerConfig(count=24, radii=(1.0, 1e10, 1e100, 1e300),
+                                     seed=seed)
+            for pts in W.sample_points(w.dim, config):
+                assert list(map(float.hex, w.log_evals(pts))) == [
+                    _ref_restricted_log_eval(base, k, p).hex() for p in pts]
+
+
 MAJORIZE_PAIRS = [
     (W.Poly(), W.ExpPower(1)), (W.ExpPower(1), W.Poly()),
     (W.Poly(), W.Power(W.Poly(), Fraction(1, 2))),
     (W.Power(W.Poly(), Fraction(1, 2)), W.Poly()),
     (W.ExpPower(1), W.ExpPower(2)), (W.MaxPower((1, 2)), W.ExpSum(2)),
     (W.Product((W.Poly(), W.ExpPower(2))), W.Poly(2)),
-    (W.Restriction(_TRIPLE, 2), W.MaxPower((1, 2))),
+    (W.parse_weight("restrict(prod(poly,exppow(2),const),2)"),
+     W.MaxPower((1, 2))),
     (W.Const(2), W.Poly(2)),
 ]
 
@@ -569,7 +608,8 @@ def test_log_evals_reject_a_point_of_the_wrong_length():
              (W.ExpPower(1), [3, (1, 2)], 2),
              (_TRIPLE, [(1, 2, 3), (1, 2)], 2),
              (W.Power(W.Poly(2), 2), [(1, 2, 3)], 3),
-             (W.Restriction(_TRIPLE, 2), [(1, 2, 3)], 3)]
+             (W.parse_weight("restrict(prod(poly,exppow(2),const),2)"),
+              [(1, 2, 3)], 3)]
     for w, pts, got in cases:
         with pytest.raises(W.WeightDomainError,
                            match=f"expects {w.dim} coordinates, got {got}"):
@@ -580,8 +620,8 @@ def test_log_evals_reject_a_point_of_the_wrong_length():
 
 def test_restriction_pads_with_zero():
     w = W.Product((W.Poly(), W.ExpPower(1)))
-    r = W.Restriction(w, 1)
-    assert r.dim == 1
+    r = W.parse_weight("restrict(prod(poly,exppow(1)),1)")
+    assert r == W.Poly()
     assert math.isclose(r.eval(3), w.eval((3, 0)))
 
 
