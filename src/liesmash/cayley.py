@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
-from .errors import InputError, PreconditionError
+from .errors import SKIP, CheckResult, InputError, PreconditionError, sweep
 from .linalg import inverse
 from .weights import WeightDomainError, _lsq
 
@@ -531,11 +531,12 @@ MAX_BALL_ELEMENTS = 2_000_000
 class WordWeightTable:
     """Exact word lengths on the ball of a given radius (weight = 2^length).
 
-    A group with formulas (CayleyGroup.word_length and ball_size, each O(1)
-    on heis3z and O(k) on zk:<k>) answers length() and len() from them,
-    and builds its ball only when lengths is read, that is when the ball's
-    elements are enumerated (sample_group_points).  Every other group
-    builds its ball in the constructor and answers from it.
+    Constructing a table builds nothing.  A group with formulas
+    (CayleyGroup.word_length and ball_size, each O(1) on heis3z and O(k) on
+    zk:<k>) answers length() and len() from them, and builds its ball only
+    when lengths is read, that is when the ball's elements are enumerated
+    (sample_group_points).  Every other group builds its ball on the first
+    len(), length() or lengths, and answers from it.
 
     The ball is a breadth-first search on the int keys of the group's
     BallCode: each generator step adds one int, and lengths decodes the
@@ -546,15 +547,16 @@ class WordWeightTable:
     ..., g u_s, then the next g, so lengths keeps the insertion order that
     sample_group_points draws from.
 
-    A ball beyond MAX_BALL_ELEMENTS is refused with PreconditionError
-    before it is allocated.  A group with formulas is refused from its
-    exact size, evaluated once (check_ball_size).  Otherwise the size is
-    estimated before each layer: the next layer adds at most len(gens) - 1
-    elements per frontier element, and each of the remaining layers is
-    taken to be no smaller than the frontier (sphere sizes do not shrink in
-    the models of this module), so the estimate exceeds the true size only
-    through the next-layer bound.  The first layer's estimate is checked before the
-    code is built, since its fields widen with the radius.
+    A ball beyond MAX_BALL_ELEMENTS is refused with PreconditionError at
+    the read that would build it, before it is allocated.  A group with
+    formulas is refused from its exact size, evaluated once
+    (check_ball_size).  Otherwise the size is estimated before each layer:
+    the next layer adds at most len(gens) - 1 elements per frontier element,
+    and each of the remaining layers is taken to be no smaller than the
+    frontier (sphere sizes do not shrink in the models of this module), so
+    the estimate exceeds the true size only through the next-layer bound.
+    The first layer's estimate is checked before the code is built, since
+    its fields widen with the radius.
     """
 
     def __init__(self, group: CayleyGroup, radius: int):
@@ -563,19 +565,17 @@ class WordWeightTable:
         self.group = group
         self.radius = radius
         self._formula = group.word_length(group.identity()) is not None
-        if not self._formula:
-            self._code, self._keys = self._ball()
 
     @cached_property
     def lengths(self) -> dict:
         """Element -> word length over the ball, in breadth-first order,
         decoded from the keys when first read."""
-        code, keys = self._ball() if self._formula else (self._code,
-                                                         self._keys)
+        code, keys = self._ball
         if code is None:
             return keys
         return dict(zip(code.decode(keys), keys.values()))
 
+    @cached_property
     def _ball(self):
         """(code, key -> word length): the ball on the code's keys, or on
         the elements when the group has no code."""
@@ -627,13 +627,13 @@ class WordWeightTable:
     def __len__(self):
         if self._formula:
             return self.group.ball_size(self.radius)
-        return len(self._keys)
+        return len(self._ball[1])
 
     def length(self, g):
         """The word length of g if g is an element of the ball, else None."""
         if not self._formula:
-            code = self._code
-            return self._keys.get(g if code is None else code.encode(g))
+            code, keys = self._ball
+            return keys.get(g if code is None else code.encode(g))
         n = self.group.word_length(g)
         return n if n is not None and n <= self.radius else None
 
@@ -720,27 +720,18 @@ def distortion_fit(group: CayleyGroup, h, radius: int,
 # group-algebra smash at the delta-functional level
 # ---------------------------------------------------------------------------
 
-class SmashCheckResult:
-    def __init__(self, passed: bool, checked: int, witness: object = None,
-                 reason: str = "", skipped: int = 0):
-        self.passed = passed
-        self.checked = checked
-        self.witness = witness
-        self.reason = reason
-        self.skipped = skipped      # probes outside the weight's domain
-
-
 def delta_smash_check(g1: CayleyGroup, g2: CayleyGroup, alpha,
                       combined: CayleyGroup, embed,
                       samples: int = 200, seed: int = 0,
-                      size: int = 6, quadruples=None) -> SmashCheckResult:
+                      size: int = 6, quadruples=None) -> CheckResult:
     """Check the delta-level smash isomorphism against independent normal forms.
 
     The left side multiplies delta functionals by the smash rule
     (d_x (x) d_u)(d_y (x) d_v) = d_{x . alpha_u(y)} (x) d_{u v} using only the
     factor groups and the action; the right side multiplies embed(x, u) by
-    embed(y, v) inside the combined group's own normal form.  alpha is first
-    checked to act by automorphisms on the sampled elements.
+    embed(y, v) inside the combined group's own normal form.  Each quadruple
+    is one case: alpha is first checked to act by automorphisms on its
+    elements.
     """
     rng = random.Random(seed)
     if quadruples is None:
@@ -749,25 +740,24 @@ def delta_smash_check(g1: CayleyGroup, g2: CayleyGroup, alpha,
              g1.random_element(rng, size), g2.random_element(rng, size))
             for _ in range(samples)
         ]
-    checked = 0
-    for x, u, y, v in quadruples:
-        # automorphism axioms for the sampled acting elements
-        if alpha(u, g1.multiply(x, y)) != g1.multiply(alpha(u, x), alpha(u, y)):
-            return SmashCheckResult(False, checked, (u, x, y),
-                                    "alpha is not multiplicative")
-        if alpha(u, g1.identity()) != g1.identity():
-            return SmashCheckResult(False, checked, (u,),
-                                    "alpha does not fix the identity")
-        if alpha(g2.multiply(u, v), x) != alpha(u, alpha(v, x)):
-            return SmashCheckResult(False, checked, (u, v, x),
-                                    "alpha is not a homomorphism in g2")
-        lhs = embed(g1.multiply(x, alpha(u, y)), g2.multiply(u, v))
-        rhs = combined.multiply(embed(x, u), embed(y, v))
-        if lhs != rhs:
-            return SmashCheckResult(False, checked, (x, u, y, v),
-                                    "smash product disagrees with normal form")
-        checked += 1
-    return SmashCheckResult(True, checked)
+
+    def cases():
+        for x, u, y, v in quadruples:
+            if alpha(u, g1.multiply(x, y)) != g1.multiply(alpha(u, x),
+                                                          alpha(u, y)):
+                yield f"alpha is not multiplicative at {(u, x, y)}"
+            elif alpha(u, g1.identity()) != g1.identity():
+                yield f"alpha does not fix the identity at {u}"
+            elif alpha(g2.multiply(u, v), x) != alpha(u, alpha(v, x)):
+                yield f"alpha is not a homomorphism in g2 at {(u, v, x)}"
+            elif embed(g1.multiply(x, alpha(u, y)), g2.multiply(u, v)) != \
+                    combined.multiply(embed(x, u), embed(y, v)):
+                yield ("smash product disagrees with normal form at "
+                       f"{(x, u, y, v)}")
+            else:
+                yield None
+
+    return sweep("delta-smash", cases())
 
 
 def heis_as_semidirect_scenario():
@@ -827,13 +817,13 @@ def direct_product_scenario(g1: CayleyGroup, g2: CayleyGroup):
 
 def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
                               seed: int = 0, size: int = 5,
-                              support: int = 4) -> SmashCheckResult:
+                              support: int = 4) -> CheckResult:
     """Sampled submultiplicativity of ||.||_w on finitely supported functionals.
 
     Checks w(gh) <= w(g) w(h) on sampled pairs (including the diagonal
     probes g = h) and the full convolution inequality ||a b|| <= ||a|| ||b||
     for random finitely supported a, b.  A probe the weight cannot evaluate
-    (beyond a word-weight radius) is skipped and counted.
+    (beyond a word-weight radius) is skipped.
     """
     rng = random.Random(seed)
     wval = weight.eval
@@ -841,58 +831,59 @@ def weighted_l1_submult_check(group: CayleyGroup, weight, samples: int = 200,
     def sample():
         return group.random_element(rng, size)
 
-    checked = skipped = 0
-    pairs = [(sample(), sample()) for _ in range(samples)]
-    pairs += [(g, g) for g, _ in pairs[: max(8, samples // 8)]]
-    for g, h in pairs:
-        try:
-            lhs = wval(group.multiply(g, h))
-            rg, rh = wval(g), wval(h)
-        except WeightDomainError:
-            skipped += 1
-            continue
-        if lhs > rg * rh * (1 + 1e-12):
-            return SmashCheckResult(False, checked, (g, h),
-                                    "pointwise submultiplicativity fails",
-                                    skipped)
-        checked += 1
+    def cases():
+        pairs = [(sample(), sample()) for _ in range(samples)]
+        pairs += [(g, g) for g, _ in pairs[: max(8, samples // 8)]]
+        for g, h in pairs:
+            try:
+                lhs = wval(group.multiply(g, h))
+                rg, rh = wval(g), wval(h)
+            except WeightDomainError:
+                yield SKIP
+                continue
+            yield (f"pointwise submultiplicativity fails at {(g, h)}"
+                   if lhs > rg * rh * (1 + 1e-12) else None)
 
-    for _ in range(max(8, samples // 8)):
-        sup_a = [sample() for _ in range(rng.randint(1, support))]
-        sup_b = [sample() for _ in range(rng.randint(1, support))]
-        ca = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in sup_a]
-        cb = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in sup_b]
-        try:
-            conv: dict = {}
-            for g, x in zip(sup_a, ca):
-                for h, y in zip(sup_b, cb):
-                    key = group.multiply(g, h)
-                    conv[key] = conv.get(key, Fraction(0)) + x * y
-            lhs = sum(abs(float(c)) * wval(g) for g, c in conv.items())
-            na = sum(abs(float(c)) * wval(g) for c, g in zip(ca, sup_a))
-            nb = sum(abs(float(c)) * wval(g) for c, g in zip(cb, sup_b))
-        except WeightDomainError:
-            skipped += 1
-            continue
-        if lhs > na * nb * (1 + 1e-12):
-            return SmashCheckResult(False, checked, (sup_a, sup_b),
-                                    "convolution norm inequality fails",
-                                    skipped)
-        checked += 1
-    return SmashCheckResult(True, checked, skipped=skipped)
+        for _ in range(max(8, samples // 8)):
+            sup_a = [sample() for _ in range(rng.randint(1, support))]
+            sup_b = [sample() for _ in range(rng.randint(1, support))]
+            ca, cb = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                       for _ in sup] for sup in (sup_a, sup_b))
+            try:
+                conv: dict = {}
+                for g, x in zip(sup_a, ca):
+                    for h, y in zip(sup_b, cb):
+                        key = group.multiply(g, h)
+                        conv[key] = conv.get(key, Fraction(0)) + x * y
+                lhs = sum(abs(float(c)) * wval(g) for g, c in conv.items())
+                na = sum(abs(float(c)) * wval(g) for c, g in zip(ca, sup_a))
+                nb = sum(abs(float(c)) * wval(g) for c, g in zip(cb, sup_b))
+            except WeightDomainError:
+                yield SKIP
+                continue
+            yield (f"convolution norm inequality fails at {(sup_a, sup_b)}"
+                   if lhs > na * nb * (1 + 1e-12) else None)
+
+    return sweep("weighted-l1", cases())
 
 
 def associativity_spot_check(group: CayleyGroup, triples: int = 1000,
-                             seed: int = 0, size: int = 8) -> SmashCheckResult:
-    """Exact associativity of the normal-form multiplication on random triples."""
+                             seed: int = 0, size: int = 8) -> CheckResult:
+    """Exact associativity of the normal-form multiplication on random
+    triples, and the inverse of each triple's first element."""
     rng = random.Random(seed)
-    for t in range(triples):
-        a = group.random_element(rng, size)
-        b = group.random_element(rng, size)
-        c = group.random_element(rng, size)
-        if group.multiply(group.multiply(a, b), c) != \
-                group.multiply(a, group.multiply(b, c)):
-            return SmashCheckResult(False, t, (a, b, c), "associativity fails")
-        if group.multiply(a, group.inverse(a)) != group.identity():
-            return SmashCheckResult(False, t, (a,), "inverse fails")
-    return SmashCheckResult(True, triples)
+    mult = group.multiply
+
+    def cases():
+        for _ in range(triples):
+            a = group.random_element(rng, size)
+            b = group.random_element(rng, size)
+            c = group.random_element(rng, size)
+            if mult(mult(a, b), c) != mult(a, mult(b, c)):
+                yield f"associativity fails at {(a, b, c)}"
+            elif mult(a, group.inverse(a)) != group.identity():
+                yield f"inverse fails at {a}"
+            else:
+                yield None
+
+    return sweep("group-associativity", cases())

@@ -44,9 +44,8 @@ eps(h)1 and the module axiom (hg).a = h.(g.a) are not swept: the table
 holds the powers of one linear map that kills 1, so both hold by
 construction, whatever the map.
 
-Every exact check is one sweep over its cases (_sweep): cases are counted up
-to and including the first failure, and that failure's witness is reported.
-A passing check therefore reports every case it covered.  Degree-filtered
+Every exact check is one sweep over its cases (errors.sweep), which counts
+them up to and including the first failure and skips none.  Degree-filtered
 sweeps enumerate exactly their overflow-free cases, in basis order, from
 the degree buckets each model keeps: upto[m] holds the basis positions of
 degree <= m, so k2 runs over upto[D - deg k1] and k3 over
@@ -59,7 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from .exactnum import GaussianRational, ONE, ZERO
-from .errors import PreconditionError
+from .errors import CheckResult, PreconditionError, sweep
 
 Element = dict  # basis position -> GaussianRational, never holding a zero
 
@@ -532,22 +531,6 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
 # verification
 # ---------------------------------------------------------------------------
 
-class CheckResult:
-    def __init__(self, name: str, passed: bool, checked: int,
-                 witness: str | None = None):
-        self.name = name
-        self.passed = passed
-        self.checked = checked
-        self.witness = witness
-
-    def line(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        msg = f"{self.name}: {status} ({self.checked} cases)"
-        if self.witness:
-            msg += f" witness: {self.witness}"
-        return msg
-
-
 class HopfReport:
     def __init__(self, model: str, results: list | None = None):
         self.model = model
@@ -593,18 +576,6 @@ def _tensor_square_product(X: TruncatedHopf, u_pairs: dict, v_pairs: dict) -> di
                         else:
                             del out[key]
     return out
-
-
-def _sweep(name: str, cases) -> CheckResult:
-    """Run one check: cases yields None for each case that holds and a
-    witness string for one that fails.  Cases are counted up to and
-    including the first failure, and the sweep stops there."""
-    count = 0
-    for witness in cases:
-        count += 1
-        if witness is not None:
-            return CheckResult(name, False, count, witness)
-    return CheckResult(name, True, count)
 
 
 def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
@@ -682,15 +653,15 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
             yield None if left == expected == right else X.key_str(k)
 
     report = HopfReport(model=X.name, results=[
-        _sweep("unit", unit()),
-        _sweep("associativity", associativity()),
-        _sweep("coassociativity", coassociativity()),
-        _sweep("counit", counit()),
-        _sweep("bialgebra", bialgebra()),
+        sweep("unit", unit()),
+        sweep("associativity", associativity()),
+        sweep("coassociativity", coassociativity()),
+        sweep("counit", counit()),
+        sweep("bialgebra", bialgebra()),
     ])
     if X.antipode is not None:
         report.results.append(
-            _sweep("antipode-convolution", antipode_convolution()))
+            sweep("antipode-convolution", antipode_convolution()))
     if not isinstance(X, SmashAlgebra):
         return report
     A, H, action, i_pos, j_pos = X.A, X.H, X.action, X.i_pos, X.j_pos
@@ -720,8 +691,8 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
                 yield None if lhs == X.embed_h(H.mult[(k1, k2)]) else (
                     f"j on ({H.key_str(k1)}, {H.key_str(k2)})")
 
-    report.results += [_sweep("module-intertwining", module_intertwining()),
-                       _sweep("factor-embeddings", factor_embeddings())]
+    report.results += [sweep("module-intertwining", module_intertwining()),
+                       sweep("factor-embeddings", factor_embeddings())]
     return report
 
 
@@ -758,7 +729,7 @@ def commutator_table_check(s: TruncatedHopf, g, vectors, names) -> CheckResult:
                 tuple(image) == g.bracket(vectors[i], vectors[j]) else (
                 f"[{names[i]}, {names[j]}] = {s.el_str(comm)}")
 
-    return _sweep("commutator-recovery", cases())
+    return sweep("commutator-recovery", cases())
 
 
 def tensor_degeneration_check(s: SmashAlgebra) -> CheckResult:
@@ -777,4 +748,4 @@ def tensor_degeneration_check(s: SmashAlgebra) -> CheckResult:
                 yield None if s.mult[(k1, k2)] == expected else (
                     f"({s.key_str(k1)}, {s.key_str(k2)})")
 
-    return _sweep("tensor-degeneration", cases())
+    return sweep("tensor-degeneration", cases())

@@ -45,6 +45,8 @@ from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul
 
+from .errors import CheckResult, sweep
+
 
 class WeightDomainError(ValueError):
     pass
@@ -585,11 +587,11 @@ def word_table_of(*ws: Weight):
 
 def sample_group_points(table, config: SamplerConfig):
     """Group-element tiers from a word table's BFS ball, nested balls of
-    growing radius."""
+    radius // k for k = 8, 4, 2, 1, each at least 1 and at most the radius:
+    radius 0 and 1 make one tier, which the fit refuses."""
     rng = random.Random(config.seed)
     radius = table.radius
-    cuts = sorted({max(1, radius // 8), max(1, radius // 4),
-                   max(1, radius // 2), radius})
+    cuts = sorted({min(radius, max(1, radius // k)) for k in (8, 4, 2, 1)})
     elements = list(table.lengths)  # BFS order: deterministic
     tiers = []
     for cut in cuts:
@@ -842,22 +844,14 @@ def _convolve(a, b):
     return out
 
 
-class NormCheckReport:
-    def __init__(self, passed: bool, pairs_checked: int, polys_checked: int,
-                 witness: object = None):
-        self.passed = passed
-        self.pairs_checked = pairs_checked
-        self.polys_checked = polys_checked
-        self.witness = witness
-
-
 def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,
-                                   random_polys: int = 100,
-                                   seed: int = 0) -> NormCheckReport:
+                                   random_polys: int = 100, seed: int = 0):
     """Verify ||ab||_{r,s} <= ||a||_{r',s} ||b||_{r',s} with r' = 2^s r.
 
-    Brute force over all monomial pairs with exponents up to `degree`, then
-    over random rational-coefficient polynomials; everything is exact.
+    Returns two exact sweeps (errors.sweep): every monomial pair with
+    exponents up to `degree`, then random rational-coefficient
+    polynomials, a sweep left empty when a pair fails.  A witness is the
+    str() of ("monomial", k, m) or ("poly", a, b).
     """
     r = Fraction(r)
     s_int = int(Fraction(s))
@@ -866,16 +860,6 @@ def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,
     rp = Fraction(2) ** s_int * r
     n_base = SeriesNorm(r, s_int)
     n_big = SeriesNorm(rp, s_int)
-    pairs = 0
-    for k in range(degree + 1):
-        for m in range(degree + 1):
-            a = [Fraction(0)] * k + [Fraction(1)]
-            b = [Fraction(0)] * m + [Fraction(1)]
-            lhs = series_norm(_convolve(a, b), n_base)
-            rhs = series_norm(a, n_big) * series_norm(b, n_big)
-            pairs += 1
-            if lhs > rhs:
-                return NormCheckReport(False, pairs, 0, witness=("monomial", k, m))
     rng = random.Random(seed)
 
     def rand_poly():
@@ -883,31 +867,40 @@ def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,
         return [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                 for _ in range(deg + 1)]
 
-    for t in range(random_polys):
-        a, b = rand_poly(), rand_poly()
-        lhs = series_norm(_convolve(a, b), n_base)
-        rhs = series_norm(a, n_big) * series_norm(b, n_big)
-        if lhs > rhs:
-            return NormCheckReport(False, pairs, t + 1, witness=("poly", a, b))
-    return NormCheckReport(True, pairs, random_polys)
+    def cases(inputs):
+        for a, b, witness in inputs:
+            lhs = series_norm(_convolve(a, b), n_base)
+            rhs = series_norm(a, n_big) * series_norm(b, n_big)
+            yield str(witness) if lhs > rhs else None
+
+    monomials = [[Fraction(0)] * k + [Fraction(1)] for k in range(degree + 1)]
+    pairs = sweep("monomial pairs", cases(
+        (a, b, ("monomial", k, m)) for k, a in enumerate(monomials)
+        for m, b in enumerate(monomials)))
+    polys = ((a, b, ("poly", a, b)) for a, b in (
+        (rand_poly(), rand_poly()) for _ in range(random_polys)))
+    return pairs, sweep("random polynomials",
+                        cases(polys) if pairs.passed else ())
 
 
 def product_bound_check(tuples: int = 10_000, max_p: int = 6,
-                        seed: int = 0):
+                        seed: int = 0) -> CheckResult:
     """Exact check of 1 + sum|s_i| <= prod(1+|s_i|) <= (1+sum|s_i|)^p.
 
     Moduli are sampled as nonnegative rationals so both inequalities are
-    decided in exact arithmetic with zero slack.
+    decided in exact arithmetic with zero slack; a witness is str((t, moduli)).
     """
     rng = random.Random(seed)
-    for t in range(tuples):
-        p = rng.randint(1, max_p)
-        mags = [Fraction(rng.randint(0, 10_000), rng.randint(1, 100))
-                for _ in range(p)]
-        total = 1 + sum(mags)
-        prod = Fraction(1)
-        for m in mags:
-            prod *= 1 + m
-        if not (total <= prod <= total ** p):
-            return False, (t, mags)
-    return True, None
+
+    def cases():
+        for t in range(tuples):
+            p = rng.randint(1, max_p)
+            mags = [Fraction(rng.randint(0, 10_000), rng.randint(1, 100))
+                    for _ in range(p)]
+            total = 1 + sum(mags)
+            prod = Fraction(1)
+            for m in mags:
+                prod *= 1 + m
+            yield None if total <= prod <= total ** p else str((t, mags))
+
+    return sweep("product-bound", cases())

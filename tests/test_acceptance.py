@@ -133,13 +133,14 @@ def test_criterion_3_hopf_smash_suite():
 def test_criterion_4_norm_suite():
     for r in (1, 2):
         for s in (0, 1, 2):
-            rep = W.norm_submultiplicativity_check(
+            pairs, polys = W.norm_submultiplicativity_check(
                 degree=8, r=r, s=s, random_polys=100, seed=17)
-            assert rep.passed, (r, s, rep.witness)
-            assert rep.pairs_checked == 81
-            assert rep.polys_checked == 100
-    ok, witness = W.product_bound_check(tuples=10_000, max_p=6, seed=23)
-    assert ok, witness
+            assert pairs.passed and polys.passed, (r, s, pairs.witness,
+                                                   polys.witness)
+            assert pairs.checked == 81
+            assert polys.checked == 100
+    res = W.product_bound_check(tuples=10_000, max_p=6, seed=23)
+    assert res.passed and res.checked == 10_000, res.witness
     report(4, "series norm and product bound, exact")
 
 

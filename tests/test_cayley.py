@@ -423,6 +423,7 @@ def test_wide_keys_multiply_instead():
     C.BallCode.rows = None      # the packed search would fail
     try:
         table = C.WordWeightTable(group, 4)
+        len(table)
     finally:
         C.BallCode.rows = rows
     assert [table.length(g) for g in ref] == list(ref.values())
@@ -433,11 +434,13 @@ def test_wide_keys_multiply_instead():
 def test_huge_radius_is_refused_before_its_code_is_built():
     """The first layer's estimate is checked before the code, whose
     fields widen with the radius; a radius passing it is refused a few
-    layers later, with only those layers' rows built."""
+    layers later, with only those layers' rows built.  The refusal comes
+    at the first read, not at construction."""
     for group in (C.BS12(), C.SemidirectZkZ([[2, 1], [1, 1]])):
         for radius in (10 ** 5, 10 ** 12):
+            table = C.WordWeightTable(group, radius)
             with pytest.raises(PreconditionError, match="2000000 allowed"):
-                C.WordWeightTable(group, radius)
+                len(table)
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +529,10 @@ def test_sphere_sizes_never_shrink():
 
 def test_ball_budget_refuses_before_building(monkeypatch):
     monkeypatch.setattr(C, "MAX_BALL_ELEMENTS", 5000)
-    with pytest.raises(PreconditionError, match="5000 allowed"):
-        C.WordWeightTable(C.BS12(), 10)
+    table = C.WordWeightTable(C.BS12(), 10)
+    for read in (len, lambda t: t.length((1, 0, 0)), lambda t: t.lengths):
+        with pytest.raises(PreconditionError, match="5000 allowed"):
+            read(table)
     assert len(C.WordWeightTable(C.BS12(), 6)) < 5000
 
 
@@ -651,16 +656,42 @@ def test_formula_table_answers_without_a_ball():
     assert table.length((10 ** 5 + 1, 0, 0)) is None
     assert len(C.WordWeightTable(C.ZK(2), 5000)) == 2 * 5000 ** 2 + 2 * 5000 + 1
     assert "lengths" not in vars(table)
-    # bs12 has no formulas: its ball is built in the constructor, len and
+    # bs12 has no formulas: its ball is built on the first read, len and
     # length answer from it without decoding, and lengths decodes it
     group = C.BS12()
     bs = C.WordWeightTable(group, 3)
+    bs.length(group.identity())
     group.ball_code = None      # building a ball from here on would fail
     ref = _per_element_bfs(C.BS12(), 3)
     assert len(bs) == len(ref)
     assert [bs.length(g) for g in ref] == list(ref.values())
     assert "lengths" not in vars(bs)
     assert list(bs.lengths.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("group", [
+    C.ZK(2), C.Heis3Z(), C.BS12(), C.SemidirectZkZ([[2, 1], [1, 1]]),
+], ids=lambda g: g.name)
+def test_word_table_builds_its_ball_once_on_first_read(group, monkeypatch):
+    """Constructing a table builds nothing.  zk:<k> and heis3z answer len
+    and length from formulas and build the ball when lengths is read; the
+    other groups build it on the first read of any kind.  Later reads reuse
+    it."""
+    built = []
+    ball_code = group.ball_code
+    monkeypatch.setattr(group, "ball_code", lambda radius: (
+        built.append(radius) or ball_code(radius)))
+    table = C.WordWeightTable(group, 6)
+    assert built == []
+    formula = group.word_length(group.identity()) is not None
+    size = len(table)
+    assert table.length(group.identity()) == 0
+    assert built == ([] if formula else [6])
+    assert len(table.lengths) == size == len(_per_element_bfs(group, 6))
+    for _ in range(2):
+        assert len(table) == size and table.length(group.identity()) == 0
+        assert len(table.lengths) == size
+    assert built == [6]
 
 
 def test_negative_radius_is_refused():
@@ -755,6 +786,58 @@ def test_delta_smash_detects_non_automorphism():
     assert "multiplicative" in res.reason or "homomorphism" in res.reason
 
 
+class _Subtraction(C.ZK):
+    def multiply(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+
+class _SelfInverse(C.ZK):
+    def inverse(self, a):
+        return a
+
+
+def test_failing_cayley_checks_count_their_failing_case():
+    """The failing case is counted, as in every sweep; the witness names
+    the failure and the case, and reason is the witness."""
+    g1, g2, _, combined, embed = C.heis_as_semidirect_scenario()
+
+    def broken(u, x):
+        c, d = x
+        return (c, d - c * c * u[0])
+
+    runs = [
+        (C.delta_smash_check(g1, g2, broken, combined, embed, samples=200,
+                             seed=0),
+         1, 0, "alpha is not multiplicative at ((-2,), (1, -3), (1, 0))"),
+        (C.weighted_l1_submult_check(C.ZK(2), _ExpSquaresNearZero(),
+                                     samples=40, seed=2, size=3),
+         7, 1, "pointwise submultiplicativity fails at "
+               "((-1, 0), (-1, -1))"),
+        (C.associativity_spot_check(_Subtraction(2), 50, seed=0, size=4),
+         1, 0, "associativity fails at ((-1, 0), (0, 2), (2, 0))"),
+        (C.associativity_spot_check(_SelfInverse(2), 50, seed=0, size=4),
+         1, 0, "inverse fails at (1, 0)"),
+    ]
+    for res, checked, skipped, witness in runs:
+        assert (res.passed, res.checked, res.skipped) == (False, checked,
+                                                          skipped)
+        assert res.witness == witness and res.reason == witness
+
+
+def test_passing_cayley_checks_have_no_reason():
+    runs = [
+        (C.delta_smash_check(*C.heis_as_semidirect_scenario(), samples=20),
+         20),
+        # 20 pairs, 8 diagonal probes and 8 convolutions
+        (C.weighted_l1_submult_check(C.ZK(1), _ConstOnGroup(), samples=20),
+         36),
+        (C.associativity_spot_check(C.BS12(), 20), 20),
+    ]
+    for res, checked in runs:
+        assert res.passed and res.checked == checked
+        assert res.witness is None and res.reason == "" and res.skipped == 0
+
+
 # ---------------------------------------------------------------------------
 # weighted l1 convolution
 # ---------------------------------------------------------------------------
@@ -797,6 +880,16 @@ class _ExpSquaresOnZk(W.Weight):
         if isinstance(point, (tuple, list)) and len(point) == 1 and \
                 isinstance(point[0], tuple):
             point = point[0]
+        return float(sum(x * x for x in point))
+
+
+class _ExpSquaresNearZero(W.Weight):
+    """exp of the sum of squares, undefined beyond l1 norm 3."""
+    dim = 1
+
+    def log_eval(self, point):
+        if sum(map(abs, point)) > 3:
+            raise W.WeightDomainError("beyond l1 norm 3")
         return float(sum(x * x for x in point))
 
 

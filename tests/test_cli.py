@@ -438,6 +438,19 @@ def test_weight_check_bs12_points_paste_back(capsys):
     assert any("/" in row.split('",')[0] for row in rows)  # dyadic x printed
 
 
+def test_dropped_word_part_builds_no_ball(capsys, monkeypatch):
+    """restrict drops the word(bs12) part, so its table is never read: the
+    radius-20 ball (1,062,841 elements) is not built."""
+    monkeypatch.setattr(cayley, "_TABLE_CACHE", {})
+    code, out, err = run(capsys, [
+        "weight-check", "--lhs", "restrict(prod(poly,word(bs12)),1)",
+        "--rhs", "poly", "--radius", "20"])
+    assert (code, err) == (0, "") and out.startswith("verdict: holds\n")
+    (table,) = cayley._TABLE_CACHE.values()
+    assert table.group.name == "bs12" and table.radius == 20
+    assert "_ball" not in vars(table) and "lengths" not in vars(table)
+
+
 def test_word_weight_cli(capsys):
     code, out, _ = run(capsys, ["word-weight", "--group", "heis3z",
                                 "--radius", "10", "--element", "(0,0,1)"])
@@ -594,9 +607,29 @@ def test_weight_check_refuses_radii_that_are_not_finite_and_positive(
     assert err == f"input error: --radii must be finite and > 0, got {bad}\n"
 
 
+@pytest.mark.parametrize("radii,message", [
+    ("10000,100,1", "10000.0 then 100.0"), ("100,1", "100.0 then 1.0"),
+    ("1,100,100", "100.0 then 100.0"),
+])
+@pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
+def test_weight_check_refuses_radii_that_do_not_increase(capsys, radii,
+                                                         message, mode):
+    # the fit holds out the last radius, and these once printed "holds"
+    code, out, err = run(capsys, ["weight-check", "--lhs", "exppow(1)",
+                                  "--rhs", "poly", "--mode", mode,
+                                  "--radii", radii])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == ("input error: --radii must increase strictly, got "
+                   f"{message}\n")
+    code, out, _ = run(capsys, ["weight-check", "--lhs", "exppow(1)", "--rhs",
+                                "poly", "--mode", mode, "--radii",
+                                "1,100,10000"])
+    assert code == 3 and out.startswith("verdict: ")
+
+
 @pytest.mark.parametrize("lhs,rhs,radii", [
     ("poly", "exppow(1)", "1e300,1e301"),     # the fit's squares overflow
-    ("poly", "exppow(1)", "1e308,1e308"),     # its sums overflow to inf
+    ("poly", "exppow(1)", "1e308,1e308"),     # equal, refused before sampling
     ("expsum(2)", "maxpow(1,1)", "1,1e308"),  # a complex modulus overflows
 ])
 @pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
@@ -605,14 +638,20 @@ def test_weight_check_radii_overflowing_a_float_are_input_errors(
     code, out, err = run(capsys, ["weight-check", "--lhs", lhs, "--rhs", rhs,
                                   "--mode", mode, "--radii", radii])
     assert (code, out) == (EXIT_INPUT, "")
-    assert err == (f"input error: --radii {radii} overflow a float in the "
-                   "sampled comparison\n")
+    if radii == "1e308,1e308":  # radii that do not increase are refused first
+        assert err == ("input error: --radii must increase strictly, got "
+                       "1e+308 then 1e+308\n")
+    else:
+        assert err == (f"input error: --radii {radii} overflow a float in "
+                       "the sampled comparison\n")
 
 
 @pytest.mark.parametrize("argv", [
     ["--lhs", "exppow(1)", "--rhs", "poly", "--radii", "1000"],
     # --radius 1 makes one BFS cut, so one tier of group elements
     ["--lhs", "word(zk:1)", "--rhs", "pow(word(zk:1),2)", "--radius", "1"],
+    # so does --radius 0: no cut exceeds the radius
+    ["--lhs", "word(zk:1)", "--rhs", "const", "--radius", "0"],
 ])
 @pytest.mark.parametrize("mode", ["majorizes", "equivalent"])
 def test_weight_check_refuses_a_single_sample_tier(capsys, argv, mode):
@@ -777,6 +816,21 @@ def test_norm_cli(capsys):
                                 "--s", "2"])
     assert code == 0
     assert "pass" in out
+
+
+def test_norm_cli_failing_pair_leaves_the_polynomial_sweep_empty(
+        capsys, monkeypatch):
+    from liesmash import weights
+    convolve = weights._convolve
+    monkeypatch.setattr(weights, "_convolve",
+                        lambda a, b: [2 * c for c in convolve(a, b)])
+    code, out, _ = run(capsys, ["norm", "--check-degree", "3"])
+    assert code == 3
+    assert out == ("submultiplicativity (r'=2^s r): FAIL (1 monomial pairs, "
+                   "0 random polynomials)\nwitness: ('monomial', 0, 0)\n")
+    pairs, polys = weights.norm_submultiplicativity_check(degree=3)
+    assert (pairs.passed, pairs.checked) == (False, 1)
+    assert (polys.passed, polys.checked, polys.witness) == (True, 0, None)
 
 
 def test_norm_cli_requires_work(capsys):

@@ -802,15 +802,17 @@ def test_norm_submultiplicativity_monomial_binomial_bound():
     for k in range(9):
         for m in range(9):
             assert math.comb(k + m, k) <= 2 ** (k + m)
-    rep = W.norm_submultiplicativity_check(degree=8, r=1, s=1)
-    assert rep.passed and rep.pairs_checked == 81
+    pairs, polys = W.norm_submultiplicativity_check(degree=8, r=1, s=1)
+    assert pairs.passed and pairs.checked == 81
+    assert polys.passed and polys.checked == 100
 
 
 def test_norm_submultiplicativity_s0_plain():
-    rep = W.norm_submultiplicativity_check(degree=6, r=2, s=0)
-    assert rep.passed
+    pairs, polys = W.norm_submultiplicativity_check(degree=6, r=2, s=0)
+    assert pairs.passed and polys.passed
 
 
 def test_product_bound_exact():
-    ok, witness = W.product_bound_check(tuples=2000, max_p=6, seed=1)
-    assert ok, witness
+    res = W.product_bound_check(tuples=2000, max_p=6, seed=1)
+    assert res.passed and res.checked == 2000, res.witness
+    assert res.reason == "" and res.skipped == 0
