@@ -9,8 +9,11 @@ from a radius-bounded breadth-first search.  The search on the models
 without formulas runs on int keys (CayleyGroup.ball_code: one int per
 element, each generator step one int addition) and decodes the keys to
 elements only where a ball's elements are enumerated, as when they are
-sampled.  All asymptotic statements are reported as finite-radius fits
-with explicit tolerances.
+sampled.  A walk over the powers h^m of an element (growth_table) stops
+where the model proves that every further power is outside the ball
+(CayleyGroup.power_exit, from the distortion bounds of each model).  All
+asymptotic statements are reported as finite-radius fits with explicit
+tolerances.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 
 from .errors import SKIP, CheckResult, InputError, PreconditionError, sweep
 from .linalg import inverse
@@ -61,6 +64,14 @@ class CayleyGroup:
     def ball_size(self, radius: int):
         """The exact number of elements of word length <= radius, or None
         for a model without a formula."""
+        return None
+
+    def power_exit(self, h, radius: int):
+        """An m such that every h^m' with m' >= m is longer than radius, or
+        None when the model has no bound for h.  The identity's exit is 1:
+        each of its powers has length 0, which growth_table never records.
+        The models of this module are torsion-free, so the identity is the
+        only element with a power of length 0."""
         return None
 
     def random_element(self, rng: random.Random, size: int):
@@ -119,6 +130,12 @@ class ZK(CayleyGroup):
         C(radius, j) absolute values with sum <= radius."""
         return sum(2 ** j * math.comb(self.k, j) * math.comb(radius, j)
                    for j in range(self.k + 1))
+
+    def power_exit(self, h, radius):
+        """|h^m| = m |h|_1, which passes radius from m = radius // |h|_1 + 1
+        on; the identity (|h|_1 = 0) exits at 1."""
+        length = sum(map(abs, h))
+        return radius // length + 1 if length else 1
 
     def parse_element(self, text):
         return _parse_int_tuple(text, self.k)
@@ -188,6 +205,20 @@ class Heis3Z(CayleyGroup):
         return (31 * r ** 4 - 14 * r ** 3 + 127 * r ** 2 + 144 * r
                 + _HEIS_BALL_CONSTANTS[r % 12]) // 72
 
+    def power_exit(self, h, radius):
+        """h^m = (m a, m b, c') for h = (a, b, c).  The abelianization onto
+        (Z^2, l1) maps each generator to a unit vector, so it is 1-Lipschitz
+        and |h^m| >= m (|a| + |b|): past radius from m = radius // (|a| +
+        |b|) + 1 on.  A central h = (0, 0, c) has h^m = (0, 0, m c), and by
+        word_length |(0, 0, C)| = min 2(W + ceil(|C| / W)) over W >= 1, at
+        least 4 sqrt|C| as W + |C| / W >= 2 sqrt|C|.  So 16 m |c| > radius^2,
+        which holds from m = radius^2 // (16 |c|) + 1 on, puts h^m past the
+        radius; the identity exits at 1."""
+        a, b, c = h
+        if a or b:
+            return radius // (abs(a) + abs(b)) + 1
+        return radius * radius // (16 * abs(c)) + 1 if c else 1
+
     def parse_element(self, text):
         return _parse_int_tuple(text, 3)
 
@@ -227,6 +258,17 @@ class BS12(CayleyGroup):
 
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)]
+
+    def power_exit(self, h, radius):
+        """The t-exponent, (x, n) -> n, is a homomorphism onto Z sending a to
+        0 and t to 1, so it is 1-Lipschitz: |h^m| >= m |n|, past radius from
+        m = radius // |n| + 1 on.  With n = 0 there is no such bound: a^m has
+        length O(log m) (a^(2^j) = t^j a t^-j), so the walk goes on; the
+        identity exits at 1."""
+        m, _, n = h
+        if n:
+            return radius // abs(n) + 1
+        return None if m else 1
 
     def ball_code(self, radius):
         """Fields n and X = x 2^radius.  A word of length <= radius adds at
@@ -319,14 +361,21 @@ class SemidirectZkZ(CayleyGroup):
         self.name = f"semidirect:{self.k}:[{rows}]"
 
     def _power_matrix(self, n: int):
+        """M^n, built one factor M or M^-1 at a time from the cached power
+        nearest to it on the way from 0, and cached with every power
+        between."""
         out = self._powers.get(n)
         if out is not None:
             return out
-        if n > 0:
-            out = _int_matmul(self._power_matrix(n - 1), self.matrix)
-        else:
-            out = _int_matmul(self._power_matrix(n + 1), self._inv)
-        self._powers[n] = out
+        step, factor = (1, self.matrix) if n > 0 else (-1, self._inv)
+        j = n
+        while j not in self._powers:
+            j -= step
+        out = self._powers[j]
+        while j != n:
+            j += step
+            out = _int_matmul(out, factor)
+            self._powers[j] = out
         return out
 
     def act(self, n: int, v: tuple) -> tuple:
@@ -340,6 +389,8 @@ class SemidirectZkZ(CayleyGroup):
         w, m = h
         if not any(w):
             return (v, n + m)
+        if not n:       # M^0 = I
+            return (tuple(map(add, v, w)), m)
         rows = self._power_matrix(n)
         return (tuple([a + sum(map(mul, row, w)) for a, row in zip(v, rows)]),
                 n + m)
@@ -352,6 +403,17 @@ class SemidirectZkZ(CayleyGroup):
         zero = (0,) * self.k
         return ([(e, 0) for e in ZK(self.k).generators()]
                 + [(zero, 1), (zero, -1)])
+
+    def power_exit(self, h, radius):
+        """The t-exponent, (v, n) -> n, is a homomorphism onto Z sending each
+        e_i to 0 and t to 1, so it is 1-Lipschitz: |h^m| >= m |n|, past
+        radius from m = radius // |n| + 1 on.  With n = 0 there is no such
+        bound (on [[2,1],[1,1]], |(v, 0)^m| grows like log m), so the walk
+        goes on; the identity exits at 1."""
+        v, n = h
+        if n:
+            return radius // abs(n) + 1
+        return None if any(v) else 1
 
     def ball_code(self, radius):
         """Fields n and v.  A word of length <= radius with s letters e_i^+-1
@@ -411,6 +473,17 @@ class DirectProduct(CayleyGroup):
         e1, e2 = self.g1.identity(), self.g2.identity()
         return ([(g, e2) for g in self.g1.generators()]
                 + [(e1, g) for g in self.g2.generators()])
+
+    def power_exit(self, h, radius):
+        """|(g1, g2)| = |g1| + |g2| >= |g_i|, so a component that is not its
+        identity passes the radius from its own exit on: the smaller of
+        those that exist.  An identity component bounds nothing; the
+        identity exits at 1."""
+        parts = [(group, x) for group, x in zip((self.g1, self.g2), h)
+                 if x != group.identity()]
+        exits = [e for e in (group.power_exit(x, radius) for group, x in parts)
+                 if e is not None]
+        return min(exits) if exits else (None if parts else 1)
 
 
 def _is_int_tuple(g, k: int) -> bool:
@@ -675,11 +748,19 @@ class DistortionFit:
 
 
 def growth_table(group: CayleyGroup, h, radius: int, max_power: int = 4096):
-    """(m, word length of h^m) for all powers inside the BFS ball."""
+    """(m, word length of h^m) for all powers m <= max_power inside the
+    ball, in order of m; the identity (length 0) is left out.
+
+    The walk stops before group.power_exit(h, radius), from where every
+    power is provably outside the ball, so it takes min(max_power, exit - 1)
+    steps; an h without an exit (n = 0 on bs12 and semidirect:) walks to
+    max_power."""
     table = word_table(group, radius)
     data = []
     g = group.identity()
-    for m in range(1, max_power + 1):
+    stop = group.power_exit(h, radius)
+    last = max_power if stop is None else min(max_power, stop - 1)
+    for m in range(1, last + 1):
         # h^m = h h^(m-1): a semidirect: group then needs only the power
         # M^n at h's n, not M^n at n m
         g = group.multiply(h, g)

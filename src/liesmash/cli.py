@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -237,24 +236,14 @@ def _group_resolver(radius):
     return resolve
 
 
-def _parse_radii(text: str) -> tuple:
-    """The --radii list, each radius finite and > 0 and larger than the one
-    before: nan and inf poison the fit, 0 samples only the origin, and the
-    fit holds out the last radius to test what the others extrapolate."""
-    radii = tuple(float(r) for r in text.split(","))
-    for previous, r in zip((0.0,) + radii, radii):
-        if not (math.isfinite(r) and r > 0):
-            raise InputError(f"--radii must be finite and > 0, got {r}")
-        if r <= previous:
-            raise InputError(f"--radii must increase strictly, got {previous} "
-                             f"then {r}")
-    return radii
-
-
 def cmd_weight_check(args) -> int:
-    config = weight_mod.SamplerConfig(count=args.samples,
-                                      radii=_parse_radii(args.radii),
-                                      seed=args.seed)
+    try:
+        config = weight_mod.SamplerConfig(
+            count=args.samples, seed=args.seed,
+            radii=tuple(float(r) for r in args.radii.split(",")))
+    except weight_mod.WeightDomainError as exc:
+        # "radii must ...": the message starts with the flag's name
+        raise InputError(f"--{exc}") from None
     resolver = _group_resolver(args.radius)
     lhs = weight_mod.parse_weight(args.lhs, resolver)
     rhs = weight_mod.parse_weight(args.rhs, resolver)

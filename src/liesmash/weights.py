@@ -475,10 +475,22 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
 # ---------------------------------------------------------------------------
 
 class SamplerConfig(_Value):
+    """count random points per tier and one tier per radius.  Each radius
+    is finite and > 0 and larger than the one before, else WeightDomainError:
+    nan and inf poison the fit, 0 samples only the origin, and the fit holds
+    out the last radius to test what the others extrapolate."""
+
     _fields = ("count", "radii", "seed")
 
     def __init__(self, count: int = 256,
                  radii: tuple = (1.0, 10.0, 100.0, 1000.0), seed: int = 0):
+        for previous, r in zip((0.0, *radii), radii):
+            if not (math.isfinite(r) and r > 0):
+                raise WeightDomainError(
+                    f"radii must be finite and > 0, got {r}")
+            if r <= previous:
+                raise WeightDomainError(
+                    f"radii must increase strictly, got {previous} then {r}")
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "seed", seed)

@@ -932,3 +932,131 @@ def test_growth_table_monotone_enough():
     g = C.ZK(1)
     data = C.growth_table(g, (1,), 10)
     assert data == [(m, m) for m in range(1, 11)]
+
+
+def _uncapped_growth(group, h, radius, max_power):
+    """growth_table's rows from a walk over every power up to max_power."""
+    table = C.word_table(group, radius)
+    data, g = [], group.identity()
+    for m in range(1, max_power + 1):
+        g = group.multiply(h, g)
+        n = table.length(g)
+        if n:
+            data.append((m, n))
+    return data
+
+
+# (group, elements): the identity, elements with an exit and, last, some
+# without one (n = 0 on bs12 and semidirect:, and a product of those)
+EXIT_MODELS = [
+    (C.ZK(3), [(0, 0, 0), (1, 0, 0), (2, -1, 0), (0, 0, -3)]),
+    (C.Heis3Z(), [(0, 0, 0), (1, 0, 0), (0, -1, 0), (1, 2, 3), (-2, 1, -7),
+                  (0, 0, 1), (0, 0, -2), (0, 0, 5)]),
+    (C.BS12(), [(0, 0, 0), (0, 0, 1), (1, 0, 1), (-3, 1, -2), (5, 0, 3),
+                (1, 0, 0), (-3, 2, 0)]),
+    (C.SemidirectZkZ([[2, 1], [1, 1]]),
+     [((0, 0), 0), ((0, 0), 1), ((1, 0), 1), ((1, -1), -2), ((3, 2), 3),
+      ((1, 0), 0)]),
+    (C.SemidirectZkZ([[-1]]), [((0,), 0), ((1,), 1), ((0,), -1), ((2,), 0)]),
+    (C.DirectProduct(C.ZK(1), C.BS12()),
+     [((0,), (0, 0, 0)), ((1,), (0, 0, 0)), ((0,), (0, 0, 1)),
+      ((1,), (1, 0, 0)), ((-2,), (1, 0, 3)), ((0,), (1, 0, 0))]),
+    (C.DirectProduct(C.Heis3Z(), C.ZK(1)),
+     [((0, 0, 1), (0,)), ((0, 0, 0), (2,)), ((1, 1, 0), (-1,))]),
+]
+
+
+@pytest.mark.parametrize("group, elements", EXIT_MODELS,
+                         ids=[g.name for g, _ in EXIT_MODELS])
+def test_no_power_past_the_exit_is_in_the_ball(group, elements):
+    """The oracle is the BFS ball on elements: from the exit on, no power
+    of h has length <= radius (the identity's powers are the identity)."""
+    exits = 0
+    for radius in range(9):
+        lengths = C.word_table(group, radius).lengths
+        for h in elements:
+            stop = group.power_exit(h, radius)
+            if stop is None:
+                continue
+            exits += 1
+            assert stop >= 1
+            g = group.identity()
+            for m in range(1, 4 * stop + 65):
+                g = group.multiply(h, g)
+                if m >= stop:
+                    assert g not in lengths or g == group.identity(), (h, m)
+    assert exits >= 9 * (len(elements) - 2)
+
+
+def test_power_exits_of_the_identity_and_of_n_zero():
+    for group, _ in EXIT_MODELS:
+        assert group.power_exit(group.identity(), 5) == 1
+    assert C.BS12().power_exit((1, 0, 0), 5) is None
+    assert C.SemidirectZkZ([[2, 1], [1, 1]]).power_exit(((1, 0), 0), 5) is None
+    product = C.DirectProduct(C.ZK(1), C.BS12())
+    # an identity component bounds nothing; a component with an exit does
+    assert product.power_exit(((0,), (1, 0, 0)), 5) is None
+    assert product.power_exit(((0,), (0, 0, 2)), 5) == 3
+    assert product.power_exit(((3,), (0, 0, 1)), 5) == 2
+
+
+def test_word_metrics_walks_exit_where_their_rows_end():
+    """heis3z's centre at radius 24 keeps 36 powers and zk:3's generator
+    24, and their walks stop right after them."""
+    for group, h, stop, rows in ((C.Heis3Z(), (0, 0, 1), 37, 36),
+                                 (C.ZK(3), (1, 0, 0), 25, 24)):
+        assert group.power_exit(h, 24) == stop
+        data = C.growth_table(group, h, 24)
+        assert len(data) == rows and data[-1][0] == stop - 1
+
+
+@pytest.mark.parametrize("spec, radius, element", [
+    ("bs12", 15, "(1,0)"), ("heis3z", 24, "(0,0,1)"),
+    ("semidirect:[[2,1],[1,1]]", 11, "(1,0,0)"), ("zk:3", 24, "(1,0,0)")])
+def test_growth_table_equals_uncapped_walk_on_word_metrics(spec, radius,
+                                                           element):
+    group = C.make_group(spec)
+    h = group.parse_element(element)
+    assert C.growth_table(group, h, radius) == \
+        _uncapped_growth(group, h, radius, 4096)
+
+
+def test_growth_table_equals_uncapped_walk_on_random_elements():
+    rng = random.Random(26)
+    for group, _ in EXIT_MODELS:
+        for _ in range(12):
+            h = group.random_element(rng, 6)
+            radius = rng.randint(0, 8)
+            max_power = rng.choice((1, 5, 40, 300))
+            assert C.growth_table(group, h, radius, max_power) == \
+                _uncapped_growth(group, h, radius, max_power), (h, radius)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_semidirect_acts_by_high_powers():
+    """M^1500 once recursed once per power and raised RecursionError."""
+    m = [[2, 1], [1, 1]]
+    g = C.SemidirectZkZ(m)
+    power, square, n = [[1, 0], [0, 1]], m, 1500
+    while n:
+        if n & 1:
+            power = _matmul(power, square)
+        square, n = _matmul(square, square), n >> 1
+    assert g.act(1500, (1, 0)) == (power[0][0], power[1][0])
+    h = ((1, 0), 1500)
+    assert g.multiply(h, g.inverse(h)) == g.identity()
+
+
+def test_semidirect_multiply_by_n_zero_left_factors():
+    """A left factor (v, 0) acts by M^0 = I: (v, 0)(w, m) = (v + w, m)."""
+    g = C.SemidirectZkZ([[2, 1], [1, 1]])
+    rng = random.Random(5)
+    for _ in range(200):
+        x, y = g.random_element(rng, 6), g.random_element(rng, 6)
+        (v, n), (w, m) = x, y
+        want = (tuple(a + b for a, b in zip(v, g.act(n, w))), n + m)
+        assert g.multiply(x, y) == want

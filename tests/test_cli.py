@@ -486,6 +486,35 @@ def test_word_weight_beyond_radius(capsys):
     assert "beyond radius" in out
 
 
+@pytest.mark.parametrize("group, element, code, rows", [
+    # h^m = (m, 2m, c') has length >= 3m: past radius 3 from m = 2 on
+    ("heis3z", "(1,2,3)", 2, []),
+    # n = 1500 is past radius 3 from m = 1 on; M^1500 once overflowed the
+    # recursion limit in the walk
+    ("semidirect:[[2,1],[1,1]]", "(1,0,1500)", 2, []),
+    ("heis3z", "(1,0,0)", 0, ["1,1", "2,2", "3,3"]),
+    ("semidirect:[[2,1],[1,1]]", "(0,0,1)", 0, ["1,1", "2,2", "3,3"]),
+])
+def test_word_weight_stops_at_the_power_exit(capsys, monkeypatch, group,
+                                             element, code, rows):
+    """A --max-power of 10^8 walks only the powers that can be in the
+    ball: at most radius + 1 multiplications, counted, not timed."""
+    model = type(cayley.make_group(group))
+    multiply = model.multiply
+    calls = []
+
+    def counted(self, g, h):
+        calls.append(None)
+        return multiply(self, g, h)
+    monkeypatch.setattr(model, "multiply", counted)
+    got, out, err = run(capsys, ["word-weight", "--group", group, "--radius",
+                                 "3", "--element", element,
+                                 "--max-power", "100000000"])
+    assert (got, err) == (code, "")
+    assert out.split("m,len\n")[1].splitlines() == rows
+    assert len(calls) <= 4
+
+
 def test_word_weight_rejects_non_dyadic_bs12_element(capsys):
     code, out, err = run(capsys, ["word-weight", "--group", "bs12",
                                   "--radius", "6", "--element", "(1/3,0)"])

@@ -585,9 +585,26 @@ def test_radii_equal_as_numbers_sample_their_own_points():
 
 
 def test_fit_raises_on_log_values_that_overflow_it():
+    # the fit's squares overflow (equal radii are refused by SamplerConfig)
     with pytest.raises(OverflowError):
         W.majorizes(W.Poly(), W.ExpPower(1),
-                    W.SamplerConfig(count=4, radii=(1e308, 1e308)))
+                    W.SamplerConfig(count=4, radii=(1e300, 1e301)))
+
+
+@pytest.mark.parametrize("radii, message", [
+    ((10000.0, 100.0, 1.0), "increase strictly, got 10000.0 then 100.0"),
+    ((1, 10, 10), "increase strictly, got 10 then 10"),
+    ((1.0, math.nan), "be finite and > 0, got nan"),
+    ((math.inf,), "be finite and > 0, got inf"),
+    ((0, 1), "be finite and > 0, got 0"),
+])
+def test_sampler_config_refuses_radii_the_fit_cannot_use(radii, message):
+    """The fit holds out the last radius; with radii that decrease it once
+    returned holds (gamma 371.94) for exp(|z|) against 1 + |z|."""
+    with pytest.raises(W.WeightDomainError, match="radii must " + message):
+        W.majorizes(W.ExpPower(1), W.Poly(), W.SamplerConfig(radii=radii))
+    assert W.majorizes(W.ExpPower(1), W.Poly(), W.SamplerConfig(
+        radii=(1.0, 100.0, 10000.0))).verdict == W.VIOLATED
 
 
 def test_overflowing_constant_saturates_to_inf():
