@@ -11,9 +11,10 @@ element, each generator step one int addition) and decodes the keys to
 elements only where a ball's elements are enumerated, as when they are
 sampled.  A walk over the powers h^m of an element (growth_table) stops
 where the model proves that every further power is outside the ball
-(CayleyGroup.power_exit, from the distortion bounds of each model).  All
-asymptotic statements are reported as finite-radius fits with explicit
-tolerances.
+(CayleyGroup.power_exit, from the distortion bounds of each model: every
+model has one for every element), and is refused up front when it would
+still take more than MAX_POWER_STEPS steps.  All asymptotic statements are
+reported as finite-radius fits with explicit tolerances.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ class CayleyGroup:
         for a model without a formula."""
         return None
 
-    def power_exit(self, h, radius: int):
-        """An m such that every h^m' with m' >= m is longer than radius, or
-        None when the model has no bound for h.  The identity's exit is 1:
-        each of its powers has length 0, which growth_table never records.
-        The models of this module are torsion-free, so the identity is the
-        only element with a power of length 0."""
-        return None
+    def power_exit(self, h, radius: int) -> int:
+        """An m >= 1 such that every h^m' with m' >= m is longer than
+        radius.  The identity's exit is 1: each of its powers has length 0,
+        which growth_table never records.  The models of this module are
+        torsion-free, so the identity is the only element with a power of
+        length 0."""
+        raise NotImplementedError
 
     def random_element(self, rng: random.Random, size: int):
         """Random element from a word of length <= size (always in the group)."""
@@ -262,13 +263,28 @@ class BS12(CayleyGroup):
     def power_exit(self, h, radius):
         """The t-exponent, (x, n) -> n, is a homomorphism onto Z sending a to
         0 and t to 1, so it is 1-Lipschitz: |h^m| >= m |n|, past radius from
-        m = radius // |n| + 1 on.  With n = 0 there is no such bound: a^m has
-        length O(log m) (a^(2^j) = t^j a t^-j), so the walk goes on; the
-        identity exits at 1."""
-        m, _, n = h
+        m = radius // |n| + 1 on.
+
+        With n = 0, h^m = (m x, 0), and a level budget bounds x.  A word of
+        length <= r that ends at level 0 and visits the levels in [-L, H]
+        spends at least 2T letters t^+-1, T = H + L, so it has at most
+        r - 2T letters a^+-1, each adding +-2^n with n <= H <= T.  So
+        |x| <= X(r), the largest (r - 2T) 2^T over 0 <= T <= r / 2.  The
+        ratio of consecutive terms, 2 (r - 2T - 2) / (r - 2T), is >= 1
+        exactly when r - 2T >= 4, so the largest is at T = r // 2 - 1:
+        X(r) = (2 + r % 2) 2^(r // 2 - 1) for r >= 2, and X(r) = r below.
+        With x = m0 / 2^k0, every power from m = X(r) 2^k0 // |m0| + 1 on
+        is past the radius.  The bound is exact for a: t^T a^(r - 2T) t^-T
+        has length r and equals a^X(r) at the best T.  The identity exits
+        at 1."""
+        m, k, n = h
         if n:
             return radius // abs(n) + 1
-        return None if m else 1
+        if not m:
+            return 1
+        reach = radius if radius < 2 else \
+            (2 + radius % 2) << (radius // 2 - 1)
+        return (reach << k) // abs(m) + 1
 
     def ball_code(self, radius):
         """Fields n and X = x 2^radius.  A word of length <= radius adds at
@@ -361,22 +377,34 @@ class SemidirectZkZ(CayleyGroup):
         self.name = f"semidirect:{self.k}:[{rows}]"
 
     def _power_matrix(self, n: int):
-        """M^n, built one factor M or M^-1 at a time from the cached power
-        nearest to it on the way from 0, and cached with every power
-        between."""
+        """M^n, cached.  Next to a cached power on the side of 0 it is one
+        product M^(n-1) M or M^(n+1) M^-1, as ball rows and bounds read
+        consecutive powers; any other power is built by repeated squaring
+        of M or M^-1, and only the result is cached, so one far power costs
+        O(log |n|) products and one cache entry."""
         out = self._powers.get(n)
         if out is not None:
             return out
         step, factor = (1, self.matrix) if n > 0 else (-1, self._inv)
-        j = n
-        while j not in self._powers:
-            j -= step
-        out = self._powers[j]
-        while j != n:
-            j += step
+        out = self._powers.get(n - step)
+        if out is not None:
             out = _int_matmul(out, factor)
-            self._powers[j] = out
+        else:
+            out, e = self._powers[0], abs(n)
+            while e:
+                if e & 1:
+                    out = _int_matmul(out, factor)
+                e >>= 1
+                if e:
+                    factor = _int_matmul(factor, factor)
+        self._powers[n] = out
         return out
+
+    def _entry_tops(self, depth: int) -> list:
+        """c(T) for T = 0 .. depth: the largest |entry| of M^j over |j| <= T."""
+        return list(accumulate((max(
+            abs(x) for m in (n, -n) for row in self._power_matrix(m)
+            for x in row) for n in range(depth + 1)), max))
 
     def act(self, n: int, v: tuple) -> tuple:
         return tuple([sum(map(mul, row, v)) for row in self._power_matrix(n)])
@@ -407,13 +435,24 @@ class SemidirectZkZ(CayleyGroup):
     def power_exit(self, h, radius):
         """The t-exponent, (v, n) -> n, is a homomorphism onto Z sending each
         e_i to 0 and t to 1, so it is 1-Lipschitz: |h^m| >= m |n|, past
-        radius from m = radius // |n| + 1 on.  With n = 0 there is no such
-        bound (on [[2,1],[1,1]], |(v, 0)^m| grows like log m), so the walk
-        goes on; the identity exits at 1."""
+        radius from m = radius // |n| + 1 on.
+
+        With n = 0, h^m = (m v, 0), and a level budget bounds v.  A word of
+        length <= r that ends at level 0 and visits the levels in [-L, H]
+        spends at least 2T letters t^+-1, T = H + L, so it has at most
+        r - 2T letters e_i^+-1, each adding a column of some M^j with
+        |j| <= T, whose entries are at most c(T) (_entry_tops).  So
+        max |v_i| <= X(r), the largest (r - 2T) c(T) over 0 <= T <= r / 2,
+        and every power from m = X(r) // max |v_i| + 1 on is past the
+        radius.  The identity exits at 1."""
         v, n = h
         if n:
             return radius // abs(n) + 1
-        return None if any(v) else 1
+        if not any(v):
+            return 1
+        reach = max((radius - 2 * t) * top
+                    for t, top in enumerate(self._entry_tops(radius // 2)))
+        return reach // max(map(abs, v)) + 1
 
     def ball_code(self, radius):
         """Fields n and v.  A word of length <= radius with s letters e_i^+-1
@@ -426,9 +465,7 @@ class SemidirectZkZ(CayleyGroup):
         radius c^radius, c the largest absolute row sum of M or M^-1, bounds
         v from one power instead of radius matrix products."""
         if 2 * radius * (radius + 1) < MAX_BALL_ELEMENTS:
-            tops = list(accumulate((max(
-                abs(x) for m in (n, -n) for row in self._power_matrix(m)
-                for x in row) for n in range(radius + 1)), max))
+            tops = self._entry_tops(radius)
             bound = max(s * tops[radius - s] for s in range(radius + 1))
         else:
             bound = radius * max(sum(map(abs, row)) for row in
@@ -477,13 +514,11 @@ class DirectProduct(CayleyGroup):
     def power_exit(self, h, radius):
         """|(g1, g2)| = |g1| + |g2| >= |g_i|, so a component that is not its
         identity passes the radius from its own exit on: the smaller of
-        those that exist.  An identity component bounds nothing; the
-        identity exits at 1."""
-        parts = [(group, x) for group, x in zip((self.g1, self.g2), h)
-                 if x != group.identity()]
-        exits = [e for e in (group.power_exit(x, radius) for group, x in parts)
-                 if e is not None]
-        return min(exits) if exits else (None if parts else 1)
+        those exits.  An identity component bounds nothing; the identity
+        exits at 1."""
+        return min((group.power_exit(x, radius) for group, x in
+                    zip((self.g1, self.g2), h) if x != group.identity()),
+                   default=1)
 
 
 def _is_int_tuple(g, k: int) -> bool:
@@ -599,6 +634,12 @@ HASHED_KEY_BITS = sys.hash_info.modulus.bit_length()
 # than about 140 MB; the BS12 radius-20 ball (1,062,841 elements) still
 # fits.  Reading lengths adds the decoded elements.
 MAX_BALL_ELEMENTS = 2_000_000
+
+# A power walk (growth_table) takes 1.3 us (heis3z) to 2.5 us (zk:1) of
+# multiplication and lookup per step (Python 3.11, 2-core shared host), so
+# this refuses walks of more than a few seconds; the default max_power, 4096,
+# is never refused.
+MAX_POWER_STEPS = 1 << 20
 
 
 class WordWeightTable:
@@ -753,14 +794,18 @@ def growth_table(group: CayleyGroup, h, radius: int, max_power: int = 4096):
 
     The walk stops before group.power_exit(h, radius), from where every
     power is provably outside the ball, so it takes min(max_power, exit - 1)
-    steps; an h without an exit (n = 0 on bs12 and semidirect:) walks to
-    max_power."""
+    steps.  More than MAX_POWER_STEPS of them are refused with
+    PreconditionError before the first multiplication."""
     table = word_table(group, radius)
+    steps = min(max_power, group.power_exit(h, radius) - 1)
+    if steps > MAX_POWER_STEPS:
+        raise PreconditionError(
+            f"the walk over the powers of {group.format_element(h)} in the "
+            f"{group.name} ball of radius {radius} would take {steps} steps, "
+            f"more than the {MAX_POWER_STEPS} allowed")
     data = []
     g = group.identity()
-    stop = group.power_exit(h, radius)
-    last = max_power if stop is None else min(max_power, stop - 1)
-    for m in range(1, last + 1):
+    for m in range(1, steps + 1):
         # h^m = h h^(m-1): a semidirect: group then needs only the power
         # M^n at h's n, not M^n at n m
         g = group.multiply(h, g)

@@ -290,12 +290,13 @@ def cmd_word_weight(args) -> int:
     element = group.parse_element(args.element)
     table = cayley.word_table(group, args.radius)
     n = table.length(element)
+    # a refused walk prints nothing
+    data = cayley.growth_table(group, element, args.radius, args.max_power)
     if n is None:
         print(f"length: beyond radius {args.radius}")
     else:
         print(f"length: {n}")
         print(f"weight: 2^{n} = {2 ** n}")
-    data = cayley.growth_table(group, element, args.radius, args.max_power)
     print("m,len")
     for m, ln in data:
         print(f"{m},{ln}")

@@ -946,8 +946,9 @@ def _uncapped_growth(group, h, radius, max_power):
     return data
 
 
-# (group, elements): the identity, elements with an exit and, last, some
-# without one (n = 0 on bs12 and semidirect:, and a product of those)
+# (group, elements): the identity, elements whose exit comes from a
+# 1-Lipschitz map or a length formula and, last, some whose exit comes from
+# a level budget (n = 0 on bs12 and semidirect:, and a product of those)
 EXIT_MODELS = [
     (C.ZK(3), [(0, 0, 0), (1, 0, 0), (2, -1, 0), (0, 0, -3)]),
     (C.Heis3Z(), [(0, 0, 0), (1, 0, 0), (0, -1, 0), (1, 2, 3), (-2, 1, -7),
@@ -985,29 +986,112 @@ def test_no_power_past_the_exit_is_in_the_ball(group, elements):
                 g = group.multiply(h, g)
                 if m >= stop:
                     assert g not in lengths or g == group.identity(), (h, m)
-    assert exits >= 9 * (len(elements) - 2)
+    assert exits == 9 * len(elements)
 
 
 def test_power_exits_of_the_identity_and_of_n_zero():
     for group, _ in EXIT_MODELS:
         assert group.power_exit(group.identity(), 5) == 1
-    assert C.BS12().power_exit((1, 0, 0), 5) is None
-    assert C.SemidirectZkZ([[2, 1], [1, 1]]).power_exit(((1, 0), 0), 5) is None
+    # the level budget at radius 5: |x| <= 6 on bs12 (t a^3 t^-1 = a^6),
+    # max |v_i| <= 6 on [[2,1],[1,1]] (entries of M^+-1 at most 2)
+    assert C.BS12().power_exit((1, 0, 0), 5) == 7
+    assert C.SemidirectZkZ([[2, 1], [1, 1]]).power_exit(((1, 0), 0), 5) == 7
     product = C.DirectProduct(C.ZK(1), C.BS12())
-    # an identity component bounds nothing; a component with an exit does
-    assert product.power_exit(((0,), (1, 0, 0)), 5) is None
+    # an identity component bounds nothing; the other one's exit does
+    assert product.power_exit(((0,), (1, 0, 0)), 5) == 7
     assert product.power_exit(((0,), (0, 0, 2)), 5) == 3
     assert product.power_exit(((3,), (0, 0, 1)), 5) == 2
 
 
+# (group, elements with n = 0): exits from the level budget
+LEVEL_EXIT_MODELS = [
+    (C.BS12(), [(1, 0, 0), (3, 0, 0), (1, 1, 0), (-5, 2, 0)]),
+    (C.SemidirectZkZ([[2, 1], [1, 1]]), [((1, 0), 0), ((0, -2), 0),
+                                         ((3, 1), 0)]),
+    (C.SemidirectZkZ([[1, 1], [0, 1]]), [((1, 0), 0), ((0, 1), 0),
+                                         ((-2, 3), 0)]),
+    (C.SemidirectZkZ([[0, -1], [1, 0]]), [((1, 0), 0), ((1, 1), 0)]),
+    (C.SemidirectZkZ([[-1]]), [((1,), 0), ((-3,), 0)]),
+    (C.SemidirectZkZ([[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+     [((1, 0, 0), 0), ((0, 0, 1), 0), ((1, -1, 2), 0)]),
+    (C.DirectProduct(C.ZK(1), C.BS12()), [((0,), (1, 0, 0)),
+                                          ((0,), (-3, 1, 0))]),
+]
+
+
+@pytest.mark.parametrize("group, elements", LEVEL_EXIT_MODELS,
+                         ids=[g.name for g, _ in LEVEL_EXIT_MODELS])
+def test_level_budget_exits_against_bfs(group, elements):
+    """h^m = (m x, 0) for n = 0, so the powers in the BFS ball are those
+    m x within it: none of them reaches the exit."""
+    for radius in range(11):
+        lengths = C.word_table(group, radius).lengths
+        for h in elements:
+            stop = group.power_exit(h, radius)
+            assert stop >= 1
+            g, inside = group.identity(), []
+            for m in range(1, 2 * stop + 65):
+                g = group.multiply(h, g)
+                if g in lengths:
+                    inside.append(m)
+            assert all(m < stop for m in inside), (h, radius, stop, inside)
+
+
+def test_bs12_level_budget_is_exact_for_a():
+    """t^T a^(r - 2T) t^-T has length r, so a^(exit - 1) is in the ball and
+    a^exit is not, at every radius: exit - 1 is the largest (r - 2T) 2^T."""
+    group = C.BS12()
+    reach = []
+    for radius in range(17):
+        last = group.power_exit((1, 0, 0), radius) - 1
+        assert last == max((radius - 2 * t) << t
+                           for t in range(radius // 2 + 1))
+        table = C.word_table(group, radius)
+        assert table.length((last, 0, 0)) is not None
+        assert table.length((last + 1, 0, 0)) is None
+        reach.append(last)
+    assert reach == [0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128,
+                     192, 256]
+
+
 def test_word_metrics_walks_exit_where_their_rows_end():
     """heis3z's centre at radius 24 keeps 36 powers and zk:3's generator
-    24, and their walks stop right after them."""
-    for group, h, stop, rows in ((C.Heis3Z(), (0, 0, 1), 37, 36),
-                                 (C.ZK(3), (1, 0, 0), 25, 24)):
-        assert group.power_exit(h, 24) == stop
-        data = C.growth_table(group, h, 24)
-        assert len(data) == rows and data[-1][0] == stop - 1
+    24, and their walks stop right after them; bs12's a at radius 15 keeps
+    125 powers up to a^192 and stops there, and (1, 0) on [[2,1],[1,1]] at
+    radius 11 keeps 12 powers up to m = 13, and stops after m = 102."""
+    for group, h, radius, stop, rows, last in (
+            (C.Heis3Z(), (0, 0, 1), 24, 37, 36, 36),
+            (C.ZK(3), (1, 0, 0), 24, 25, 24, 24),
+            (C.BS12(), (1, 0, 0), 15, 193, 125, 192),
+            (C.SemidirectZkZ([[2, 1], [1, 1]]), ((1, 0), 0), 11, 103, 12, 13)):
+        assert group.power_exit(h, radius) == stop
+        data = C.growth_table(group, h, radius)
+        assert len(data) == rows and data[-1][0] == last
+
+
+def test_power_walk_over_the_budget_is_refused_before_multiplying(
+        monkeypatch):
+    """min(max_power, exit - 1) steps over MAX_POWER_STEPS are refused
+    before the first multiplication; at the budget the walk runs."""
+    group = C.BS12()
+    calls = []
+    multiply = group.multiply
+    monkeypatch.setattr(group, "multiply",
+                        lambda g, h: calls.append(None) or multiply(g, h))
+    h = (1, 30, 0)      # x = 2^-30: exit 16 2^30 + 1 at radius 8
+    assert group.power_exit(h, 8) == (16 << 30) + 1
+    with pytest.raises(PreconditionError, match="100000000 steps, more "
+                       "than the 1048576 allowed"):
+        C.growth_table(group, h, 8, 100_000_000)
+    assert calls == []
+    monkeypatch.setattr(C, "MAX_POWER_STEPS", 40)
+    with pytest.raises(PreconditionError, match="41 steps"):
+        C.growth_table(group, h, 8, 41)
+    assert calls == []
+    assert C.growth_table(group, h, 8, 40) == []
+    assert len(calls) == 40
+    # a walk cut short by its exit is within the budget
+    assert C.growth_table(group, (1, 0, 0), 8, 100_000_000)[-1] == (16, 8)
 
 
 @pytest.mark.parametrize("spec, radius, element", [
@@ -1037,18 +1121,66 @@ def _matmul(a, b):
             for row in a]
 
 
-def test_semidirect_acts_by_high_powers():
-    """M^1500 once recursed once per power and raised RecursionError."""
-    m = [[2, 1], [1, 1]]
-    g = C.SemidirectZkZ(m)
-    power, square, n = [[1, 0], [0, 1]], m, 1500
+def _matpow(m, n):
+    """m^n for n >= 0 by repeated squaring."""
+    power, square = [[int(i == j) for j in range(len(m))]
+                     for i in range(len(m))], m
     while n:
         if n & 1:
             power = _matmul(power, square)
         square, n = _matmul(square, square), n >> 1
+    return power
+
+
+def test_semidirect_acts_by_high_powers():
+    """M^1500 once recursed once per power and raised RecursionError."""
+    m = [[2, 1], [1, 1]]
+    g = C.SemidirectZkZ(m)
+    power = _matpow(m, 1500)
     assert g.act(1500, (1, 0)) == (power[0][0], power[1][0])
     h = ((1, 0), 1500)
     assert g.multiply(h, g.inverse(h)) == g.identity()
+
+
+def test_semidirect_far_power_caches_one_matrix():
+    """act(20000, v) once cached all 20,001 powers up to M^20000 (148 MB);
+    repeated squaring caches only the power asked for."""
+    m = [[2, 1], [1, 1]]
+    g = C.SemidirectZkZ(m)
+    power = _matpow(m, 20000)
+    assert g.act(20000, (1, 0)) == (power[0][0], power[1][0])
+    assert len(g._powers) <= 2 + (20000).bit_length()
+    inverse = _matpow([[1, -1], [-1, 2]], 777)
+    assert g.act(-777, (0, 1)) == (inverse[0][1], inverse[1][1])
+    # next to a cached power, one product on the side of 0
+    assert g.act(20001, (1, 0)) == tuple(
+        row[0] for row in _matmul(power, m))
+    assert len(g._powers) <= 4 + (20000).bit_length()
+
+
+def test_semidirect_ball_after_far_powers():
+    """A ball built with M^20000 and M^-20000 already cached equals one
+    built from powers by repeated squaring alone."""
+    spec = [[2, 1], [1, 1]]
+    g = C.SemidirectZkZ(spec)
+    g.act(20000, (1, 0))
+    g.act(-20000, (1, 0))
+    got = C.WordWeightTable(g, 11).lengths
+    powers = {n: _matpow(spec, n) for n in range(12)}
+    powers.update({-n: _matpow([[1, -1], [-1, 2]], n) for n in range(1, 12)})
+    want, frontier = {((0, 0), 0): 0}, [((0, 0), 0)]
+    for depth in range(1, 12):
+        nxt = []
+        for v, n in frontier:
+            cols = list(zip(*powers[n]))
+            for w in [(v, n + 1), (v, n - 1)] + [
+                    (tuple(a + s * c for a, c in zip(v, col)), n)
+                    for col in cols for s in (1, -1)]:
+                if w not in want:
+                    want[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    assert got == want
 
 
 def test_semidirect_multiply_by_n_zero_left_factors():

@@ -494,6 +494,10 @@ def test_word_weight_beyond_radius(capsys):
     ("semidirect:[[2,1],[1,1]]", "(1,0,1500)", 2, []),
     ("heis3z", "(1,0,0)", 0, ["1,1", "2,2", "3,3"]),
     ("semidirect:[[2,1],[1,1]]", "(0,0,1)", 0, ["1,1", "2,2", "3,3"]),
+    # n = 0: a word of length <= 3 ending at level 0 has |x| <= 3 (bs12)
+    # and max |v_i| <= 3 ([[2,1],[1,1]]), so the walks stop after m = 3
+    ("bs12", "(1,0)", 0, ["1,1", "2,2", "3,3"]),
+    ("semidirect:[[2,1],[1,1]]", "(1,0,0)", 0, ["1,1", "2,2", "3,3"]),
 ])
 def test_word_weight_stops_at_the_power_exit(capsys, monkeypatch, group,
                                              element, code, rows):
@@ -513,6 +517,27 @@ def test_word_weight_stops_at_the_power_exit(capsys, monkeypatch, group,
     assert (got, err) == (code, "")
     assert out.split("m,len\n")[1].splitlines() == rows
     assert len(calls) <= 4
+
+
+def test_word_weight_refuses_a_walk_over_the_budget(capsys, monkeypatch):
+    """x = 2^-30 has exit 16 2^30 + 1 at radius 8, so --max-power 10^8
+    plans 10^8 steps: refused before any multiplication, with exit 2 and
+    nothing on stdout."""
+    multiply = cayley.BS12.multiply
+    calls = []
+
+    def counted(self, g, h):
+        calls.append(None)
+        return multiply(self, g, h)
+    monkeypatch.setattr(cayley.BS12, "multiply", counted)
+    code, out, err = run(capsys, ["word-weight", "--group", "bs12",
+                                  "--radius", "8", "--element",
+                                  "(1/1073741824,0)",
+                                  "--max-power", "100000000"])
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("precondition violated: the walk over the powers of "
+                   "(1/1073741824, 0) in the bs12 ball of radius 8 would "
+                   "take 100000000 steps, more than the 1048576 allowed\n")
 
 
 def test_word_weight_rejects_non_dyadic_bs12_element(capsys):
