@@ -551,11 +551,17 @@ def make_group(spec: str) -> CayleyGroup:
         return Heis3Z()
     if spec == "bs12":
         return BS12()
-    if spec.startswith("zk:"):
-        return ZK(int(spec.split(":", 1)[1]))
-    if spec.startswith("semidirect:"):
-        body = spec.split(":", 1)[1]
-        return SemidirectZkZ(json.loads(body))
+    kind, _, body = spec.partition(":")
+    if kind in ("zk", "semidirect"):
+        try:
+            arg = int(body) if kind == "zk" else json.loads(body)
+        except (ValueError, RecursionError):
+            # json.loads refuses JSON nested past the recursion limit with
+            # a RecursionError
+            want = ("zk:<k> needs an integer k" if kind == "zk" else
+                    "semidirect:<M> needs an integer matrix M in JSON")
+            raise InputError(f"bad group spec {spec!r}: {want}") from None
+        return ZK(arg) if kind == "zk" else SemidirectZkZ(arg)
     raise InputError(f"unknown group spec {spec!r}")
 
 

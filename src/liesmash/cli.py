@@ -9,7 +9,9 @@ builds them.  A word() comparison samples group elements, so its
 descriptors take one coordinate.
 
 Exit codes: 0 pass, 1 input error (or stdout closed early by its reader),
-2 mathematical precondition violated, 3 verification failure.
+2 mathematical precondition violated or run over its budget, 3 verification
+failure.  main maps only the three error types of errors.py to them; any
+other exception is a defect and shows as a traceback.
 """
 
 from __future__ import annotations
@@ -23,19 +25,14 @@ import sys
 from fractions import Fraction
 
 from . import corpus, weights as weight_mod
+from .errors import InputError, PreconditionError, VerificationError
 from .exactnum import GaussianRational
 from .hopf import (
     cyclic_group_hopf,
     tensor_degeneration_check,
     verify_hopf_axioms,
 )
-from .lie import (
-    InputError,
-    LieAlgebra,
-    PreconditionError,
-    VerificationError,
-    semidirect_chain,
-)
+from .lie import LieAlgebra, semidirect_chain
 from .linalg import rref
 from .report import (
     ChainModel,
@@ -238,9 +235,13 @@ def _group_resolver(radius):
 
 def cmd_weight_check(args) -> int:
     try:
-        config = weight_mod.SamplerConfig(
-            count=args.samples, seed=args.seed,
-            radii=tuple(float(r) for r in args.radii.split(",")))
+        radii = tuple(float(r) for r in args.radii.split(","))
+    except ValueError:
+        raise InputError(f"--radii {args.radii!r} is not a comma list of "
+                         "numbers") from None
+    try:
+        config = weight_mod.SamplerConfig(count=args.samples, seed=args.seed,
+                                          radii=radii)
     except weight_mod.WeightDomainError as exc:
         # "radii must ...": the message starts with the flag's name
         raise InputError(f"--{exc}") from None
@@ -296,11 +297,23 @@ def cmd_word_weight(args) -> int:
         print(f"length: beyond radius {args.radius}")
     else:
         print(f"length: {n}")
-        print(f"weight: 2^{n} = {2 ** n}")
+        # 2^n has at most L digits exactly when n < bit_length(10^L)
+        if n < (10 ** _max_digits()).bit_length():
+            print(f"weight: 2^{n} = {2 ** n}")
+        else:
+            print(f"weight: 2^{n}")
     print("m,len")
     for m, ln in data:
         print(f"{m},{ln}")
     return EXIT_OK if n is not None else EXIT_PRECONDITION
+
+
+def _max_digits() -> int:
+    """The most digits str() writes of an int: the interpreter's int-to-str
+    limit, or where that is off its default, 4300.  Past it str() raises
+    ValueError."""
+    return (sys.get_int_max_str_digits()
+            or sys.int_info.default_max_str_digits)
 
 
 def _rational_flag(flag: str, text: str) -> Fraction:
@@ -308,6 +321,10 @@ def _rational_flag(flag: str, text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise InputError(f"--{flag} {text!r} has a zero denominator") from None
+    except ValueError:
+        raise InputError(f"--{flag} {text!r} is not a number such as 3, "
+                         f"-1/2 or 1e-3 of at most {_max_digits()} "
+                         "digits") from None
 
 
 def cmd_norm(args) -> int:
@@ -318,6 +335,14 @@ def cmd_norm(args) -> int:
         coeffs = [GaussianRational.parse(c.strip())
                   for c in args.coeffs.split(",")]
         value = weight_mod.series_norm(coeffs, norm)
+        digits = _max_digits()
+        if isinstance(value, Fraction) and max(
+                abs(value.numerator), value.denominator) >= 10 ** digits:
+            # terms within weights.MAX_TERM_BITS, over the lcm of the
+            # coefficients' denominators, can sum to more digits than that
+            raise PreconditionError(
+                "the exact norm has a numerator or denominator of more than "
+                f"{digits} digits, too long to print")
         print(f"norm[r={args.r},s={args.s}]: {value}")
         ran_value = True
     if args.check_degree is not None:
@@ -512,7 +537,7 @@ def main(argv=None) -> int:
         # again, and exit 1 without a traceback, as Python's signal docs do
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (InputError, FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PreconditionError as exc:
@@ -521,7 +546,3 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except ValueError as exc:
-        # bad flag values (descriptors, fractions, element strings)
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT

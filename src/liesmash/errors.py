@@ -1,9 +1,19 @@
 """Shared exception types, mapped to CLI exit codes 1, 2 and 3, and the one
-record every check reports (CheckResult, built by sweep)."""
+record every check reports (CheckResult, built by sweep).
+
+The three types are the whole taxonomy.  Outside input (a file, a flag, a
+descriptor, a group spec, an element or coefficient string) is refused as
+an InputError by the code that reads it, which names what it read.  A
+violated mathematical precondition, or a run estimated over its size
+budget, is a PreconditionError, and a failed exact check a
+VerificationError.  Any other exception is a defect of the program, and
+the CLI lets it show as a traceback.
+"""
 
 
 class InputError(ValueError):
-    """Malformed input data (files, descriptors, element strings)."""
+    """Malformed outside input (files, flags, descriptors, group specs,
+    element and coefficient strings), raised where it is read."""
 
 
 class PreconditionError(ValueError):

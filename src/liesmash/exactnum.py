@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+
+from .errors import InputError
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -76,23 +79,28 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse coefficient strings like "3", "-1/2", "1/2+1/3*i", "-i"."""
+        """Parse coefficient strings like "3", "-1/2", "1/2+1/3*i", "-i".
+
+        A string that is not one, has a zero denominator or holds an
+        integer longer than int() reads (sys.get_int_max_str_digits()
+        digits) is an InputError that names it.
+        """
         m = _COEFF_RE.match(text)
         if not m or (m.group("re") is None and m.group("im") is None):
-            raise ValueError(f"bad coefficient string: {text!r}")
+            raise InputError(f"bad coefficient string: {text!r}")
         if re.search(r"/0+(?!\d)", text):
-            raise ValueError(f"zero denominator in coefficient string: "
+            raise InputError(f"zero denominator in coefficient string: "
                              f"{text!r}")
-        re_part = Fraction(m.group("re")) if m.group("re") is not None else Fraction(0)
-        im_part = Fraction(0)
-        if m.group("im") is not None:
-            raw = m.group("im").replace(" ", "").rstrip("*")
-            if raw in ("", "+"):
-                im_part = Fraction(1)
-            elif raw == "-":
-                im_part = Fraction(-1)
-            else:
-                im_part = Fraction(raw)
+        try:
+            re_part = Fraction(m.group("re") or 0)
+            im_part = Fraction(0)
+            if m.group("im") is not None:
+                raw = m.group("im").replace(" ", "").rstrip("*")
+                im_part = Fraction({"": 1, "+": 1, "-": -1}.get(raw, raw))
+        except ValueError:
+            raise InputError(
+                f"coefficient string {text!r} has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
         return cls(re_part, im_part)
 
     # -- arithmetic --------------------------------------------------------

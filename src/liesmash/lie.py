@@ -90,6 +90,64 @@ def _until_stable(first: Subspace, step) -> list[Subspace]:
 # Lie algebras
 # ---------------------------------------------------------------------------
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number", bool: "a boolean",
+               type(None): "null"}
+_MISSING = object()     # a field the file leaves out
+
+
+def _check_file_shape(data) -> None:
+    """Refuse a loaded Lie algebra file whose shape is not
+
+        {"dim": <integer>, "basis": [<string>, ...],
+         "brackets": [{"x": <string>, "y": <string>,
+                       "value": [[<string>, <coefficient>], ...]}, ...]}
+
+    ("brackets" may be left out) with an InputError naming the first field
+    out of shape.  Coefficients are checked where they are parsed."""
+    def want(where, kind, value, holds):
+        if not holds:
+            got = ("nothing" if value is _MISSING
+                   else _JSON_KINDS.get(type(value), type(value).__name__))
+            raise InputError(f"Lie algebra file: {where} must be {kind}, "
+                             f"got {got}")
+
+    want("the file", "an object", data, isinstance(data, dict))
+    dim, basis = data.get("dim", _MISSING), data.get("basis", _MISSING)
+    want('"dim"', "an integer", dim, type(dim) is int)
+    want('"basis"', "a list", basis, isinstance(basis, list))
+    for i, name in enumerate(basis, 1):
+        want(f'"basis" item {i}', "a string", name, isinstance(name, str))
+    brackets = data.get("brackets", [])
+    want('"brackets"', "a list", brackets, isinstance(brackets, list))
+    for k, entry in enumerate(brackets, 1):
+        want(f"bracket {k}", "an object", entry, isinstance(entry, dict))
+        for key in ("x", "y"):
+            value = entry.get(key, _MISSING)
+            want(f'bracket {k} "{key}"', "a string", value,
+                 isinstance(value, str))
+        value = entry.get("value", _MISSING)
+        want(f'bracket {k} "value"', "a list", value, isinstance(value, list))
+        for i, pair in enumerate(value, 1):
+            want(f'bracket {k} "value" item {i}', "a [name, coefficient] "
+                 "pair", pair, isinstance(pair, list) and len(pair) == 2)
+            want(f'bracket {k} "value" item {i} name', "a string", pair[0],
+                 isinstance(pair[0], str))
+
+
+def _bracket_coefficient(x: str, y: str, name: str, coeff):
+    """The coefficient of name in the bracket [x, y] of a Lie algebra file:
+    a string GaussianRational.parse reads, else an InputError."""
+    if isinstance(coeff, str):
+        try:
+            return GaussianRational.parse(coeff)
+        except InputError:
+            pass
+    raise InputError(
+        f"bracket [{x}, {y}]: bad coefficient {coeff!r} of {name}; want a "
+        "string such as \"-1/2\" or \"1/2+3*i\" with nonzero denominators")
+
+
 class LieAlgebra:
     """A complex Lie algebra given by exact structure constants.
 
@@ -297,45 +355,37 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, data) -> "LieAlgebra":
-        try:
-            names = list(data["basis"])
-            dim = int(data["dim"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"missing field in Lie algebra file: {exc}") from exc
+        """The algebra of a loaded Lie algebra file (see _check_file_shape)."""
+        _check_file_shape(data)
+        names, dim = data["basis"], data["dim"]
         if dim != len(names):
             raise InputError(f"dim={dim} but {len(names)} basis names given")
         if len(set(names)) != len(names):
             raise InputError("duplicate basis names")
         for name in names:
-            if " # " in str(name):  # factor labels are joined by " # "
+            if " # " in name:  # factor labels are joined by " # "
                 raise InputError(f"basis name {name!r} contains the "
                                  "factorization separator ' # '")
         index = {n: i for i, n in enumerate(names)}
         table = {}
         for entry in data.get("brackets", []):
-            try:
-                i = index[entry["x"]]
-                j = index[entry["y"]]
-                value = entry["value"]
-            except KeyError as exc:
-                raise InputError(f"unknown basis name or field: {exc}") from exc
+            x, y = entry["x"], entry["y"]
+            for name in (x, y):
+                if name not in index:
+                    raise InputError(f"unknown basis name {name!r} in "
+                                     f"bracket [{x}, {y}]")
+            i, j = index[x], index[y]
             if i >= j:
                 raise InputError(
-                    f"bracket [{entry['x']}, {entry['y']}] out of order: "
+                    f"bracket [{x}, {y}] out of order: "
                     "only pairs with x before y are allowed")
             if (i, j) in table:
-                raise InputError(f"duplicate bracket for [{entry['x']}, {entry['y']}]")
+                raise InputError(f"duplicate bracket for [{x}, {y}]")
             comps = {}
-            for name, coeff in value:
+            for name, coeff in entry["value"]:
                 if name not in index:
                     raise InputError(f"unknown basis name {name!r} in bracket value")
-                try:
-                    comps[index[name]] = GaussianRational.parse(coeff)
-                except (TypeError, ValueError) as exc:
-                    raise InputError(
-                        f"bracket [{entry['x']}, {entry['y']}]: bad coefficient "
-                        f"{coeff!r} of {name}; want a string such as \"-1/2\" "
-                        "or \"1/2+3*i\" with nonzero denominators") from exc
+                comps[index[name]] = _bracket_coefficient(x, y, name, coeff)
             table[(i, j)] = comps
         return cls(names, table)
 

@@ -14,6 +14,7 @@ import hashlib
 import json
 
 from . import weights as weight_mod
+from .errors import InputError, PreconditionError
 from .hopf import (
     commutator_table_check,
     iterated_smash,
@@ -21,9 +22,7 @@ from .hopf import (
 )
 from .lie import (
     DecompositionChain,
-    InputError,
     LieAlgebra,
-    PreconditionError,
     Subspace,
     adjoint_action_matrices,
     chain_bracket_matrix,
@@ -218,12 +217,18 @@ def decompose(path: str, nprime_selector: str = "N", tail_dim: int = 0,
               truncation: int = 4, seed: int = 0,
               check_weights: bool = True) -> DecompositionReport:
     """Full pipeline: parse, radicals, chain, truncated smash, verifications."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        # missing, a directory, unreadable: the message names the path
+        raise InputError(str(exc)) from None
     digest = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer longer than int() reads, or
+        # nesting past the recursion limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     g = LieAlgebra.from_json_dict(data)
     return decompose_algebra(g, input_name=str(path), digest=digest,

@@ -45,11 +45,12 @@ from fractions import Fraction
 from itertools import islice, repeat
 from operator import mul
 
-from .errors import CheckResult, sweep
+from .errors import CheckResult, InputError, PreconditionError, sweep
 
 
-class WeightDomainError(ValueError):
-    pass
+class WeightDomainError(InputError):
+    """A descriptor, sample configuration or point outside a weight's
+    domain: outside input, so the CLI reports it with exit 1."""
 
 
 def guarded_exp(x: float) -> float:
@@ -431,6 +432,9 @@ def parse_weight(text: str, group_resolver=None) -> Weight:
             return Fraction(s[start:pos])
         except ZeroDivisionError:
             error(f"zero denominator in {s[start:pos]!r}")
+        except ValueError:
+            # a sign or slash out of place, or more digits than int() reads
+            error(f"bad number {s[start:pos]!r}")
 
     def build(head, args, at):
         if head not in takes:
@@ -812,6 +816,43 @@ def chain_factor_weights(chain) -> list[Weight]:
 # Series norms
 # ---------------------------------------------------------------------------
 
+# The bits the largest term r^n / n!^s of a series norm or of its check
+# may take, estimated before any term is built: like cayley.MAX_POWER_STEPS
+# a run-size budget, not a flag.  The check to degree 8 builds 16!^s: at
+# s = 1000 (44,251 bits) in under a second, at s = 2900 (130,500 bits,
+# near the largest s accepted) in about 3 s.  Float terms have the float's
+# range instead: 2^1024 overflows.
+MAX_TERM_BITS = 1 << 17
+_FLOAT_BITS = 1023
+
+
+def _bits(x: Fraction) -> int:
+    """The bits of x's numerator or denominator, whichever is longer."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _log2_above(x: Fraction) -> int:
+    """An integer above log2(x), for x > 0 (0 for x = 0)."""
+    return x.numerator.bit_length() - x.denominator.bit_length() + 1
+
+
+def _log2_factorial(n: int) -> int:
+    """An integer at or above log2(n!)."""
+    return math.ceil(math.lgamma(n + 1) / math.log(2))
+
+
+def _refuse_large_terms(top: int, budget: int, sizes: dict) -> None:
+    """Refuse with PreconditionError, before any term is built, a norm sum
+    over n <= top one of whose estimated sizes, in bits, is over budget."""
+    name, bits = max(sizes.items(), key=lambda item: item[1])
+    if bits > budget:
+        # s may have thousands of digits, and so may the estimate
+        about = bits if bits < 1 << 64 else f"2^{bits.bit_length() - 1}"
+        raise PreconditionError(
+            f"the series norm terms up to n = {top} would take about {about} "
+            f"bits for {name}, more than the {budget} allowed")
+
+
 class SeriesNorm(_Value):
     """The weighted l1 norm sum |a_n| r^n / n!^s on one-variable series."""
 
@@ -836,6 +877,20 @@ def series_norm(coeffs, norm: SeriesNorm):
     exact = norm.s.denominator == 1 and all(
         getattr(c, "is_rational", lambda: False)() or isinstance(c, (int, Fraction))
         for c in coeffs)
+    r, s, top = norm.r, norm.s, max(len(coeffs) - 1, 0)
+    if exact:
+        _refuse_large_terms(top, MAX_TERM_BITS, {
+            "r^n": top * _bits(r),
+            "n!^s": math.ceil(s) * _log2_factorial(top)})
+    else:
+        # r, s, n! and each |a_n|^2 become floats, and r and n! are raised
+        # to float powers
+        _refuse_large_terms(top, _FLOAT_BITS, {
+            "r^n": max(top, 1) * max(_log2_above(r), 0),
+            "n!^s": max(math.ceil(s), 1) * _log2_factorial(top),
+            "s": _log2_above(s),
+            "|a_n|^2": max((_log2_above(c.modulus_sq()) for c in coeffs
+                            if hasattr(c, "modulus_sq")), default=0)})
     total = Fraction(0) if exact else 0.0
     for n, c in enumerate(coeffs):
         fact = math.factorial(n)
@@ -869,6 +924,12 @@ def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,
     s_int = int(Fraction(s))
     if Fraction(s) != s_int:
         raise WeightDomainError("the exact check needs an integer s")
+    # the terms are r'^n / n!^s with r' = 2^s r (built even at degree 0)
+    # and n <= 2 degree
+    top = 2 * degree
+    _refuse_large_terms(top, MAX_TERM_BITS, {
+        "r'^n": max(top, 1) * (s_int + _bits(r)),
+        "n!^s": s_int * _log2_factorial(top)})
     rp = Fraction(2) ** s_int * r
     n_base = SeriesNorm(r, s_int)
     n_big = SeriesNorm(rp, s_int)

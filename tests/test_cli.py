@@ -899,6 +899,132 @@ def test_bad_descriptor_exit_1(capsys):
     assert "input error" in err
 
 
+HEIS_DATA = json.loads((DATA / "heisenberg.json").read_text())
+
+
+def _heis_with(path, value):
+    """heisenberg.json with the field at path (keys and indices) set."""
+    data = json.loads(json.dumps(HEIS_DATA))
+    *head, last = path
+    target = data
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+# each input a reader refuses: argv (a dict is written to a JSON file, and
+# DIRECTORY stands for a directory), exit code and stderr prefix
+DIRECTORY = object()
+SHAPE = "input error: Lie algebra file: "
+NORM_SIZE = "precondition violated: the series norm terms up to "
+REFUSED = [
+    (["decompose", _heis_with(["basis"], [5])], 1,
+     SHAPE + '"basis" item 1 must be a string, got an integer'),
+    (["decompose", _heis_with(["brackets"], 5)], 1,
+     SHAPE + '"brackets" must be a list, got an integer'),
+    (["decompose", _heis_with(["brackets"], ["ab"])], 1,
+     SHAPE + "bracket 1 must be an object, got a string"),
+    (["decompose", _heis_with(["brackets", 0, "value"], [1])], 1,
+     SHAPE + 'bracket 1 "value" item 1 must be a [name, coefficient] pair'),
+    (["decompose", _heis_with(["brackets", 0, "x"], ["a"])], 1,
+     SHAPE + 'bracket 1 "x" must be a string, got a list'),
+    (["decompose", _heis_with(["brackets", 0, "value"], {"a": 5})], 1,
+     SHAPE + 'bracket 1 "value" must be a list, got an object'),
+    (["decompose", _heis_with(["dim"], "x")], 1,
+     SHAPE + '"dim" must be an integer, got a string'),
+    # int() once read these three as 3, 3 and 1
+    (["decompose", _heis_with(["dim"], 3.0)], 1,
+     SHAPE + '"dim" must be an integer, got a number'),
+    (["decompose", _heis_with(["dim"], "3")], 1,
+     SHAPE + '"dim" must be an integer, got a string'),
+    (["decompose", _heis_with(["dim"], True)], 1,
+     SHAPE + '"dim" must be an integer, got a boolean'),
+    (["decompose", DIRECTORY], 1, "input error: [Errno "),
+    (["word-weight", "--group", "zk:abc", "--element", "(1)"], 1,
+     "input error: bad group spec 'zk:abc': zk:<k> needs an integer k"),
+    (["word-weight", "--group", "semidirect:[[1,", "--element", "(1,0)"], 1,
+     "input error: bad group spec 'semidirect:[[1,': semidirect:<M> needs "
+     "an integer matrix M in JSON"),
+    (["weight-check", "--lhs", "poly(1-2)", "--rhs", "poly"], 1,
+     "input error: bad number '1-2' at position 8 in 'poly(1-2)'"),
+    (["weight-check", "--lhs", "poly", "--rhs", "poly", "--radii", "1,,2"], 1,
+     "input error: --radii '1,,2' is not a comma list of numbers"),
+    (["norm", "--r", "abc", "--coeffs", "1"], 1,
+     "input error: --r 'abc' is not a number"),
+    (["norm", "--coeffs", "1" * 5001], 1,
+     f"input error: coefficient string '{'1' * 5001}' has an integer of "
+     "more than 4300 digits"),
+    (["norm", "--s", "1e7", "--coeffs", "1,1,1"], 2,
+     NORM_SIZE + "n = 2 would take about 10000000 bits for n!^s, more than "
+     "the 131072 allowed"),
+    (["norm", "--r", "1e400", "--s", "1/2", "--coeffs", "1,1"], 2,
+     NORM_SIZE + "n = 1 would take about 1329 bits for r^n, more than the "
+     "1023 allowed"),
+    (["norm", "--r", "1e300", "--s", "1/2", "--coeffs", "1,1,1"], 2,
+     NORM_SIZE + "n = 2 would take about 1994 bits for r^n"),
+    (["norm", "--s", "1e400", "--check-degree", "2"], 2,
+     NORM_SIZE + "n = 4 would take about 2^1331 bits for n!^s"),
+    (["norm", "--s", "100000", "--check-degree", "2"], 2,
+     NORM_SIZE + "n = 4 would take about 500000 bits for n!^s, more "
+     "than the 131072 allowed"),
+    # within the term budget, but 1 + 1 + 2^-20000 has 6,021 digits
+    (["norm", "--s", "20000", "--coeffs", "1,1,1"], 2,
+     "precondition violated: the exact norm has a numerator or denominator "
+     "of more than 4300 digits, too long to print"),
+]
+
+
+@pytest.mark.parametrize("argv,code,prefix", REFUSED,
+                         ids=[f"{a[0]}-{i}" for i, (a, _, _) in
+                              enumerate(REFUSED)])
+def test_refused_inputs_exit_with_one_stderr_line(capsys, tmp_path, argv,
+                                                  code, prefix):
+    """Each refusal comes from the reader of the input, which names it.
+    These once ended in tracebacks, ran on, were read as other values or
+    were labelled input errors by a catch-all over every ValueError."""
+    path = tmp_path / "input.json"
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        elif arg is DIRECTORY:
+            arg = str(tmp_path)
+        args.append(arg)
+    got, out, err = run(capsys, args)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_a_value_error_inside_a_command_propagates(monkeypatch):
+    """main maps only the three error types: a ValueError from inside a
+    command is a defect, and shows as a traceback, not as an input error."""
+    def broken(args):
+        raise ValueError("not enough values to unpack")
+    monkeypatch.setitem(cli.COMMANDS, "norm", broken)
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        main(["norm", "--coeffs", "1"])
+
+
+@pytest.mark.parametrize("spec, radius, element, weight", [
+    ("heis3z", 100000, "(20000,0,0)", "2^20000"),
+    ("zk:1", 20000, "(20000)", "2^20000"),
+    ("zk:1", 14285, "(14285)", "2^14285"),
+    ("zk:1", 14284, "(14284)", f"2^14284 = {2 ** 14284}")])
+def test_word_weight_past_the_digit_limit_prints_a_closed_form(
+        capsys, spec, radius, element, weight):
+    """2^14284 has 4,300 decimal digits, the most str() writes of an int,
+    and 2^14285 one more: past the limit the weight line gives the power
+    alone (it once ended the run as an input error after the length)."""
+    code, out, err = run(capsys, ["word-weight", "--group", spec, "--radius",
+                                  str(radius), "--element", element])
+    length = weight.split()[0][2:]
+    assert (code, err) == (0, "")
+    assert out.startswith(f"length: {length}\nweight: {weight}\nm,len\n"
+                          f"1,{length}\n")
+
+
 def test_selfcheck_cli(capsys):
     code, out, _ = run(capsys, ["selfcheck", "--radius", "12"])
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from liesmash.errors import InputError
 from liesmash.exactnum import GaussianRational, GaussianRational as gq, ONE, ZERO
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
@@ -72,6 +73,16 @@ def test_parse_rejects_garbage():
     for bad in ("", "x", "1+2", "1//2", "i*i", "1/0", "-3/00", "1/2+1/0*i"):
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 5001, "1/" + "3" * 5001, "1+" + "2" * 5001 + "*i"])
+def test_parse_refuses_integers_longer_than_int_reads(text):
+    """Fraction refuses an integer string of more than 4300 digits with a
+    plain ValueError; the parser names the string as an InputError."""
+    with pytest.raises(InputError, match="has an integer of more than 4300 "
+                                         "digits"):
+        GaussianRational.parse(text)
 
 
 def test_abs_rational_needs_real():

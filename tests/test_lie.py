@@ -472,6 +472,23 @@ def test_json_rejects_bad_input():
              "brackets": [{"x": "a", "y": "b", "value": [["zz", "1"]]}]})
 
 
+@pytest.mark.parametrize("data, message", [
+    ([], "the file must be an object, got a list"),
+    ({"basis": ["a"]}, '"dim" must be an integer, got nothing'),
+    ({"dim": 1}, '"basis" must be a list, got nothing'),
+    ({"dim": 1.0, "basis": ["a"]}, '"dim" must be an integer, got a number'),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": [{"x": "a", "y": "b"}]},
+     'bracket 1 "value" must be a list, got nothing'),
+    ({"dim": 2, "basis": ["a", "b"],
+      "brackets": [{"x": "a", "y": "b", "value": [[["b"], "1"]]}]},
+     'bracket 1 "value" item 1 name must be a string, got a list'),
+])
+def test_json_shape_is_checked_before_it_is_read(data, message):
+    with pytest.raises(InputError) as info:
+        LieAlgebra.from_json_dict(data)
+    assert str(info.value) == f"Lie algebra file: {message}"
+
+
 def test_parse_factorization_roundtrip():
     for text, labels in [
         ("((C[[e3]] # O(C)) # O(C))", ["C[[e3]]", "O(C)", "O(C)"]),

@@ -58,6 +58,35 @@ def test_every_definition_has_a_caller():
     assert unused == []
 
 
+def _handled(handler):
+    """The exception names an except clause catches; a bare except is
+    "BaseException"."""
+    if handler.type is None:
+        return ["BaseException"]
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return [ast.unparse(t) for t in types]
+
+
+def test_main_maps_only_the_error_taxonomy():
+    """cli.main turns the three error types into exit codes 1-3 and a
+    closed stdout into exit 1; any other exception is a defect and shows
+    as a traceback.  No handler in the package catches everything."""
+    main = next(node for node in _parse(PACKAGE / "cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = sorted(name for node in ast.walk(main)
+                     if isinstance(node, ast.ExceptHandler)
+                     for name in _handled(node))
+    assert handled == ["BrokenPipeError", "InputError", "PreconditionError",
+                       "VerificationError"]
+    broad = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.ExceptHandler)
+             and {"Exception", "BaseException"} & set(_handled(node))]
+    assert broad == []
+
+
 def _attribute_reads(tree):
     """(name, enclosing functions) of every identifier read by name, as an
     attribute, or as the name string of getattr, hasattr or setattr."""

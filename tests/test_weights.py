@@ -814,6 +814,32 @@ def test_series_norm_validation():
         W.SeriesNorm(1, -1)
 
 
+def test_series_norm_refuses_terms_over_the_budget():
+    # exact: 2!^(10^7) has 10^7 bits; floats: r = 10^400 overflows
+    with pytest.raises(W.PreconditionError,
+                       match="about 10000000 bits for n!\\^s"):
+        W.series_norm([GQ(1)] * 3, W.SeriesNorm(1, 10 ** 7))
+    with pytest.raises(W.PreconditionError, match="bits for r\\^n"):
+        W.series_norm([GQ(1), GQ(0, 1)],
+                      W.SeriesNorm(10 ** 400, Fraction(1, 2)))
+    # 0! and 1! are 1, so an s of any size leaves the exact terms small
+    assert W.series_norm([GQ(1), GQ(1)], W.SeriesNorm(1, 10 ** 400)) == 2
+
+
+def test_norm_check_budget_is_checked_before_any_term(monkeypatch):
+    """s = 1000 at degree 8 estimates 16!^1000 at 1000 * 45 bits: inside
+    the budget, and refused one bit below it, before 2^1000 is built."""
+    pairs, _ = W.norm_submultiplicativity_check(degree=8, s=1000,
+                                                random_polys=0)
+    assert pairs.passed and pairs.checked == 81
+    monkeypatch.setattr(W, "MAX_TERM_BITS", 45_000 - 1)
+    monkeypatch.setattr(W, "_convolve", None)
+    with pytest.raises(W.PreconditionError, match="about 45000 bits"):
+        W.norm_submultiplicativity_check(degree=8, s=1000)
+    with pytest.raises(W.PreconditionError, match="about 2\\^1331 bits"):
+        W.norm_submultiplicativity_check(degree=2, s=10 ** 400)
+
+
 def test_norm_submultiplicativity_monomial_binomial_bound():
     # monomial pairs reduce to C(k+m, k) <= 2^(k+m); brute force both sides
     for k in range(9):
