@@ -29,6 +29,7 @@ from itertools import accumulate
 from operator import add, mul
 
 from .errors import SKIP, CheckResult, InputError, PreconditionError, sweep
+from .exactnum import check_fraction_digits
 from .linalg import inverse
 from .weights import WeightDomainError, _lsq
 
@@ -318,6 +319,7 @@ class BS12(CayleyGroup):
         parts = [p.strip() for p in text.strip().strip("()").split(",")]
         if len(parts) != 2:
             raise InputError(f"bs12 element needs (x, n), got {text!r}")
+        check_fraction_digits(parts[0], "bs12 element x")
         try:
             x, n = Fraction(parts[0]), int(parts[1])
         except (ValueError, ZeroDivisionError) as exc:
@@ -647,6 +649,9 @@ MAX_BALL_ELEMENTS = 2_000_000
 # is never refused.
 MAX_POWER_STEPS = 1 << 20
 
+# The fewest powers in the ball distortion_fit fits; selfcheck's least radius
+MIN_FIT_POINTS = 8
+
 
 class WordWeightTable:
     """Exact word lengths on the ball of a given radius (weight = 2^length).
@@ -829,7 +834,7 @@ def distortion_fit(group: CayleyGroup, h, radius: int,
     logarithmic model winning is reported as exponential distortion.
     """
     data = growth_table(group, h, radius, max_power)
-    if len(data) < 8:
+    if len(data) < MIN_FIT_POINTS:
         raise PreconditionError(
             f"insufficient data: only {len(data)} powers of {h!r} inside "
             f"radius {radius}")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import corpus, weights as weight_mod
 from .errors import InputError, PreconditionError, VerificationError
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, check_fraction_digits, max_digits
 from .hopf import (
     cyclic_group_hopf,
     tensor_degeneration_check,
@@ -298,7 +298,7 @@ def cmd_word_weight(args) -> int:
     else:
         print(f"length: {n}")
         # 2^n has at most L digits exactly when n < bit_length(10^L)
-        if n < (10 ** _max_digits()).bit_length():
+        if n < (10 ** max_digits()).bit_length():
             print(f"weight: 2^{n} = {2 ** n}")
         else:
             print(f"weight: 2^{n}")
@@ -308,22 +308,15 @@ def cmd_word_weight(args) -> int:
     return EXIT_OK if n is not None else EXIT_PRECONDITION
 
 
-def _max_digits() -> int:
-    """The most digits str() writes of an int: the interpreter's int-to-str
-    limit, or where that is off its default, 4300.  Past it str() raises
-    ValueError."""
-    return (sys.get_int_max_str_digits()
-            or sys.int_info.default_max_str_digits)
-
-
 def _rational_flag(flag: str, text: str) -> Fraction:
+    check_fraction_digits(text, f"--{flag}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise InputError(f"--{flag} {text!r} has a zero denominator") from None
     except ValueError:
         raise InputError(f"--{flag} {text!r} is not a number such as 3, "
-                         f"-1/2 or 1e-3 of at most {_max_digits()} "
+                         f"-1/2 or 1e-3 of at most {max_digits()} "
                          "digits") from None
 
 
@@ -335,7 +328,7 @@ def cmd_norm(args) -> int:
         coeffs = [GaussianRational.parse(c.strip())
                   for c in args.coeffs.split(",")]
         value = weight_mod.series_norm(coeffs, norm)
-        digits = _max_digits()
+        digits = max_digits()
         if isinstance(value, Fraction) and max(
                 abs(value.numerator), value.denominator) >= 10 ** digits:
             # terms within weights.MAX_TERM_BITS, over the lcm of the
@@ -491,6 +484,11 @@ def selfcheck_run(truncation: int = 4, seed: int = 0, radius: int = 16):
 
 
 def cmd_selfcheck(args) -> int:
+    from . import cayley
+    least = cayley.MIN_FIT_POINTS   # (1, 0) in zk:2 has one power per radius
+    if args.radius < least:
+        raise InputError(f"selfcheck --radius must be >= {least} for its "
+                         f"distortion fit, got {args.radius}")
     lines, ok = selfcheck_run(truncation=args.truncation, seed=args.seed,
                               radius=args.radius)
     if args.format == "json":

@@ -24,7 +24,35 @@ _COEFF_RE = re.compile(
     rf"(?:(?P<im>[+-]?\s*(?:\d+(?:/\d+)?\s*\*?\s*)?)i)?\s*$"
 )
 
+# Fraction's decimal form w.f e x, with _ between digits
+_DECIMAL_RE = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?\d[\d_]*))?\s*")
+
 _gcd = math.gcd
+
+
+def max_digits() -> int:
+    """The most digits int() reads and str() writes of an int: the
+    interpreter's limit, or 4300 where that is off.  Past it both raise."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def check_fraction_digits(text: str, what: str) -> None:
+    """Refuse, as an InputError naming what, decimal text w.f e x whose
+    Fraction would build a numerator wf 10^max(x, 0) or a denominator
+    10^(len(f) + max(-x, 0)) of over max_digits() digits, before Fraction
+    builds the power whatever its size (1e10000000 takes seconds).  Other
+    text, such as 3/4, is left to Fraction, whose int() refuses long digits."""
+    m = _DECIMAL_RE.fullmatch(text)
+    if m is None:
+        return
+    whole, frac, exp = (g.replace("_", "") if g else "" for g in m.groups())
+    limit = max_digits()
+    x = int(exp or 0) if len(exp) <= limit else None
+    if x is None or max(max(len((whole + frac).lstrip("0")), 1) + max(x, 0),
+                        1 + len(frac) + max(-x, 0)) > limit:
+        raise InputError(f"{what} {text!r} has a numerator or denominator "
+                         f"of more than {limit} digits")
 
 
 class GaussianRational:
@@ -82,8 +110,8 @@ class GaussianRational:
         """Parse coefficient strings like "3", "-1/2", "1/2+1/3*i", "-i".
 
         A string that is not one, has a zero denominator or holds an
-        integer longer than int() reads (sys.get_int_max_str_digits()
-        digits) is an InputError that names it.
+        integer longer than int() reads (max_digits()) is an InputError
+        that names it.
         """
         m = _COEFF_RE.match(text)
         if not m or (m.group("re") is None and m.group("im") is None):
@@ -100,7 +128,7 @@ class GaussianRational:
         except ValueError:
             raise InputError(
                 f"coefficient string {text!r} has an integer of more than "
-                f"{sys.get_int_max_str_digits()} digits") from None
+                f"{max_digits()} digits") from None
         return cls(re_part, im_part)
 
     # -- arithmetic --------------------------------------------------------

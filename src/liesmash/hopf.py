@@ -31,18 +31,24 @@ equal exactly when their dicts are.  A table is applied to elements by one
 linear rule (el_map: comultiply, antipode, a derivation) and one bilinear
 rule (el_product: multiply).  Every sparse sum out += c*y follows one
 accumulate rule (el_axpy, which el_map and el_product call, written out in
-smash_product and _tensor_square_product): c == 0 adds nothing; a factor
+SmashProducts and _tensor_square_product): c == 0 adds nothing; a factor
 that is the ONE object is not multiplied; a key absent from out takes c*v
 as it is, since y never holds a zero (el_axpy relies on that); a present
 key is summed, and dropped if the sum is zero.
 
-A derivation action is checked as it is built (derivation_to_action): the
-derivation against A's multiplication table (Leibniz), and H's coproduct
-against the binomial one, which with Leibniz gives h.(ab) = sum
-(h1.a)(h2.b) on the overflow-free set.  The unit axiom h.1 =
-eps(h)1 and the module axiom (hg).a = h.(g.a) are not swept: the table
-holds the powers of one linear map that kills 1, so both hold by
-construction, whatever the map.
+An action of H on A is a plain table, (H position, A position) -> element
+of A, that SmashAlgebra(A, H, action) takes.  A derivation action is
+checked as it is built (derivation_to_action): the derivation against A's
+multiplication table (Leibniz), and H's coproduct against the binomial one,
+which with Leibniz gives h.(ab) = sum (h1.a)(h2.b) on the overflow-free
+set.  The unit axiom h.1 = eps(h)1 and the module axiom (hg).a = h.(g.a)
+are not swept: the table holds the powers of one linear map that kills 1,
+so both hold by construction, whatever the map.
+
+Every model has an antipode: each acting factor is a primitive series
+C[[y]], which is cocommutative, and then A # H has one (Molnar, J. Algebra
+47, 1977).  Over a hand-made H that is not, the antipode-convolution sweep
+fails.
 
 Every exact check is one sweep over its cases (errors.sweep), which counts
 them up to and including the first failure and skips none.  Degree-filtered
@@ -128,7 +134,7 @@ class TruncatedHopf:
         self.mult = mult                        # (pos, pos) -> Element
         self.comult = comult                    # pos -> {(pos, pos): coeff}
         self.counit = counit                    # pos -> coeff
-        self.antipode = antipode                # pos -> Element, or None
+        self.antipode = antipode                # pos -> Element
         self.factorization = factorization     # pos -> generator positions
         # upto[m]: the positions of degree <= m, for 0 <= m <= truncation
         self.upto = {m: tuple(k for k in self.basis if self.degree[k] <= m)
@@ -146,18 +152,7 @@ class TruncatedHopf:
         return total
 
     def antipode_el(self, u: Element) -> Element:
-        if self.antipode is None:
-            raise PreconditionError(
-                f"{self.name} has no antipode table (acting factor not cocommutative)")
         return el_map(self.antipode, u)
-
-    def is_cocommutative(self) -> bool:
-        for k in self.basis:
-            table = self.comult[k]
-            for (a, b), c in table.items():
-                if table.get((b, a), ZERO) != c:
-                    return False
-        return True
 
     # -- display -----------------------------------------------------------
 
@@ -239,30 +234,21 @@ def cyclic_group_hopf(name: str, order: int, truncation: int = 4) -> TruncatedHo
 
 
 # ---------------------------------------------------------------------------
-# module-algebra actions
+# module-algebra actions: (H position, A position) -> element of A
 # ---------------------------------------------------------------------------
 
-class ModuleAlgebraAction:
-    """A left action of H on A making A an H-module algebra, as exact tables."""
-
-    def __init__(self, H: TruncatedHopf, A: TruncatedHopf, table):
-        self.H = H
-        self.A = A
-        self.table = table  # (h key, a key) -> Element of A
-
-
-def trivial_action(H: TruncatedHopf, A: TruncatedHopf) -> ModuleAlgebraAction:
+def trivial_action(H: TruncatedHopf, A: TruncatedHopf) -> dict:
+    """h.a = eps(h) a."""
     table = {}
     for hk in H.basis:
         eps = H.counit[hk]
         for ak in A.basis:
             table[(hk, ak)] = {ak: eps} if eps else {}
-    return ModuleAlgebraAction(H, A, table)
+    return table
 
 
-def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
-                         images) -> ModuleAlgebraAction:
-    """Action of a primitive-series H through a derivation of A.
+def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf, images) -> dict:
+    """The action table of a primitive-series H through a derivation of A.
 
     images holds one element of A of degree <= 1 (a constant plus a linear
     combination of generators) per entry of A.generators, in that order; the
@@ -277,10 +263,9 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
     0.  der is checked against A's multiplication table (Leibniz) on the
     overflow-free set, and H's coproduct against the binomial one.  That is
     all h.(ab) = sum (h1.a)(h2.b) needs: by Leibniz, der^n(ab) = sum C(n, k)
-    der^k(a) der^(n-k)(b), and der does not raise degree.
+    der^k(a) der^(n-k)(b), and der does not raise degree.  An H whose
+    coproduct is not binomial, such as a group algebra, is refused.
     """
-    if H.kind != "primitive-series":
-        raise PreconditionError("derivation actions need a primitive-series H")
     for n in H.basis:
         if H.comult[n] != {(k, n - k): math.comb(n, k) for k in range(n + 1)}:
             raise PreconditionError(
@@ -334,92 +319,80 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf,
         for n in H.basis:  # 0..D
             table[(n, ak)] = current
             current = el_map(der, current)
-    return ModuleAlgebraAction(H, A, table)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # the smash product
 # ---------------------------------------------------------------------------
 
-def smash_product(action: ModuleAlgebraAction, position, left, right) -> Element:
-    """(a # h)(b # g) = sum a (h_(1) . b) # h_(2) g, truncated at degree D.
-
-    left and right are (A position, H position) pairs; a term a' # h' is
-    kept at position[a'][h'], which holds exactly the h' of degree
-    <= D - deg a'.
-    """
-    A, H, table = action.A, action.H, action.table
-    (a, h), (b, g) = left, right
-    out: Element = {}
-    get = out.get
-    for (h1, h2), c in H.comult[h].items():
-        acted = table[(h1, b)]
-        if not acted:
-            continue
-        hg = H.mult[(h2, g)]
-        if not hg:
-            continue
-        for bk, cb in acted.items():
-            ccb = cb if c is ONE else c if cb is ONE else c * cb
-            for ak, ca in A.mult[(a, bk)].items():
-                cc = ca if ccb is ONE else ccb if ca is ONE else ccb * ca
-                row = position[ak]
-                for hk, chg in hg.items():
-                    key = row.get(hk)
-                    if key is None:
-                        continue
-                    v = chg if cc is ONE else cc if chg is ONE else cc * chg
-                    acc = get(key)
-                    if acc is None:
-                        out[key] = v
-                    else:
-                        acc += v
-                        if acc:
-                            out[key] = acc
-                        else:
-                            del out[key]
-    return out
-
-
 class SmashProducts(dict):
     """The multiplication table of A # H: (position, position) -> Element.
 
-    Each entry is computed by smash_product on its first lookup and kept.
-    Only ``table[pair]`` computes; ``in``, ``get``, ``len`` and iteration
-    see just the entries computed so far.
+    Each entry is computed on its first lookup and kept: (a # h)(b # g) =
+    sum a (h_(1) . b) # h_(2) g, truncated at degree D, where a term a' # h'
+    is kept at position[a'][h'], which holds exactly the h' of degree
+    <= D - deg a'.  Only ``table[pair]`` computes; ``in``, ``get``, ``len``
+    and iteration see just the entries computed so far.  It holds the
+    factors and tables, not its SmashAlgebra, so a dropped model is freed
+    without a cycle.
     """
 
-    def __init__(self, action: ModuleAlgebraAction, pairs, position):
+    def __init__(self, A, H, action, pairs, position):
         super().__init__()
-        self.action = action
-        self.pairs = pairs
-        self.position = position
+        self.A, self.H, self.action = A, H, action
+        self.pairs, self.position = pairs, position
 
     def __missing__(self, key):
-        k1, k2 = key
-        pairs = self.pairs
-        out = self[key] = smash_product(self.action, self.position,
-                                        pairs[k1], pairs[k2])
+        A, H, action, position = self.A, self.H, self.action, self.position
+        (a, h), (b, g) = self.pairs[key[0]], self.pairs[key[1]]
+        out: Element = {}
+        get = out.get
+        for (h1, h2), c in H.comult[h].items():
+            acted = action[(h1, b)]
+            if not acted:
+                continue
+            hg = H.mult[(h2, g)]
+            if not hg:
+                continue
+            for bk, cb in acted.items():
+                ccb = cb if c is ONE else c if cb is ONE else c * cb
+                for ak, ca in A.mult[(a, bk)].items():
+                    cc = ca if ccb is ONE else ccb if ca is ONE else ccb * ca
+                    row = position[ak]
+                    for hk, chg in hg.items():
+                        k = row.get(hk)
+                        if k is None:
+                            continue
+                        v = chg if cc is ONE else cc if chg is ONE else cc * chg
+                        acc = get(k)
+                        if acc is None:
+                            out[k] = v
+                        else:
+                            acc += v
+                            if acc:
+                                out[k] = acc
+                            else:
+                                del out[k]
+        self[key] = out
         return out
 
 
 class SmashAlgebra(TruncatedHopf):
-    """A # H, with the smash product multiplication.
+    """A # H, with the smash product multiplication, for an action table
+    (H position, A position) -> element of A.
 
     Basis position k stands for the pair pairs[k] = (A position, H
     position), numbered in A-major order over the pairs of total degree
     <= D; position[a][h] is its inverse.  The multiplication table is a
-    SmashProducts, filled on demand.
+    SmashProducts, filled on demand.  S(a # h) = (1 # S h)(S a # 1) is the
+    antipode, as H is cocommutative (Molnar 1977).
     """
 
-    def __init__(self, A: TruncatedHopf, H: TruncatedHopf,
-                 action: ModuleAlgebraAction, name=None):
-        if action.A is not A or action.H is not H:
-            raise PreconditionError("action does not connect the given factors")
+    def __init__(self, A: TruncatedHopf, H: TruncatedHopf, action):
         if A.truncation != H.truncation:
             raise PreconditionError("factors must share the truncation degree")
         d = A.truncation
-        name = name or f"({A.name} # {H.name})"
         pairs = tuple((a, h) for a in A.basis for h in H.basis
                       if A.degree[a] + H.degree[h] <= d)
         position = [{} for _ in A.basis]
@@ -439,22 +412,18 @@ class SmashAlgebra(TruncatedHopf):
 
         counit = {k: A.counit[a] * H.counit[h] for k, (a, h) in enumerate(pairs)}
 
-        antipode = None
-        if H.is_cocommutative() and A.antipode is not None:
-            antipode = {}
-            for k, (a, h) in enumerate(pairs):
-                out: Element = {}
-                sa = A.antipode[a]
-                sh = H.antipode_el({h: ONE})
-                for hk, ch in sh.items():
-                    for (h1, h2), c2 in H.comult[hk].items():
-                        chc2 = ch * c2
-                        for sk, cs in sa.items():
-                            el_axpy(out, chc2 * cs,
-                                    {p: ca
-                                     for ak, ca in action.table[(h1, sk)].items()
-                                     if (p := position[ak].get(h2)) is not None})
-                antipode[k] = out
+        antipode = {}
+        for k, (a, h) in enumerate(pairs):
+            out: Element = {}
+            sa = A.antipode[a]
+            for hk, ch in H.antipode[h].items():
+                for (h1, h2), c2 in H.comult[hk].items():
+                    chc2 = ch * c2
+                    for sk, cs in sa.items():
+                        el_axpy(out, chc2 * cs,
+                                {p: ca for ak, ca in action[(h1, sk)].items()
+                                 if (p := position[ak].get(h2)) is not None})
+            antipode[k] = out
 
         factorization = {
             k: (tuple(i_pos[f] for f in A.factorization[a])
@@ -465,14 +434,15 @@ class SmashAlgebra(TruncatedHopf):
         generators += [(n, j_pos[k]) for n, k in H.generators]
 
         super().__init__(
-            kind="smash", name=name, generators=generators, truncation=d,
-            degree=[A.degree[a] + H.degree[h] for a, h in pairs],
-            unit=j_pos[H.unit], mult=SmashProducts(action, pairs, position),
+            kind="smash", name=f"({A.name} # {H.name})", generators=generators,
+            truncation=d, degree=[A.degree[a] + H.degree[h] for a, h in pairs],
+            unit=j_pos[H.unit],
+            mult=SmashProducts(A, H, action, pairs, position),
             comult=comult, counit=counit, antipode=antipode,
             factorization=factorization)
         self.A = A
         self.H = H
-        self.action = action
+        self.action = action        # (H position, A position) -> A element
         self.pairs = pairs          # position -> (A position, H position)
         self.position = position    # position[a][h] -> position
         self.i_pos = i_pos          # a -> position of a # 1
@@ -522,8 +492,8 @@ def iterated_smash(chain, truncation: int, actions) -> SmashAlgebra:
         keys = [key for _, key in current.generators]
         images = [{keys[k]: c for k, c in image.items()}
                   for image in actions[step]]
-        action = derivation_to_action(H, current, images)
-        current = SmashAlgebra(current, H, action)
+        current = SmashAlgebra(current, H,
+                               derivation_to_action(H, current, images))
     return current
 
 
@@ -658,10 +628,8 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
         sweep("coassociativity", coassociativity()),
         sweep("counit", counit()),
         sweep("bialgebra", bialgebra()),
+        sweep("antipode-convolution", antipode_convolution()),
     ])
-    if X.antipode is not None:
-        report.results.append(
-            sweep("antipode-convolution", antipode_convolution()))
     if not isinstance(X, SmashAlgebra):
         return report
     A, H, action, i_pos, j_pos = X.A, X.H, X.action, X.i_pos, X.j_pos
@@ -670,7 +638,7 @@ def verify_hopf_axioms(X: TruncatedHopf) -> HopfReport:
         # i(h . a) = sum j(h_(1)) i(a) j(S h_(2)) on the overflow-free set
         for hk in H.basis:
             for ak in A.upto.get(d - H.degree[hk], ()):
-                lhs = X.embed_a(action.table[(hk, ak)])
+                lhs = X.embed_a(action[(hk, ak)])
                 rhs: Element = {}
                 for (h1, h2), c in H.comult[hk].items():
                     term = X.multiply(mult[(j_pos[h1], i_pos[ak])],

@@ -306,7 +306,7 @@ def test_small_chain_models_recover_their_commutators(name, pairs):
 
 def test_tensor2_acts_trivially():
     smash = cli.build_model("tensor2", 4).smash
-    assert smash.action.table == hopf.trivial_action(smash.H, smash.A).table
+    assert smash.action == hopf.trivial_action(smash.H, smash.A)
 
 
 def test_smash_table_mult_csv(capsys):
@@ -972,6 +972,31 @@ REFUSED = [
     (["norm", "--s", "20000", "--coeffs", "1,1,1"], 2,
      "precondition violated: the exact norm has a numerator or denominator "
      "of more than 4300 digits, too long to print"),
+    # Fraction built 10^exponent first: 7.8 s, past 60 s, and 8.9 s
+    (["norm", "--r", "1e10000000", "--coeffs", "1"], 1,
+     "input error: --r '1e10000000' has a numerator or denominator of more "
+     "than 4300 digits"),
+    (["norm", "--r", "1e100000000", "--coeffs", "1"], 1,
+     "input error: --r '1e100000000' has a numerator or denominator of more "
+     "than 4300 digits"),
+    (["word-weight", "--group", "bs12", "--radius", "2", "--element",
+      "(1e10000000,0)"], 1,
+     "input error: bs12 element x '1e10000000' has a numerator or "
+     "denominator of more than 4300 digits"),
+    # once exit 2: "too long to print"
+    (["norm", "--r", "1e-5000", "--coeffs", "1,1"], 1,
+     "input error: --r '1e-5000' has a numerator or denominator of more "
+     "than 4300 digits"),
+    (["norm", "--s", "1e5000", "--coeffs", "1"], 1,
+     "input error: --s '1e5000' has a numerator or denominator of more "
+     "than 4300 digits"),
+    # once exit 2 after the lie and hopf suites, with no line printed
+    (["selfcheck", "--radius", "7"], 1,
+     "input error: selfcheck --radius must be >= 8 for its distortion fit, "
+     "got 7"),
+    (["selfcheck", "--radius", "0"], 1,
+     "input error: selfcheck --radius must be >= 8 for its distortion fit, "
+     "got 0"),
 ]
 
 
@@ -995,6 +1020,35 @@ def test_refused_inputs_exit_with_one_stderr_line(capsys, tmp_path, argv,
     got, out, err = run(capsys, args)
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def _no_fraction(*args):
+    raise AssertionError(f"Fraction{args} was built")
+
+
+@pytest.mark.parametrize("module, argv", [
+    (cli, ["norm", "--r", "1e10000000", "--coeffs", "1"]),
+    (cli, ["norm", "--r", "1e-5000", "--coeffs", "1"]),
+    (cayley, ["word-weight", "--group", "bs12", "--radius", "2",
+              "--element", "(1e10000000,0)"])])
+def test_long_numbers_are_refused_before_they_are_built(capsys, monkeypatch,
+                                                        module, argv):
+    """The digit check reads the text, so the refusal comes before Fraction
+    expands the exponent."""
+    monkeypatch.setattr(module, "Fraction", _no_fraction)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "of more than 4300 digits" in err and err.count("\n") == 1, err
+
+
+def test_exponent_numbers_within_the_digit_limit_are_read(capsys):
+    code, out, _ = run(capsys, ["norm", "--r", "1e-3", "--coeffs", "1,1"])
+    assert (code, out) == (0, "norm[r=1e-3,s=0]: 1001/1000\n")
+    code, out, _ = run(capsys, ["norm", "--r", "1e4000", "--coeffs", "1,1"])
+    assert code == 0 and out == f"norm[r=1e4000,s=0]: {10 ** 4000 + 1}\n"
+    code, out, _ = run(capsys, ["word-weight", "--group", "bs12", "--radius",
+                                "4", "--element", "(0.5, 0)"])
+    assert code == 0 and out.startswith("length: ")
 
 
 def test_a_value_error_inside_a_command_propagates(monkeypatch):

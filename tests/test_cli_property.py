@@ -2,7 +2,8 @@
 
 The grammar mixes valid and malformed descriptors, group specs, elements,
 coefficient strings, --r/--s/--radii values and JSON files over all seven
-commands.  Size flags stay small (--truncation <= 3, --radius <= 6,
+commands; --r, --s and bs12 elements also take exponent notation, such as
+1e-3 and 1e5000.  Size flags stay small (--truncation <= 3, --radius <= 6,
 --samples <= 16, --check-degree <= 4), so every run is short.  Each run
 exits 0-3 with no exception out of main but argparse's SystemExit(2).  A
 refusal writes exactly one stderr line; the verdict exits (2 for a
@@ -98,11 +99,13 @@ GROUPS = ["heis3z", "bs12", "zk:1", "zk:2", "semidirect:[[2,1],[1,1]]",
           "nope", ""]
 ELEMENTS = ["(1,0)", "(0,0,1)", "(1)", "(1,)", "(1/2,0)", "(1/3,0)",
             "(-5/4,0)", "(1e3,0)", "(a,b)", "()", "(1,2,3)", "(20000)",
-            "(1,0,1500)", "((1,0),0)", "(1/0,0)", "(" + "9" * 5000 + ")"]
+            "(1,0,1500)", "((1,0),0)", "(1/0,0)", "(" + "9" * 5000 + ")",
+            "(1e5000,0)", "(1e-5000,0)", "(1e10000000,0)", "(5e-1,0)"]
 # (group, element) pairs that parse
 MEMBERS = [("heis3z", "(1,0,0)"), ("heis3z", "(0,0,1)"), ("heis3z", "(1,2,3)"),
            ("bs12", "(1,0)"), ("bs12", "(1/2,0)"), ("bs12", "(-5/4,1)"),
-           ("bs12", "(0,1)"), ("zk:1", "(3)"), ("zk:2", "(1,-1)"),
+           ("bs12", "(0,1)"), ("bs12", "(5e-1,0)"), ("bs12", "(25e-2,1)"),
+           ("zk:1", "(3)"), ("zk:2", "(1,-1)"),
            ("zk:1", "(20000)"), ("semidirect:[[2,1],[1,1]]", "(1,0,0)"),
            ("semidirect:[[2,1],[1,1]]", "(0,0,1)"),
            ("semidirect:[[-1]]", "(1,0)"), ("semidirect:[[-1]]", "(0,2)")]
@@ -125,9 +128,9 @@ COMPARABLE = [("poly", "poly"), ("poly", "exppow(1)"), ("exppow(1)", "poly"),
               ("expsum(2)", "poly(2)"), ("word(zk:1)", "poly"),
               ("word(heis3z)", "word(heis3z)"), ("word(bs12)", "exppow(1)"),
               ("pow(word(zk:2),2)", "word(zk:2)")]
-RATIONALS = ["1", "2", "1/2", "0", "3"]
+RATIONALS = ["1", "2", "1/2", "0", "3", "1e-3", "25e-1"]
 BAD_RATIONALS = ["-1", "abc", "1/0", "1e400", "1e300", "1e-400", "1e7",
-                 "20000", "1" * 5000]
+                 "20000", "1" * 5000, "1e5000", "1e-5000", "1e10000000"]
 TRUNCATION = _opt("--truncation", range(4), [-1])
 FORMATS = ["text", "csv", "json"]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liesmash.errors import InputError
-from liesmash.exactnum import GaussianRational, GaussianRational as gq, ONE, ZERO
+from liesmash.exactnum import (
+    GaussianRational, GaussianRational as gq, ONE, ZERO, check_fraction_digits)
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 scalars = st.builds(GaussianRational, rationals, rationals)
@@ -83,6 +84,23 @@ def test_parse_refuses_integers_longer_than_int_reads(text):
     with pytest.raises(InputError, match="has an integer of more than 4300 "
                                          "digits"):
         GaussianRational.parse(text)
+
+
+# Fraction builds w.f e x as wf 10^max(x, 0) over 10^(len(f) + max(-x, 0))
+@pytest.mark.parametrize("text", [
+    "3", "-1/2", "1e-3", "0.5", "1e4299", "1e-4299", "1.5e4298", "0e4299",
+    " +1_0.2_5E1_0 ", "3/" + "7" * 5000, "abc", "1e", ".5e-4298"])
+def test_fraction_digits_within_the_limit_are_left_to_fraction(text):
+    check_fraction_digits(text, "--r")
+
+
+@pytest.mark.parametrize("text", [
+    "1e4300", "1e-4300", "1.5e4299", "0e4300", "0.5e-4299", "1" * 4301,
+    "0." + "0" * 4300, "1e" + "9" * 4301, "-2E+10000000"])
+def test_fraction_digits_over_the_limit_are_refused(text):
+    with pytest.raises(InputError, match=r"^--r '.*' has a numerator or "
+                       "denominator of more than 4300 digits$"):
+        check_fraction_digits(text, "--r")
 
 
 def test_abs_rational_needs_real():

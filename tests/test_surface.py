@@ -58,6 +58,36 @@ def test_every_definition_has_a_caller():
     assert unused == []
 
 
+# Public names that only perfbench/spans.py's list of wrapped functions
+# refers to: the program never calls them, and the benchmark's tracer wraps
+# them.  A trace kept in the program itself (ROADMAP item 5) would free them
+# for deletion.
+TRACER_ONLY = {"trivial_action", "solve_in_basis"}
+
+
+def test_names_only_the_tracer_keeps_are_listed():
+    """TRACER_ONLY is exactly the set of package definitions that nothing
+    in src/liesmash or perfbench reads but the tracer's wrapped list."""
+    spans = _parse(ROOT / "perfbench" / "spans.py")
+    wrapped_list = next(
+        node.value for node in ast.walk(spans) if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["functions"])
+    wrapped = _referenced(wrapped_list)
+    wrapped_list.elts = []      # the references left are the other ones
+    defined, read = set(), set()
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in files:
+        for stmt in (spans if path.name == "spans.py" else _parse(path)).body:
+            names = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names.discard(stmt.name)    # recursion is no caller
+                if path.parent == PACKAGE:
+                    defined.add(stmt.name)
+            read |= names
+    assert (wrapped & defined) - read == TRACER_ONLY
+
+
 def _handled(handler):
     """The exception names an except clause catches; a bare except is
     "BaseException"."""
