@@ -5,8 +5,9 @@ Every Hopf model but cyclic2 is a chain model, report.build_chain_model of a
 small Lie algebra (MODEL_ALGEBRAS), as in decompose; selfcheck's lie lines
 read that stage too.  hopf-verify and selfcheck check the Hopf axioms of
 each, and the commutator recovery of heis3 and solv2; smash-table only
-builds them.  A word() comparison samples group elements, so its
-descriptors take one coordinate.
+builds them, and refuses a dump of more than MAX_DUMP_CELLS cells before it
+does.  A word() comparison samples group elements, so its descriptors take
+one coordinate.
 
 Exit codes: 0 pass, 1 input error (or stdout closed early by its reader),
 2 mathematical precondition violated or run over its budget, 3 verification
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -46,6 +48,14 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
+
+# Most cells a smash-table dump prints; both tables print B^3 of them.  A
+# mult dump takes about 50 ns a cell near this size (solv2 at D=25, 43
+# million cells, 2.1 s) and up to 90 ns on small dumps, where the build
+# weighs more; a comult dump, nearly all zeros, 2 to 30 ns (Python 3.11,
+# 2-core shared host).  So this refuses dumps of more than a few seconds or
+# about 100 MB of CSV; the benchmark's largest, heis3 at D=5, has 175,616.
+MAX_DUMP_CELLS = 50_000_000
 
 
 @functools.cache
@@ -200,28 +210,48 @@ def cmd_hopf_verify(args) -> int:
 
 
 def cmd_smash_table(args) -> int:
+    # both tables print B^3 cells, and a chain model of n generators has
+    # B = C(n + D, D); the refusal comes before the build.  cyclic2 has 8
+    # cells, and a truncation below 1 is left to the series builder.
+    g, d = MODEL_ALGEBRAS[args.model], args.truncation
+    if g is not None and d >= 1:
+        size = math.comb(g.dim + d, d)
+        if size ** 3 > MAX_DUMP_CELLS:
+            raise PreconditionError(
+                f"the {args.table} table over a basis of {size} elements has "
+                f"{size ** 3} cells, more than the {MAX_DUMP_CELLS} printed")
     model = _hopf_of(build_model(args.model, args.truncation))
     names = [model.key_str(k) for k in model.basis]
     b = len(names)
+    write = sys.stdout.write
 
-    def dense(size, cells):
-        # (column, coefficient) cells scattered into size columns
-        row = ["0"] * size
+    def row(label, zeros, cells):
+        # zeros is the all-"0" row, in which column i starts at character
+        # 2i; the nonzero cells, sorted by column, are spliced into it
+        parts = [label]
+        end = 0
         for i, c in cells:
-            row[i] = str(c)
-        return ",".join(row)
+            parts += (zeros[end:2 * i], str(c))
+            end = 2 * i + 1
+        parts += (zeros[end:], "\n")
+        write("".join(parts))
 
     if args.table == "mult":
-        print("left,right," + ",".join(f'"{n}"' for n in names))
+        write("left,right," + ",".join(f'"{n}"' for n in names) + "\n")
+        zeros = ",".join(["0"] * b)
         for k1, n1 in enumerate(names):
             for k2, n2 in enumerate(names):
-                print(f'"{n1}","{n2}",' + dense(b, model.mult[(k1, k2)].items()))
+                row(f'"{n1}","{n2}",', zeros,
+                    sorted(model.mult[(k1, k2)].items()))
     else:
-        # the column of the tensor pair (k1, k2) is k1 * B + k2
-        print("element," + ",".join(f'"{a}|{c}"' for a in names for c in names))
+        # the column of the tensor pair (k1, k2) is k1 * B + k2, so the
+        # pairs sort in column order
+        write("element," + ",".join(f'"{a}|{c}"' for a in names for c in names)
+              + "\n")
+        zeros = ",".join(["0"] * (b * b))
         for k, n in enumerate(names):
-            print(f'"{n}",' + dense(b * b, ((k1 * b + k2, c) for (k1, k2), c
-                                             in model.comult[k].items())))
+            row(f'"{n}",', zeros, [(k1 * b + k2, c) for (k1, k2), c
+                                   in sorted(model.comult[k].items())])
     return EXIT_OK
 
 

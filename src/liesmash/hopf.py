@@ -22,16 +22,21 @@ generators are a list of (display name, basis position); derivation images
 and the commutator check take them by position, and the names only render
 keys and witnesses.
 
-A smash product's multiplication table (SmashProducts) computes each entry
-on its first lookup and keeps it, so the checks pay only for the products
-they read; a dense dump still reads all B^2 entries.  The primitive-series
-and group-like tables are built eagerly.  Elements are sparse dicts keyed
-by basis position that never hold a zero coefficient, so two elements are
-equal exactly when their dicts are.  A table is applied to elements by one
-linear rule (el_map: comultiply, antipode, a derivation) and one bilinear
-rule (el_product: multiply).  Every sparse sum out += c*y follows one
-accumulate rule (el_axpy, which el_map and el_product call, written out in
-SmashProducts and _tensor_square_product): c == 0 adds nothing; a factor
+A smash's mult, comult and antipode are LazyTables: each entry is computed
+on its first lookup and kept, so a check or a dump pays only for the
+entries it reads (a mult dump computes no antipode entry, a comult dump no
+top-level product or antipode).  An entry reads the factors' tables and
+the action as they are at that first lookup, so a table changed after the
+smash is built reaches every entry not read before.  The primitive-series
+and group-like tables, and every counit and factorization, are built
+eagerly.  Elements are sparse dicts keyed by basis position that never
+hold a zero coefficient, so two elements are equal exactly when their
+dicts are.  A table is
+applied to elements by one linear rule (el_map: comultiply, antipode, a
+derivation) and one bilinear rule (el_product: multiply).  Every sparse
+sum out += c*y follows one accumulate rule (el_axpy, which el_map and
+el_product call, written out in smash_product and
+_tensor_square_product): c == 0 adds nothing; a factor
 that is the ONE object is not multiplied; a key absent from out takes c*v
 as it is, since y never holds a zero (el_axpy relies on that); a present
 key is summed, and dropped if the sum is zero.
@@ -61,6 +66,7 @@ no cases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from .exactnum import GaussianRational, ONE, ZERO
@@ -326,56 +332,92 @@ def derivation_to_action(H: TruncatedHopf, A: TruncatedHopf, images) -> dict:
 # the smash product
 # ---------------------------------------------------------------------------
 
-class SmashProducts(dict):
-    """The multiplication table of A # H: (position, position) -> Element.
+class LazyTable(dict):
+    """A table whose entries are computed on first lookup and kept.
 
-    Each entry is computed on its first lookup and kept: (a # h)(b # g) =
-    sum a (h_(1) . b) # h_(2) g, truncated at degree D, where a term a' # h'
-    is kept at position[a'][h'], which holds exactly the h' of degree
-    <= D - deg a'.  Only ``table[pair]`` computes; ``in``, ``get``, ``len``
-    and iteration see just the entries computed so far.  It holds the
-    factors and tables, not its SmashAlgebra, so a dropped model is freed
-    without a cycle.
+    ``table[key]`` computes ``rule(key)`` for a key it does not hold yet,
+    keeps the result and returns it; ``in``, ``get``, ``len`` and iteration
+    see only the entries computed so far, and an entry set by hand is kept
+    as it is.  A smash's mult, comult and antipode are LazyTables whose
+    rules (smash_product, smash_coproduct, smash_antipode) read the
+    factors' tables and the action when an entry is first looked up, not
+    when the smash is built.  A rule holds the factors and tables, not its
+    SmashAlgebra, so a dropped model is freed without a cycle.
     """
 
-    def __init__(self, A, H, action, pairs, position):
+    __slots__ = ("rule",)
+
+    def __init__(self, rule):
         super().__init__()
-        self.A, self.H, self.action = A, H, action
-        self.pairs, self.position = pairs, position
+        self.rule = rule
 
     def __missing__(self, key):
-        A, H, action, position = self.A, self.H, self.action, self.position
-        (a, h), (b, g) = self.pairs[key[0]], self.pairs[key[1]]
-        out: Element = {}
-        get = out.get
-        for (h1, h2), c in H.comult[h].items():
-            acted = action[(h1, b)]
-            if not acted:
-                continue
-            hg = H.mult[(h2, g)]
-            if not hg:
-                continue
-            for bk, cb in acted.items():
-                ccb = cb if c is ONE else c if cb is ONE else c * cb
-                for ak, ca in A.mult[(a, bk)].items():
-                    cc = ca if ccb is ONE else ccb if ca is ONE else ccb * ca
-                    row = position[ak]
-                    for hk, chg in hg.items():
-                        k = row.get(hk)
-                        if k is None:
-                            continue
-                        v = chg if cc is ONE else cc if chg is ONE else cc * chg
-                        acc = get(k)
-                        if acc is None:
-                            out[k] = v
+        value = self[key] = self.rule(key)
+        return value
+
+
+def smash_product(A, H, action, pairs, position, key) -> Element:
+    """(a # h)(b # g) = sum a (h_(1) . b) # h_(2) g for the pair of positions
+    key, truncated at degree D: a term a' # h' is kept at position[a'][h'],
+    which holds exactly the h' of degree <= D - deg a'."""
+    (a, h), (b, g) = pairs[key[0]], pairs[key[1]]
+    out: Element = {}
+    get = out.get
+    for (h1, h2), c in H.comult[h].items():
+        acted = action[(h1, b)]
+        if not acted:
+            continue
+        hg = H.mult[(h2, g)]
+        if not hg:
+            continue
+        for bk, cb in acted.items():
+            ccb = cb if c is ONE else c if cb is ONE else c * cb
+            for ak, ca in A.mult[(a, bk)].items():
+                cc = ca if ccb is ONE else ccb if ca is ONE else ccb * ca
+                row = position[ak]
+                for hk, chg in hg.items():
+                    k = row.get(hk)
+                    if k is None:
+                        continue
+                    v = chg if cc is ONE else cc if chg is ONE else cc * chg
+                    acc = get(k)
+                    if acc is None:
+                        out[k] = v
+                    else:
+                        acc += v
+                        if acc:
+                            out[k] = acc
                         else:
-                            acc += v
-                            if acc:
-                                out[k] = acc
-                            else:
-                                del out[k]
-        self[key] = out
-        return out
+                            del out[k]
+    return out
+
+
+def smash_coproduct(A, H, pairs, position, k) -> dict:
+    """Delta(a # h) = sum (a_(1) # h_(1)) (x) (a_(2) # h_(2)) for the
+    position k of a # h."""
+    a, h = pairs[k]
+    out: dict = {}
+    for (a1, a2), ca in A.comult[a].items():
+        row1, row2 = position[a1], position[a2]
+        for (h1, h2), ch in H.comult[h].items():
+            out[(row1[h1], row2[h2])] = ca * ch
+    return out
+
+
+def smash_antipode(A, H, action, pairs, position, k) -> Element:
+    """S(a # h) = (1 # S h)(S a # 1) = sum (S h)_(1) . S a # (S h)_(2) for
+    the position k of a # h."""
+    a, h = pairs[k]
+    out: Element = {}
+    sa = A.antipode[a]
+    for hk, ch in H.antipode[h].items():
+        for (h1, h2), c2 in H.comult[hk].items():
+            chc2 = ch * c2
+            for sk, cs in sa.items():
+                el_axpy(out, chc2 * cs,
+                        {p: ca for ak, ca in action[(h1, sk)].items()
+                         if (p := position[ak].get(h2)) is not None})
+    return out
 
 
 class SmashAlgebra(TruncatedHopf):
@@ -384,9 +426,11 @@ class SmashAlgebra(TruncatedHopf):
 
     Basis position k stands for the pair pairs[k] = (A position, H
     position), numbered in A-major order over the pairs of total degree
-    <= D; position[a][h] is its inverse.  The multiplication table is a
-    SmashProducts, filled on demand.  S(a # h) = (1 # S h)(S a # 1) is the
-    antipode, as H is cocommutative (Molnar 1977).
+    <= D; position[a][h] is its inverse.  mult, comult and antipode are
+    LazyTables of the rules smash_product, smash_coproduct and
+    smash_antipode, each entry computed from A, H and the action on its
+    first lookup; counit and factorization are built here.  S(a # h) =
+    (1 # S h)(S a # 1) is the antipode, as H is cocommutative (Molnar 1977).
     """
 
     def __init__(self, A: TruncatedHopf, H: TruncatedHopf, action):
@@ -401,29 +445,7 @@ class SmashAlgebra(TruncatedHopf):
         i_pos = [row[H.unit] for row in position]
         j_pos = position[A.unit]
 
-        comult = {}
-        for k, (a, h) in enumerate(pairs):
-            table: dict = {}
-            for (a1, a2), ca in A.comult[a].items():
-                row1, row2 = position[a1], position[a2]
-                for (h1, h2), ch in H.comult[h].items():
-                    table[(row1[h1], row2[h2])] = ca * ch
-            comult[k] = table
-
         counit = {k: A.counit[a] * H.counit[h] for k, (a, h) in enumerate(pairs)}
-
-        antipode = {}
-        for k, (a, h) in enumerate(pairs):
-            out: Element = {}
-            sa = A.antipode[a]
-            for hk, ch in H.antipode[h].items():
-                for (h1, h2), c2 in H.comult[hk].items():
-                    chc2 = ch * c2
-                    for sk, cs in sa.items():
-                        el_axpy(out, chc2 * cs,
-                                {p: ca for ak, ca in action[(h1, sk)].items()
-                                 if (p := position[ak].get(h2)) is not None})
-            antipode[k] = out
 
         factorization = {
             k: (tuple(i_pos[f] for f in A.factorization[a])
@@ -437,8 +459,13 @@ class SmashAlgebra(TruncatedHopf):
             kind="smash", name=f"({A.name} # {H.name})", generators=generators,
             truncation=d, degree=[A.degree[a] + H.degree[h] for a, h in pairs],
             unit=j_pos[H.unit],
-            mult=SmashProducts(A, H, action, pairs, position),
-            comult=comult, counit=counit, antipode=antipode,
+            mult=LazyTable(functools.partial(
+                smash_product, A, H, action, pairs, position)),
+            comult=LazyTable(functools.partial(
+                smash_coproduct, A, H, pairs, position)),
+            counit=counit,
+            antipode=LazyTable(functools.partial(
+                smash_antipode, A, H, action, pairs, position)),
             factorization=factorization)
         self.A = A
         self.H = H

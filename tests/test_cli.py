@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, formats, determinism."""
 
+import csv
 import importlib
 import json
 import math
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import liesmash
 import liesmash.__main__ as liesmash_main
 from liesmash import cayley, cli, hopf
 from liesmash.cli import EXIT_INPUT, build_parser, main
+from liesmash.exactnum import GaussianRational
 from liesmash.report import ChainModel, check_chain_model
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -327,6 +330,154 @@ def test_smash_table_comult_csv(capsys):
     # Delta(x^2) row carries the binomial coefficient 2 on (x | x)
     row = next(l for l in lines if l.startswith('"x^2"'))
     assert ",2," in row
+
+
+def _parse_dump(out, names):
+    """A smash-table CSV read back: {row key: {column: nonzero value}}, a
+    row key being a (left, right) pair of basis positions for mult and one
+    position for comult, a column one position for mult and a (k1, k2)
+    pair for comult."""
+    index = {n: k for k, n in enumerate(names)}
+    head, *rows = csv.reader(out.splitlines())
+    if head[:2] == ["left", "right"]:
+        assert head[2:] == names
+        labels, columns = 2, list(range(len(names)))
+    else:
+        assert head[0] == "element"
+        columns = [(k1, k2) for k1 in range(len(names))
+                   for k2 in range(len(names))]
+        assert head[1:] == [f"{names[k1]}|{names[k2]}" for k1, k2 in columns]
+        labels = 1
+    table = {}
+    for row in rows:
+        key = tuple(index[n] for n in row[:labels])
+        assert len(row) == labels + len(columns), key
+        values = [GaussianRational.parse(c) for c in row[labels:]]
+        table[key if labels == 2 else key[0]] = {
+            col: v for col, v in zip(columns, values) if v}
+    return table
+
+
+def _dump_against_tables(capsys, monkeypatch, name, d, set_cells=None):
+    """Dump both tables of a model and read them back; each must equal the
+    model's own tables, read directly, in every cell.  Returns the printed
+    nonzero cells."""
+    model = cli._hopf_of(cli.build_model(name, d))
+    if set_cells is not None:
+        set_cells(model)
+    monkeypatch.setattr(cli, "build_model", lambda *args: model)
+    b = len(model.basis)
+    seen = set()
+    for table, rows in (("mult", [(k1, k2) for k1 in model.basis
+                                  for k2 in model.basis]),
+                        ("comult", list(model.basis))):
+        code, out, _ = run(capsys, ["smash-table", "--model", name,
+                                    "--table", table, "--truncation", str(d)])
+        assert code == 0
+        got = _parse_dump(out, [model.key_str(k) for k in model.basis])
+        want = getattr(model, table)
+        assert list(got) == rows
+        for key in rows:
+            assert got[key] == want[key], (table, key)
+            seen.update(str(c) for c in want[key].values())
+        # cells are filled in the first and last columns, or for comult,
+        # whose pairs have total degree <= D, in its last block of B
+        filled = {col for cells in got.values() for col in cells}
+        if table == "mult":
+            assert {0, b - 1} <= filled
+        else:
+            assert (0, 0) in filled and max(filled)[0] == b - 1
+    return seen
+
+
+@pytest.mark.parametrize("name, d", [("heis3", 5), ("smash2", 6),
+                                     ("cyclic2", 4)])
+def test_smash_table_dump_reads_back_as_the_model_tables(capsys, monkeypatch,
+                                                          name, d):
+    """Every cell, nonzero or not, at its column: the first and last columns
+    are filled, and smash2's products at D=6 have up to five digits."""
+    seen = _dump_against_tables(capsys, monkeypatch, name, d)
+    if name == "smash2":
+        assert max(len(c) for c in seen) == 5
+
+
+def test_smash_table_dump_reads_back_negative_and_complex_cells(capsys,
+                                                                monkeypatch):
+    """No built-in model has a table coefficient that is negative or not an
+    integer, so cells of every kind are set by hand, in the first and last
+    columns and next to each other."""
+    values = [GaussianRational(-3), GaussianRational(Fraction(-7, 12), 2),
+              GaussianRational(0, -1), GaussianRational(123456789)]
+
+    def set_cells(model):
+        b = len(model.basis)
+        model.mult[(0, 0)] = {0: values[0], b - 1: values[1]}
+        model.mult[(b - 1, b - 1)] = {b - 1: values[2], b - 2: values[3],
+                                      0: values[1]}
+        model.mult[(1, 2)] = {}
+        # out of column order, as the dump must not assume
+        model.comult[b - 1] = {(b - 1, 0): values[3], (1, 2): values[2],
+                               (0, 0): values[0]}
+    seen = _dump_against_tables(capsys, monkeypatch, "heis3", 3, set_cells)
+    assert {str(v) for v in values} <= seen
+
+
+def _smash_levels(model):
+    while isinstance(model, hopf.SmashAlgebra):
+        yield model
+        model = model.A
+
+
+def _dumped_model(capsys, monkeypatch, table):
+    """The heis3 model at D=4 that one smash-table dump built."""
+    built = []
+    build = cli.build_model
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+    monkeypatch.setattr(cli, "build_model", keep)
+    code, _, _ = run(capsys, ["smash-table", "--model", "heis3", "--table",
+                              table, "--truncation", "4"])
+    assert code == 0
+    return cli._hopf_of(built[0])
+
+
+def test_smash_table_dumps_compute_only_the_tables_they_print(capsys,
+                                                              monkeypatch):
+    """A mult dump computes no antipode entry at any smash level, and a
+    comult dump no top-level product or antipode; the axiom sweep reads
+    every coproduct and antipode."""
+    s = _dumped_model(capsys, monkeypatch, "mult")
+    b = len(s.basis)
+    levels = list(_smash_levels(s))
+    assert len(levels) == 2 and len(s.mult) == b * b
+    assert [len(X.antipode) for X in levels] == [0, 0]
+    s = _dumped_model(capsys, monkeypatch, "comult")
+    assert (len(s.mult), len(s.antipode), len(s.comult)) == (0, 0, b)
+    hopf.verify_hopf_axioms(s)
+    assert len(s.antipode) == len(s.comult) == b
+
+
+def test_smash_table_refuses_an_oversized_dump_before_the_build(
+        capsys, monkeypatch):
+    """Both tables print B^3 cells; a dump of more than MAX_DUMP_CELLS is
+    refused before its model is built."""
+    heis3 = cli._hopf_of(cli.build_model("heis3", 5))
+    assert len(heis3.basis) ** 3 == 175616 <= cli.MAX_DUMP_CELLS
+    monkeypatch.setattr(cli, "MAX_DUMP_CELLS", 27)
+    for table in ("mult", "comult"):
+        code, out, _ = run(capsys, ["smash-table", "--model", "series",
+                                    "--table", table, "--truncation", "2"])
+        assert code == 0 and out.count("\n") == (10 if table == "mult" else 4)
+
+    def build(*args):
+        raise AssertionError("a refused dump was built")
+    monkeypatch.setattr(cli, "build_model", build)
+    for table in ("mult", "comult"):
+        code, out, err = run(capsys, ["smash-table", "--model", "series",
+                                      "--table", table, "--truncation", "3"])
+        assert (code, out) == (2, "") and "has 64 cells" in err
 
 
 def test_weight_check_cli(capsys):
@@ -997,6 +1148,15 @@ REFUSED = [
     (["selfcheck", "--radius", "0"], 1,
      "input error: selfcheck --radius must be >= 8 for its distortion fit, "
      "got 0"),
+    # once still running after 20 s
+    (["smash-table", "--model", "series", "--truncation", "1999"], 2,
+     "precondition violated: the mult table over a basis of 2000 elements "
+     "has 8000000000 cells"),
+    # the cell count is not taken below truncation 1
+    (["smash-table", "--model", "heis3", "--truncation", "0"], 2,
+     "precondition violated: truncation degree must be >= 1"),
+    (["smash-table", "--model", "heis3", "--truncation", "-1"], 1,
+     "input error: --truncation must be >= 0, got -1"),
 ]
 
 

@@ -261,33 +261,41 @@ def test_corrupted_comultiplication_detected(series):
                                  "antipode-convolution": (3, "x^2")}
 
 
-def _xddx_with_products_read():
-    """A fresh x d/dx smash whose every product has been computed, so that a
-    table corrupted afterwards disagrees with the multiplication."""
+def _read_every_entry(X):
+    """Compute every product, coproduct and antipode entry of X, so that a
+    table corrupted afterwards reaches none of them."""
+    for k1 in X.basis:
+        X.comult[k1]
+        X.antipode[k1]
+        for k2 in X.basis:
+            X.mult[(k1, k2)]
+
+
+def _xddx_with_tables_read():
+    """A fresh x d/dx smash whose every table entry has been computed, so
+    that a table corrupted afterwards disagrees with them."""
     a = make_primitive_series_hopf("x", D)
     h = make_primitive_series_hopf("y", D)
     s = SmashAlgebra(a, h, derivation_to_action(h, a, [{1: GQ(1)}]))
-    for k1 in s.basis:
-        for k2 in s.basis:
-            s.mult[(k1, k2)]
+    _read_every_entry(s)
     return s
 
 
 def _xddx_with_broken_product():
-    s = _xddx_with_products_read()
+    s = _xddx_with_tables_read()
     x, x2 = s.position[1][0], s.position[2][0]
     s.mult[(x, x)] = {x2: GQ(3)}  # x * x should be x^2
     return s
 
 
 def _xddx_with_broken_action_entry():
-    s = _xddx_with_products_read()
+    s = _xddx_with_tables_read()
     s.action[(1, 1)] = {1: GQ(2)}  # y . x should be x
     return s
 
 
 def _xddx_with_broken_acting_factor_product():
-    s = _xddx_with_products_read()
+    s = _xddx_with_tables_read()
     s.H.mult[(1, 1)] = {2: GQ(3)}  # y * y should be y^2
     return s
 
@@ -341,6 +349,8 @@ def test_smash_antipode_requires_cocommutative_acting_factor(series):
     h.comult[2] = {(2, 0): GQ(1), (1, 1): GQ(1), (0, 1): GQ(1)}  # asymmetric
     assert not _is_cocommutative(h)
     s = SmashAlgebra(series, h, trivial_action(h, series))
+    for k in s.basis:
+        s.antipode[k]
     assert list(s.antipode) == list(s.basis)
     report = verify_hopf_axioms(s)
     assert _failures(report)["antipode-convolution"] == (3, "y^2")
@@ -584,8 +594,7 @@ def test_every_table_element_is_pruned():
         for X in _tower(top):
             elements = [X.mult[(k1, k2)] for k1 in X.basis for k2 in X.basis]
             elements += [X.comult[k] for k in X.basis]
-            if X.antipode is not None:
-                elements += [X.antipode[k] for k in X.basis]
+            elements += [X.antipode[k] for k in X.basis]
             if isinstance(X, SmashAlgebra):
                 elements += list(X.action.values())
             for el in elements:
@@ -613,6 +622,9 @@ def test_every_model_is_keyed_by_basis_position():
                 for k2 in X.basis:
                     assert positions(X.mult[(k1, k2)], b), where
             assert pairs(X.mult, b, b) and len(X.mult) == b * b, where
+            for k in X.basis:
+                X.comult[k]
+                X.antipode[k]
             for table in (X.comult, X.counit, X.factorization):
                 assert list(table) == list(X.basis), where
             gens = [k for _, k in X.generators]
@@ -620,9 +632,8 @@ def test_every_model_is_keyed_by_basis_position():
             for k in X.basis:
                 assert pairs(X.comult[k], b, b), where
                 assert set(X.factorization[k]) <= set(gens), where
-            if X.antipode is not None:
-                assert list(X.antipode) == list(X.basis), where
-                assert all(positions(X.antipode[k], b) for k in X.basis), where
+            assert list(X.antipode) == list(X.basis), where
+            assert all(positions(X.antipode[k], b) for k in X.basis), where
             if not isinstance(X, SmashAlgebra):
                 continue
             A, H = X.A, X.H
@@ -885,12 +896,15 @@ def test_chain_model_with_a_corrupted_cached_product_fails():
 
 
 def test_chain_model_with_a_corrupted_action_entry_fails():
-    """e1 acting on e2 by 2 e3 instead of e3: the smash is built from the
-    corrupted table, and the commutator check, which brackets in g, sees it."""
+    """e1 acting on e2 by 2 e3 instead of e3, set after the antipode is
+    read: the products read the corrupted table, and the commutator check,
+    which brackets in g, sees it."""
     model = build_chain_model(corpus.heisenberg(), truncation=3)
     s = model.smash
     e2 = s.A.generators[1][1]
     e1 = s.H.generators[0][1]
+    for k in s.basis:       # the antipode is read before the fault
+        s.antipode[k]
     table = s.action
     table[(e1, e2)] = {k: 2 * c for k, c in table[(e1, e2)].items()}
     assert _chain_model_failures(model) == (
