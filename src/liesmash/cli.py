@@ -2,12 +2,12 @@
 word-weight, norm, selfcheck.
 
 Every Hopf model but cyclic2 is a chain model, report.build_chain_model of a
-small Lie algebra (MODEL_ALGEBRAS), as in decompose; selfcheck's lie lines
-read that stage too.  hopf-verify and selfcheck check the Hopf axioms of
-each, and the commutator recovery of heis3 and solv2; smash-table only
-builds them, and refuses a dump of more than MAX_DUMP_CELLS cells before it
-does.  A word() comparison samples group elements, so its descriptors take
-one coordinate.
+small Lie algebra (MODEL_ALGEBRAS) as in decompose, and refused unbuilt when
+its checks plan over hopf.MAX_PLANNED_CASES cases; selfcheck's lie lines read
+that stage too.  hopf-verify and selfcheck check the Hopf axioms of each, and
+the commutator recovery of heis3 and solv2; smash-table only builds them, and
+refuses a dump of more than MAX_DUMP_CELLS cells first.  A word() comparison
+samples group elements, so its descriptors take one coordinate.
 
 Exit codes: 0 pass, 1 input error (or stdout closed early by its reader),
 2 mathematical precondition violated or run over its budget, 3 verification
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import random
 import sys
@@ -31,6 +30,7 @@ from .errors import InputError, PreconditionError, VerificationError
 from .exactnum import GaussianRational, check_fraction_digits, max_digits
 from .hopf import (
     cyclic_group_hopf,
+    planned_cases,
     tensor_degeneration_check,
     verify_hopf_axioms,
 )
@@ -210,16 +210,14 @@ def cmd_hopf_verify(args) -> int:
 
 
 def cmd_smash_table(args) -> int:
-    # both tables print B^3 cells, and a chain model of n generators has
-    # B = C(n + D, D); the refusal comes before the build.  cyclic2 has 8
-    # cells, and a truncation below 1 is left to the series builder.
-    g, d = MODEL_ALGEBRAS[args.model], args.truncation
-    if g is not None and d >= 1:
-        size = math.comb(g.dim + d, d)
-        if size ** 3 > MAX_DUMP_CELLS:
-            raise PreconditionError(
-                f"the {args.table} table over a basis of {size} elements has "
-                f"{size ** 3} cells, more than the {MAX_DUMP_CELLS} printed")
+    # both tables print B^3 cells, refused before the build; the unit check
+    # of a chain model has one case per basis element, and cyclic2 has two
+    g = MODEL_ALGEBRAS[args.model]
+    size = 2 if g is None else planned_cases(g.dim, args.truncation)["unit"]
+    if size ** 3 > MAX_DUMP_CELLS:
+        raise PreconditionError(
+            f"the {args.table} table over a basis of {size} elements has "
+            f"{size ** 3} cells, more than the {MAX_DUMP_CELLS} printed")
     model = _hopf_of(build_model(args.model, args.truncation))
     names = [model.key_str(k) for k in model.basis]
     b = len(names)
@@ -353,7 +351,10 @@ def _rational_flag(flag: str, text: str) -> Fraction:
 def cmd_norm(args) -> int:
     r, s = _rational_flag("r", args.r), _rational_flag("s", args.s)
     norm = weight_mod.SeriesNorm(r, s)
-    ran_value = False
+    if args.coeffs is None and args.check_degree is None:
+        raise InputError("norm needs --coeffs and/or --check-degree")
+    # both runs, and so every refusal, come before the first line is printed
+    lines = []
     if args.coeffs is not None:
         coeffs = [GaussianRational.parse(c.strip())
                   for c in args.coeffs.split(",")]
@@ -366,22 +367,20 @@ def cmd_norm(args) -> int:
             raise PreconditionError(
                 "the exact norm has a numerator or denominator of more than "
                 f"{digits} digits, too long to print")
-        print(f"norm[r={args.r},s={args.s}]: {value}")
-        ran_value = True
+        lines.append(f"norm[r={args.r},s={args.s}]: {value}")
+    code = EXIT_OK
     if args.check_degree is not None:
         pairs, polys = weight_mod.norm_submultiplicativity_check(
             degree=args.check_degree, r=r, s=s, seed=args.seed)
         passed = pairs.passed and polys.passed
-        print(f"submultiplicativity (r'=2^s r): "
-              f"{'pass' if passed else 'FAIL'} ({pairs.checked} monomial "
-              f"pairs, {polys.checked} random polynomials)")
+        lines.append(f"submultiplicativity (r'=2^s r): "
+                     f"{'pass' if passed else 'FAIL'} ({pairs.checked} "
+                     f"monomial pairs, {polys.checked} random polynomials)")
         if not passed:
-            print(f"witness: {pairs.witness or polys.witness}")
-            return EXIT_VERIFICATION
-        ran_value = True
-    if not ran_value:
-        raise InputError("norm needs --coeffs and/or --check-degree")
-    return EXIT_OK
+            lines.append(f"witness: {pairs.witness or polys.witness}")
+            code = EXIT_VERIFICATION
+    print("\n".join(lines))
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -825,6 +825,14 @@ def chain_factor_weights(chain) -> list[Weight]:
 MAX_TERM_BITS = 1 << 17
 _FLOAT_BITS = 1023
 
+# The terms the check may take, counted before any is built: each product
+# of two coefficients in a convolution and each term of a norm sum.  One
+# takes 2.5 to 5 us at r = 1, s = 0 or 1 and degrees 8 to 39 (Python 3.11,
+# 2-core shared host), so this refuses checks of more than a few seconds;
+# the largest degree accepted, with 100 random polynomials, is 39 (977,900
+# terms, 2.3 s).
+MAX_CHECK_TERMS = 1_000_000
+
 
 def _bits(x: Fraction) -> int:
     """The bits of x's numerator or denominator, whichever is longer."""
@@ -911,6 +919,16 @@ def _convolve(a, b):
     return out
 
 
+def _check_terms(degree: int, random_polys: int) -> int:
+    """The terms of norm_submultiplicativity_check, at most: the monomials
+    of degrees k, m <= degree convolve (k + 1)(m + 1) products and sum
+    2(k + m) + 3 norm terms, and a random pair at most (degree + 1)^2 and
+    4 degree + 3."""
+    d = degree + 1
+    return ((d * (d + 1) // 2) ** 2 + d * d * (2 * d + 1)
+            + random_polys * (d * d + 4 * d - 1))
+
+
 def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,
                                    random_polys: int = 100, seed: int = 0):
     """Verify ||ab||_{r,s} <= ||a||_{r',s} ||b||_{r',s} with r' = 2^s r.
@@ -918,8 +936,15 @@ def norm_submultiplicativity_check(degree: int = 8, r=1, s=0,
     Returns two exact sweeps (errors.sweep): every monomial pair with
     exponents up to `degree`, then random rational-coefficient
     polynomials, a sweep left empty when a pair fails.  A witness is the
-    str() of ("monomial", k, m) or ("poly", a, b).
+    str() of ("monomial", k, m) or ("poly", a, b).  A check of more than
+    MAX_CHECK_TERMS terms, or of a term over MAX_TERM_BITS, is refused
+    before any term is built.
     """
+    terms = _check_terms(degree, random_polys)
+    if terms > MAX_CHECK_TERMS:
+        raise PreconditionError(
+            f"the submultiplicativity check to degree {degree} would take "
+            f"about {terms} terms, more than the {MAX_CHECK_TERMS} allowed")
     r = Fraction(r)
     s_int = int(Fraction(s))
     if Fraction(s) != s_int:

@@ -746,40 +746,56 @@ def test_decompose_refuses_oversized_truncation_quickly(capsys, heis_file):
     assert time.perf_counter() - start < 1.0
 
 
+def _planned(n, d):
+    return sum(hopf.planned_cases(n, d).values())
+
+
 @pytest.mark.parametrize("command", ["hopf-verify", "smash-table"])
 def test_model_builders_refuse_an_oversized_basis(capsys, monkeypatch, command):
-    # smash2 and tensor2 have C(2 + D, D) basis elements, series D + 1
-    assert math.comb(2 + 61, 61) == 1953 <= hopf.MAX_SMASH_BASIS
-    assert math.comb(2 + 62, 62) == 2016 > hopf.MAX_SMASH_BASIS
+    # smash2 and tensor2 have C(2 + D, D) basis elements, series D + 1; both
+    # are accepted up to the largest D whose checks plan at most the budget
+    assert _planned(2, 30) <= hopf.MAX_PLANNED_CASES < _planned(2, 31)
+    assert _planned(1, 225) <= hopf.MAX_PLANNED_CASES < _planned(1, 226)
 
     def build(*args):
         raise AssertionError("a refused model was built")
-    # iterated_smash builds its first series after the basis check
+    # iterated_smash builds its first series after the planned-case check
     monkeypatch.setattr(hopf, "make_primitive_series_hopf", build)
-    cases = (("smash2", 62, 2016), ("tensor2", 62, 2016),
-             ("smash2", 100, 5151), ("series", 2000, 2001),
-             ("series", 3000, 3001))
+    cases = (("smash2", 31, 528), ("tensor2", 31, 528), ("smash2", 60, 1891),
+             ("smash2", 61, 1953), ("smash2", 100, 5151),
+             ("series", 226, 227), ("series", 367, 368),
+             ("series", 1999, 2000), ("series", 3000, 3001))
     for model, d, size in cases:
         start = time.perf_counter()
         code, out, err = run(capsys, [command, "--model", model,
                                       "--truncation", str(d)])
         assert code == 2, (model, d)
-        assert out == ""
-        assert "precondition violated" in err and f"of {size} elements" in err
+        assert out == "" and err.count("\n") == 1
+        n = cli.MODEL_ALGEBRAS[model].dim
+        if command == "smash-table" and size ** 3 > cli.MAX_DUMP_CELLS:
+            assert f"over a basis of {size} elements has" in err
+        else:
+            assert (f"smash basis of {size} elements whose checks would "
+                    f"take about {_planned(n, d)} cases") in err
         assert time.perf_counter() - start < 1.0
+    code, _, err = run(capsys, ["hopf-verify", "--model", "smash2",
+                                "--truncation", "60"])
+    assert "about 91511041 cases, more than the 2000000 allowed" in err
 
 
 def test_model_builder_budget_boundary(capsys, monkeypatch):
-    monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", math.comb(2 + 3, 3))
-    for model, accepted in (("series", 9), ("smash2", 3), ("tensor2", 3)):
+    monkeypatch.setattr(hopf, "MAX_PLANNED_CASES", _planned(2, 3))
+    # series plans 188 cases at D=7 and 246 at D=8, smash2 201 at D=3
+    for model, accepted in (("series", 7), ("smash2", 3), ("tensor2", 3)):
         code, out, _ = run(capsys, ["hopf-verify", "--model", model,
                                     "--truncation", str(accepted)])
         assert code == 0 and out.endswith("result: pass\n"), model
         code, out, err = run(capsys, ["hopf-verify", "--model", model,
                                       "--truncation", str(accepted + 1)])
         assert code == 2 and out == "" and "smash basis" in err, model
+        assert "more than the 201 allowed" in err
     # the group algebra of Z/2 has two elements at every truncation
-    monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", 1)
+    monkeypatch.setattr(hopf, "MAX_PLANNED_CASES", 1)
     code, out, _ = run(capsys, ["hopf-verify", "--model", "cyclic2",
                                 "--truncation", "30"])
     assert code == 0 and out.endswith("result: pass\n")
@@ -1157,6 +1173,16 @@ REFUSED = [
      "precondition violated: truncation degree must be >= 1"),
     (["smash-table", "--model", "heis3", "--truncation", "-1"], 1,
      "input error: --truncation must be >= 0, got -1"),
+    # once still running after 8 s: (D + 1)^2 pairs of O(D^2) terms each
+    (["norm", "--check-degree", "3000"], 2,
+     "precondition violated: the submultiplicativity check to degree 3000 "
+     "would take about 20345494083404 terms, more than the 1000000 "
+     "allowed"),
+    # once printed the norm line before the refusal
+    (["norm", "--coeffs", "1", "--check-degree", "1000000000"], 2,
+     "precondition violated: the submultiplicativity check to degree "
+     "1000000000 would take about 250000003500000110250000611000000404 "
+     "terms"),
 ]
 
 

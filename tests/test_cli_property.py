@@ -9,6 +9,10 @@ exits 0-3 with no exception out of main but argparse's SystemExit(2).  A
 refusal writes exactly one stderr line; the verdict exits (2 for a
 word-weight length beyond the radius, 3 for a failed check) print their
 result on stdout and write nothing on stderr.
+
+A second grammar draws every --truncation above the largest accepted, up
+to 10^12, for the chain models of decompose, hopf-verify and smash-table;
+each is refused before a Hopf model is built.
 """
 
 import json
@@ -17,7 +21,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from liesmash import cli
+from liesmash import cli, hopf
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 HEIS = json.loads((DATA / "heisenberg.json").read_text())
@@ -195,3 +199,64 @@ def test_every_argument_vector_ends_in_a_mapped_exit(capsys, tmp_path, argv):
         assert err.count("\n") == 1 and err.endswith("\n"), err
     else:
         assert code in (2, 3) and out, (code, out)
+
+
+# -- oversized chain models are refused before anything is built -------------
+
+def _largest_accepted(n, dump=False):
+    """The largest truncation accepted for a chain model of n generators:
+    its checks plan at most hopf.MAX_PLANNED_CASES cases, and for a dump
+    its B^3 cells are at most cli.MAX_DUMP_CELLS."""
+    def fits(d):
+        plan = hopf.planned_cases(n, d)
+        return (sum(plan.values()) <= hopf.MAX_PLANNED_CASES
+                and not (dump and plan["unit"] ** 3 > cli.MAX_DUMP_CELLS))
+    d = 1
+    while fits(d + 1):
+        d += 1
+    return d
+
+
+def _oversized(argv, n, dump=False):
+    low = _largest_accepted(n, dump) + 1
+    return st.one_of(st.integers(low, low + 3), st.integers(low, 10 ** 12)).map(
+        lambda d: argv + ["--truncation", str(d)])
+
+
+# a corpus chain has one generator per dimension
+CHAIN_MODELS = sorted(m for m, g in cli.MODEL_ALGEBRAS.items() if g is not None)
+OVERSIZED = st.one_of(
+    *[_oversized(["decompose", str(path)],
+                 json.loads(path.read_text())["dim"])
+      for path in sorted(DATA.glob("*.json"))],
+    *[_oversized(["hopf-verify", "--model", m], cli.MODEL_ALGEBRAS[m].dim)
+      for m in CHAIN_MODELS],
+    *[_oversized(["smash-table", "--model", m, "--table", table],
+                 cli.MODEL_ALGEBRAS[m].dim, dump=True)
+      for m in CHAIN_MODELS for table in ("mult", "comult")])
+
+
+def _no_build(*args):
+    raise AssertionError("a refused model was built")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=OVERSIZED)
+def test_oversized_truncations_are_refused_before_the_build(
+        capsys, monkeypatch, argv):
+    # iterated_smash builds its first series after the planned-case check
+    monkeypatch.setattr(hopf, "make_primitive_series_hopf", _no_build)
+    capsys.readouterr()
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("precondition violated: ") and err.count("\n") == 1
+
+
+def test_selfcheck_over_the_budget_is_refused(capsys):
+    # the lie lines build at truncation 1; series at D=226 plans 2,002,140
+    assert cli.main(["selfcheck", "--truncation", "226"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "about 2002140 cases" in err, err

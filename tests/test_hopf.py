@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesmash import corpus, hopf
+from liesmash import cli, corpus, hopf
 from liesmash.exactnum import GaussianRational as GQ, ONE, ZERO
 from liesmash.lie import LieAlgebra
 from liesmash.hopf import (
@@ -203,11 +203,10 @@ def test_smash_antipode_examples(smash_xddx):
     s = smash_xddx
     pos = s.position
     one = {s.unit: ONE}
-    assert s.antipode_el(one) == one
+    assert s.antipode[s.unit] == one
     # S(a (x) 1) = S_A(a) (x) 1
     for n in range(D + 1):
-        got = s.antipode_el({pos[n][0]: ONE})
-        assert got == {pos[n][0]: GQ((-1) ** n)}
+        assert s.antipode[pos[n][0]] == {pos[n][0]: GQ((-1) ** n)}
     # full convolution identity mu (S (x) 1) Delta = eta eps on the basis
     for key in s.basis:
         acc = {}
@@ -709,27 +708,44 @@ def test_smash_products_are_computed_on_demand():
     assert len(s.mult) == b * b
 
 
+def _planned(n, d):
+    return sum(hopf.planned_cases(n, d).values())
+
+
 def test_iterated_smash_refuses_an_oversized_basis(monkeypatch):
     # uppertri3 (6 generators) at D=7 stays within the budget
-    assert math.comb(6 + 7, 7) == 1716 <= hopf.MAX_SMASH_BASIS
+    assert _planned(6, 7) == 1166996 <= hopf.MAX_PLANNED_CASES
     built = build_chain_model(corpus.heisenberg(), truncation=1)
     chain = built.chain
     actions = adjoint_action_matrices(built.brackets, 3)
-    monkeypatch.setattr(hopf, "MAX_SMASH_BASIS", math.comb(3 + 2, 2))
+    monkeypatch.setattr(hopf, "MAX_PLANNED_CASES", _planned(3, 2))
     assert len(iterated_smash(chain, 2, actions).basis) == 10
-    with pytest.raises(PreconditionError, match="smash basis of 20 elements"):
+    with pytest.raises(PreconditionError, match="smash basis of 20 elements "
+                       f"whose checks would take about {_planned(3, 3)} "
+                       f"cases, more than the {_planned(3, 2)} allowed"):
         iterated_smash(chain, 3, actions)
 
 
-def test_check_smash_basis_boundary():
-    assert math.comb(1 + 1999, 1999) == hopf.MAX_SMASH_BASIS
-    hopf.check_smash_basis(1, 1999)
-    with pytest.raises(PreconditionError, match="smash basis of 2001 elements"):
-        hopf.check_smash_basis(1, 2000)
-    hopf.check_smash_basis(2, 61)               # 1953 elements
-    with pytest.raises(PreconditionError, match="smash basis of 2016 elements"):
-        hopf.check_smash_basis(2, 62)
-    hopf.check_smash_basis(2, 0)                # left to the series builder
+def test_planned_cases_boundary():
+    # the largest truncation accepted over n generators
+    for n, d in ((1, 225), (2, 30), (3, 15), (4, 11), (5, 9), (6, 7), (7, 6)):
+        assert _planned(n, d) <= hopf.MAX_PLANNED_CASES < _planned(n, d + 1)
+
+
+def test_iterated_smash_refuses_before_building(monkeypatch):
+    built = build_chain_model(corpus.heisenberg(), truncation=1)
+    actions = adjoint_action_matrices(built.brackets, 3)
+
+    def build(*args):
+        raise AssertionError("a refused model was built")
+    monkeypatch.setattr(hopf, "make_primitive_series_hopf", build)
+    with pytest.raises(PreconditionError, match="smash basis of 969 elements "
+                       "whose checks would take about 2146131 cases"):
+        iterated_smash(built.chain, 16, actions)
+    # a truncation below 1 is planned as 0, and left to the series builder
+    for d in (0, -1):
+        with pytest.raises(AssertionError, match="a refused model was built"):
+            iterated_smash(built.chain, d, actions)
 
 
 # -- the sweep kernel against references ---------------------------------------
@@ -856,23 +872,24 @@ def test_sweeps_match_filtered_loops_over_the_whole_basis():
     ("heisenberg", 4), ("filiform4", 4), ("filiform4", 5), ("solv2", 6),
     ("uppertri3", 3), ("abelian2", 4)])
 def test_case_counts_follow_their_closed_forms(stem, d):
-    """n chain generators at truncation D: B = C(n + D, D) basis elements."""
     g = LieAlgebra.from_json_dict(json.loads((DATA / f"{stem}.json").read_text()))
     model = build_chain_model(g, truncation=d)
     report, _ = check_chain_model(model)
     assert report.passed
     n = len(model.chain.generator_names())
-    b = math.comb(n + d, d)
-    assert {r.name: r.checked for r in report.results} == {
-        "unit": b,
-        "associativity": math.comb(d + 3 * n, 3 * n),
-        "coassociativity": b,
-        "counit": b,
-        "bialgebra": math.comb(d + 2 * n, 2 * n),
-        "antipode-convolution": b,
-        "module-intertwining": b,
-        "factor-embeddings": math.comb(d + n - 1, d) ** 2 + (d + 1) ** 2,
-    }
+    assert {r.name: r.checked for r in report.results} == \
+        hopf.planned_cases(n, d)
+
+
+@pytest.mark.parametrize("name", ["series", "smash2", "tensor2", "heis3",
+                                  "solv2"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_model_case_counts_follow_their_closed_forms(name, d):
+    """The hopf-verify chain models, series (n = 1) among them."""
+    report = verify_hopf_axioms(cli.build_model(name, d).smash)
+    assert report.passed
+    assert {r.name: r.checked for r in report.results} == \
+        hopf.planned_cases(cli.MODEL_ALGEBRAS[name].dim, d)
 
 
 def _chain_model_failures(model):

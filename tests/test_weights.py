@@ -840,6 +840,41 @@ def test_norm_check_budget_is_checked_before_any_term(monkeypatch):
         W.norm_submultiplicativity_check(degree=2, s=10 ** 400)
 
 
+def test_norm_check_terms_are_planned_before_any_term(monkeypatch):
+    """The planned terms are the convolution products and norm terms the
+    check takes: all of them without random polynomials, and at most that
+    with them.  A check over the budget is refused before it builds one."""
+    taken = [0]
+    convolve, series_norm = W._convolve, W.series_norm
+
+    def counted_convolve(a, b):
+        taken[0] += len(a) * len(b)
+        return convolve(a, b)
+
+    def counted_norm(coeffs, norm):
+        taken[0] += len(coeffs)
+        return series_norm(coeffs, norm)
+    monkeypatch.setattr(W, "_convolve", counted_convolve)
+    monkeypatch.setattr(W, "series_norm", counted_norm)
+    W.norm_submultiplicativity_check(degree=6, random_polys=0)
+    assert taken[0] == W._check_terms(6, 0) == 1519
+    taken[0] = 0
+    W.norm_submultiplicativity_check(degree=6, random_polys=30)
+    assert W._check_terms(6, 0) < taken[0] <= W._check_terms(6, 30)
+    monkeypatch.setattr(W, "MAX_CHECK_TERMS", W._check_terms(6, 30))
+    W.norm_submultiplicativity_check(degree=6, random_polys=30)
+    monkeypatch.setattr(W, "_convolve", None)
+    with pytest.raises(W.PreconditionError, match=(
+            f"check to degree 7 would take about {W._check_terms(7, 30)} "
+            f"terms, more than the {W._check_terms(6, 30)} allowed")):
+        W.norm_submultiplicativity_check(degree=7, random_polys=30)
+
+
+def test_norm_check_term_budget_boundary():
+    assert W._check_terms(39, 100) <= W.MAX_CHECK_TERMS
+    assert W._check_terms(40, 100) > W.MAX_CHECK_TERMS
+
+
 def test_norm_submultiplicativity_monomial_binomial_bound():
     # monomial pairs reduce to C(k+m, k) <= 2^(k+m); brute force both sides
     for k in range(9):
