@@ -23,8 +23,10 @@ the check that reports it, and the cache's size depends on the configs
 alone, never on the descriptors compared.
 
 A tier is evaluated in one batch per descriptor (log_table over its
-columns), with the same float operations in the same order as evaluating
-one point at a time, so its values, and every verdict built on them, are
+columns), which adds whole columns left to right (_row_sums) and so gives
+every value the bits of its point's terms summed left to right with +, on
+every Python version; it drops only the neutral ** 1.0 of an exponent-1
+column and the leading 0 + of a sum.  Every verdict built on the values is
 bit-identical to per-point evaluation.
 
 The fit tests each (gamma, C) candidate on the held-out tier first, where a
@@ -40,10 +42,11 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import mul
+from operator import add, mul
 
 from .errors import CheckResult, InputError, PreconditionError, sweep
 
@@ -156,9 +159,23 @@ class Weight:
         return list(zip(*points))
 
 
-def _rows(cols, n: int):
-    """The rows of columns; n empty rows when there are none."""
-    return zip(*cols) if cols else [()] * n
+def _row_sums(columns):
+    """The sum of each row of one or more columns, added left to right:
+    the first column plus each next one, a column at a time, with the same
+    + and the same order on every Python version (sum() of floats is
+    compensated since 3.12)."""
+    total = columns[0]
+    for col in columns[1:]:
+        total = list(map(add, total, col))
+    return total
+
+
+def _powered(col, w: int):
+    """The moduli of col to the power 1/w, as a new list; m ** 1.0 is m,
+    so at w = 1 the moduli are copied as they are."""
+    if w == 1:
+        return list(col.moduli)
+    return list(map(pow, col.moduli, repeat(1.0 / w)))
 
 
 class _Dimensioned(_Value, Weight):
@@ -177,8 +194,7 @@ class Poly(_Dimensioned):
     """z -> 1 + sum_i |z_i| (the l1 choice of norm on a delta block)."""
 
     def log_table(self, cols, n):
-        return list(map(math.log1p, map(sum, _rows(
-            [c.moduli for c in cols], n))))
+        return list(map(math.log1p, _row_sums([c.moduli for c in cols])))
 
     def __str__(self):
         return "poly" if self.dim == 1 else f"poly({self.dim})"
@@ -196,8 +212,7 @@ class ExpPower(_Value, Weight):
 
     def log_table(self, cols, n):
         (col,) = cols
-        e = 1.0 / self.w
-        return [m ** e for m in col.moduli]
+        return _powered(col, self.w)
 
     def __str__(self):
         return f"exppow({self.w})"
@@ -219,11 +234,8 @@ class MaxPower(_Value, Weight):
         return len(self.ws)
 
     def log_table(self, cols, n):
-        powered = []
-        for col, w in zip(cols, self.ws):
-            e = 1.0 / w
-            powered.append([m ** e for m in col.moduli])
-        return list(map(max, zip(*powered)))
+        powered = list(map(_powered, cols, self.ws))
+        return powered[0] if len(powered) == 1 else list(map(max, *powered))
 
     def __str__(self):
         return "maxpow(" + ",".join(str(w) for w in self.ws) + ")"
@@ -236,8 +248,8 @@ class ExpSum(_Dimensioned):
         super().__init__(dim)
 
     def log_table(self, cols, n):
-        return list(map(abs, map(sum, _rows(
-            [list(map(complex, c.values)) for c in cols], n))))
+        return list(map(abs, _row_sums(
+            [list(map(complex, c.values)) for c in cols])))
 
     def __str__(self):
         return f"expsum({self.dim})"
@@ -303,7 +315,7 @@ class Product(_Value, Weight):
         for p in self.parts:
             values.append(p.log_table(cols[pos:pos + p.dim], n))
             pos += p.dim
-        return list(map(sum, _rows(values, n)))
+        return _row_sums(values) if values else [0] * n
 
     def __str__(self):
         return "prod(" + ",".join(str(p) for p in self.parts) + ")"
@@ -322,6 +334,20 @@ class Power(_Value, Weight):
         gamma = Fraction(gamma)
         if gamma <= 0:
             raise WeightDomainError("power needs gamma > 0")
+        try:
+            g = float(gamma)
+        except OverflowError:
+            g = math.inf
+        # every log value is scaled by the float: inf overflows the fit,
+        # and 0 or a subnormal makes any pair read the same
+        if not sys.float_info.min <= g < math.inf:
+            text = str(gamma)
+            if len(text) > 40:
+                text = ("about 2^" + str(gamma.numerator.bit_length()
+                                         - gamma.denominator.bit_length()))
+            raise WeightDomainError(
+                f"pow's exponent {text} is outside the range of normal "
+                "floats")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "gamma", gamma)
 

@@ -1183,6 +1183,16 @@ REFUSED = [
      "precondition violated: the submultiplicativity check to degree "
      "1000000000 would take about 250000003500000110250000611000000404 "
      "terms"),
+    # once blamed --radii for the overflow
+    (["weight-check", "--lhs", "pow(poly," + "1" + "0" * 400 + ")", "--rhs",
+      "poly"], 1,
+     "input error: pow's exponent about 2^1328 is outside the range of "
+     "normal floats"),
+    # once printed a false violated: the exponent's float is 0, then subnormal
+    (["weight-check", "--lhs", "poly", "--rhs", "pow(poly,1/1" + "0" * 400
+      + ")"], 1, "input error: pow's exponent about 2^-1328 is outside"),
+    (["weight-check", "--lhs", "poly", "--rhs", "pow(poly,1/1" + "0" * 310
+      + ")"], 1, "input error: pow's exponent about 2^-1029 is outside"),
 ]
 
 

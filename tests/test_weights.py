@@ -1,17 +1,27 @@
 """Weight descriptors, sampled majorization, series norms."""
 
 import cmath
+import hashlib
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesmash import cayley as C
+from liesmash import report
 from liesmash import weights as W
 from liesmash.exactnum import GaussianRational as GQ
+from liesmash.lie import LieAlgebra
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+# sha256 of the float.hex of poly(3)'s log table on decompose's sample
+# table (count 128, seed 0)
+POLY3_DIGEST = "aeb12ee3642d898dbf9d21d748da98dc6f090f49d060244a9157c7042a89cf5a"
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +164,15 @@ def _ref_coords(w, point):
     return tuple(point)
 
 
+def _ltr_sum(values):
+    """0 + each value in turn, added left to right with +: the same on every
+    Python version, where sum() of floats is compensated since 3.12."""
+    total = 0
+    for v in values:
+        total = total + v
+    return total
+
+
 def _ref_log_eval(w, point):
     """One point at a time, each descriptor's formula written out."""
     if isinstance(w, W.WordWeight):
@@ -165,14 +184,14 @@ def _ref_log_eval(w, point):
         return float(w.gamma) * _ref_log_eval(w.base, point)
     coords = _ref_coords(w, point)
     if isinstance(w, W.Poly):
-        return math.log1p(sum(abs(complex(z)) for z in coords))
+        return math.log1p(_ltr_sum(abs(complex(z)) for z in coords))
     if isinstance(w, W.ExpPower):
         (z,) = coords
         return abs(complex(z)) ** (1.0 / w.w)
     if isinstance(w, W.MaxPower):
         return max(abs(complex(z)) ** (1.0 / k) for z, k in zip(coords, w.ws))
     if isinstance(w, W.ExpSum):
-        return abs(sum(complex(z) for z in coords))
+        return abs(_ltr_sum(complex(z) for z in coords))
     if isinstance(w, W.Const):
         return 0.0
     if isinstance(w, W.Product):
@@ -180,7 +199,7 @@ def _ref_log_eval(w, point):
         for p in w.parts:
             blocks.append(coords[pos:pos + p.dim])
             pos += p.dim
-        return sum(_ref_log_eval(p, b) for p, b in zip(w.parts, blocks))
+        return _ltr_sum(_ref_log_eval(p, b) for p, b in zip(w.parts, blocks))
     raise TypeError(w)
 
 
@@ -334,6 +353,63 @@ def test_log_evals_on_group_elements_match_reference():
         assert w.log_evals(pts) == [_ref_log_eval(w, p) for p in pts]
     with pytest.raises(W.WeightDomainError, match="beyond BFS radius"):
         heis.log_evals([(0, 0, 0), (0, 0, 10 ** 6)])
+
+
+def _assert_bits(w, points, values):
+    """values are w's log table at points, float.hex-equal to the per-point
+    reference (== would let -0.0 pass for 0.0)."""
+    assert list(map(float.hex, values)) \
+        == [float.hex(_ref_log_eval(w, p)) for p in points], w
+
+
+@pytest.mark.parametrize("w", BATCH_DESCRIPTORS, ids=str)
+def test_log_tables_match_left_to_right_sums_to_the_bit(w):
+    for config in SAMPLER_CONFIGS + [W.SamplerConfig(count=128, seed=0)]:
+        for pts in W.sample_points(w.dim, config):
+            _assert_bits(w, pts, w.log_evals(pts))
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+def test_decompose_weight_tables_match_left_to_right_sums_to_the_bit(path):
+    """The chain weight and the product of its factor weights, on the
+    sample table decompose compares them on."""
+    g = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+    chain = report.build_chain_model(g, truncation=1).chain
+    w = W.chain_weight(chain)
+    parts = W.Product(tuple(W.chain_factor_weights(chain)))
+    for pts, lhs, rhs in W._sampled_logs(
+            w, parts, W.SamplerConfig(count=128, seed=0)):
+        _assert_bits(w, pts, lhs)
+        _assert_bits(parts, pts, rhs)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False),
+                 st.floats(max_value=2.2250738585072014e-308,
+                           min_value=-2.2250738585072014e-308),
+                 st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324])))
+def test_power_one_keeps_every_bit(m):
+    """m ** 1.0 is m, which lets an exponent-1 column be its moduli."""
+    assert float.hex(m ** 1.0) == float.hex(m)
+
+
+def test_power_exponent_must_be_a_normal_float():
+    W.Power(W.Poly(), Fraction(1, 10 ** 305))
+    for gamma in (Fraction(10 ** 400), Fraction(1, 10 ** 400),
+                  Fraction(1, 10 ** 310)):
+        with pytest.raises(W.WeightDomainError, match="pow's exponent about 2"):
+            W.Power(W.Poly(), gamma)
+    assert W.majorizes(W.Poly(), W.Power(W.Poly(), Fraction(1, 10 ** 305)),
+                       W.SamplerConfig(count=16)).verdict == W.HOLDS
+
+
+def test_poly_log_table_bits_are_pinned():
+    """Explicit left-to-right adds give these bits on every Python version;
+    sum() gave other bits here on 3.12 and 3.13 than on 3.11."""
+    values = [v for pts in W.sample_points(3, W.SamplerConfig(count=128, seed=0))
+              for v in W.Poly(3).log_evals(pts)]
+    digest = hashlib.sha256(" ".join(map(float.hex, values)).encode())
+    assert digest.hexdigest() == POLY3_DIGEST
 
 
 RESTRICTED_PARTS = [
